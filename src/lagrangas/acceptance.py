@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import json
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, cli, solver
+from . import analysis, cli, functionals, solver
 from .core import InitialSpec, build_grid, make_initial_data
 from .errors import InsufficientDataError
 
@@ -66,24 +65,10 @@ class CriterionResult:
 
 
 def _reduce(traj: solver.Trajectory) -> dict:
-    recs = traj.records
-    out = {
-        "t": np.array([r.t for r in recs]),
-        "mass": np.array([r.mass for r in recs]),
-        "energy": np.array([r.total_energy for r in recs]),
-        "entropy": np.array([r.entropy_E for r in recs]),
-        "int_v": np.array([r.int_V_dt for r in recs]),
-        "mean_theta": np.array([r.mean_theta for r in recs]),
-        "min_v": np.array([r.min_v for r in recs]),
-        "max_v": np.array([r.max_v for r in recs]),
-        "min_theta": np.array([r.min_theta for r in recs]),
-        "max_theta": np.array([r.max_theta for r in recs]),
-        "h1": np.array([r.h1_dev for r in recs]),
-        "repr": np.array(traj.repr_errors),
-        "log_y": np.array(traj.log_damping),
-        "lp": {q: np.array([r.lp_moments[q] for r in recs])
-               for q in recs[0].lp_moments},
-    }
+    """Every record column by its schema name, plus the moments under "lp"."""
+    out = {name: traj.column(name) for name in functionals.RECORD_FIELDS}
+    out["lp"] = {q: np.array([r.lp_moments[q] for r in traj.records])
+                 for q in traj.records[0].lp_moments}
     return out
 
 
@@ -98,7 +83,7 @@ def _acceptance_worker(args):
 
 
 def _budget_defect(run: dict, t_max: float | None = None) -> float:
-    q = run["entropy"] + run["int_v"]
+    q = run["entropy_E"] + run["int_V_dt"]
     mask = np.ones(len(q), dtype=bool) if t_max is None else run["t"] <= t_max + 1e-9
     return float(np.max(np.abs(q[mask] - q[0])))
 
@@ -157,18 +142,7 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
     if workers is None:
         import os
         workers = min(2, os.cpu_count() or 1)
-    runs = {}
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for tag, reduced in pool.map(_acceptance_worker, jobs):
-                    runs[tag] = reduced
-        except (OSError, RuntimeError):
-            runs = {}
-    if not runs:
-        for job in jobs:
-            tag, reduced = _acceptance_worker(job)
-            runs[tag] = reduced
+    runs = dict(cli._fan_out(_acceptance_worker, jobs, workers))
 
     mms_errors = {n: cli.mms_error(cfg, n) for n in MMS_LEVELS}
 
@@ -184,10 +158,10 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
 
     # 1: conservation of mass exactly, of total energy at first order in dt
     mass_dev = float(np.max(np.abs(ref["mass"] - 1.0)))
-    energy_dev = float(np.max(np.abs(ref["energy"] - 1.0)))
+    energy_dev = float(np.max(np.abs(ref["total_energy"] - 1.0)))
     win = ref["t"] <= RATIO_WINDOW_END + 1e-9
-    energy_dev_10 = float(np.max(np.abs(ref["energy"][win] - 1.0)))
-    energy_dev_half = float(np.max(np.abs(runs["dt_half"]["energy"] - 1.0)))
+    energy_dev_10 = float(np.max(np.abs(ref["total_energy"][win] - 1.0)))
+    energy_dev_half = float(np.max(np.abs(runs["dt_half"]["total_energy"] - 1.0)))
     ratio = energy_dev_10 / max(energy_dev_half, 1e-300)
     add(1, "conservation", mass_dev <= MASS_TOL and energy_dev <= ENERGY_TOL
         and ratio >= FIRST_ORDER_RATIO_MIN,
@@ -197,7 +171,7 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
 
     # 2: entropy budget defect small, nonincreasing, and refining at >= first order
     defect = _budget_defect(ref)
-    q = ref["entropy"] + ref["int_v"]
+    q = ref["entropy_E"] + ref["int_V_dt"]
     max_increment = float(np.max(np.diff(q), initial=0.0))
     defect_10 = _budget_defect(ref, RATIO_WINDOW_END)
     defect_fine = _budget_defect(runs["refined"])
@@ -209,7 +183,7 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
         f"(>= {FIRST_ORDER_RATIO_MIN})")
 
     # 3: mean temperature stays in the corridor [alpha1 - tol, 1 + tol]
-    e0 = float(ref["entropy"][0])
+    e0 = float(ref["entropy_E"][0])
     alpha1, _ = analysis.entropy_roots(e0)
     th_lo = float(np.min(ref["mean_theta"]))
     th_hi = float(np.max(ref["mean_theta"]))
@@ -240,10 +214,10 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
 
     # 5: exponential decay of the H1 deviation, grid-stable rate
     in_window = (ref["t"] >= DECAY_WINDOW[0]) & (ref["t"] <= DECAY_WINDOW[1])
-    h1_window = ref["h1"][in_window]
+    h1_window = ref["h1_dev"][in_window]
     try:
-        fit = analysis.fit_decay_rate(ref["t"], ref["h1"], DECAY_WINDOW)
-        fit512 = analysis.fit_decay_rate(runs["n512"]["t"], runs["n512"]["h1"],
+        fit = analysis.fit_decay_rate(ref["t"], ref["h1_dev"], DECAY_WINDOW)
+        fit512 = analysis.fit_decay_rate(runs["n512"]["t"], runs["n512"]["h1_dev"],
                                          DECAY_WINDOW)
         rate_shift = abs(fit512.rate - fit.rate) / fit.rate
         observed["eta0"] = fit.rate
@@ -262,10 +236,10 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
 
     # 6: volume reconstruction accuracy on [0, 1] and second-order refinement
     early = (ref["t"] > 0.0) & (ref["t"] <= 1.0 + 1e-9)
-    repr_ref = float(np.max(ref["repr"][early]))
+    repr_ref = float(np.max(ref["repr_err"][early]))
     r512 = runs["repr512"]
     early512 = (r512["t"] > 0.0) & (r512["t"] <= 1.0 + 1e-9)
-    repr_fine = float(np.max(r512["repr"][early512]))
+    repr_fine = float(np.max(r512["repr_err"][early512]))
     ratio6 = repr_ref / max(repr_fine, 1e-300)
     observed["repr_err_t1"] = repr_ref
     add(6, "volume reconstruction", repr_ref <= REPR_TOL and ratio6 >= REPR_RATIO_MIN,
@@ -275,7 +249,7 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
     # 7: damping factor stays between exp(-2t) and exp(-t) on normalized runs
     t_pos = ref["t"] > 0.0
     t7 = ref["t"][t_pos]
-    ly = ref["log_y"][t_pos]
+    ly = ref["log_damping"][t_pos]
     lower_ok = np.all(ly >= -2.0 * t7 - LOG_Y_TOL)
     upper_ok = np.all(ly <= -t7 + LOG_Y_TOL * t7)
     margin_lo = float(np.min(ly + 2.0 * t7)) if len(t7) else 0.0

@@ -14,7 +14,8 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,9 @@ from .core import (Grid, InitialSpec, PhysParams, State, build_grid,
 from .errors import (ConfigError, ConstructionError, FormatError,
                      InsufficientDataError, ParamError, SimulationFailure)
 
-CSV_COLUMNS = ("t", "mass", "total_energy", "entropy_E", "dissipation_V",
-               "int_V_dt", "mean_theta", "min_v", "max_v", "min_theta",
-               "max_theta", "grad_v_sq", "grad_u_sq", "grad_theta_sq",
-               "h1_dev", "repr_err")
+# log Y is left out so that the published column set stays fixed; the
+# moment columns follow these, one per exponent.
+CSV_COLUMNS = tuple(name for name in functionals.RECORD_FIELDS if name != "log_damping")
 
 DEFAULT_SWEEP_BETAS = (0.5, 1.0, 1.5, 2.5)
 
@@ -218,9 +218,9 @@ def load_config(path) -> RunConfig:
 
 @dataclass
 class RunSummary:
-    """End-of-run report; serialized to summary.json."""
+    """End-of-run report; serialized to summary.json by dataclasses.asdict."""
 
-    config_text: str
+    config: str
     failed: bool
     already_at_equilibrium: bool
     normalized: bool
@@ -237,43 +237,6 @@ class RunSummary:
     n_steps: int
     n_rejected: int
     wall_time: float
-
-    def to_dict(self) -> dict:
-        d = {
-            "config": self.config_text,
-            "failed": self.failed,
-            "already_at_equilibrium": self.already_at_equilibrium,
-            "normalized": self.normalized,
-            "mass_drift": self.mass_drift,
-            "energy_drift_rel": self.energy_drift_rel,
-            "entropy_budget_defect": self.entropy_budget_defect,
-            "repr_err_max": self.repr_err_max,
-            "v_star": self.v_star,
-            "theta_star": self.theta_star,
-            "theta_reference_gap": self.theta_reference_gap,
-            "n_steps": self.n_steps,
-            "n_rejected": self.n_rejected,
-            "wall_time": self.wall_time,
-            "bounds": None,
-            "decay_fit": None,
-            "decay_fit_note": self.decay_fit_note,
-        }
-        if self.bounds is not None:
-            d["bounds"] = {
-                "inf_v": self.bounds.inf_v, "sup_v": self.bounds.sup_v,
-                "inf_theta": self.bounds.inf_theta,
-                "sup_theta": self.bounds.sup_theta,
-                "t_range": list(self.bounds.t_range),
-                "corridor_ok": self.bounds.corridor_ok,
-            }
-        if self.decay_fit is not None:
-            f = self.decay_fit
-            d["decay_fit"] = {
-                "rate": f.rate, "log_amplitude": f.log_amplitude,
-                "r_squared": f.r_squared, "window": list(f.window),
-                "n_samples": f.n_samples, "n_excluded": f.n_excluded,
-            }
-        return d
 
 
 def build_initial_state(cfg: RunConfig, grid: Grid) -> State:
@@ -297,11 +260,8 @@ def write_snapshot(path, state: State, grid: Grid) -> None:
 def _csv_text(traj: solver.Trajectory, lp_exponents) -> str:
     header = ",".join(CSV_COLUMNS) + "".join(f",lp_{q:g}" for q in lp_exponents)
     out = [header]
-    for rec, repr_err in zip(traj.records, traj.repr_errors):
-        vals = [rec.t, rec.mass, rec.total_energy, rec.entropy_E,
-                rec.dissipation_V, rec.int_V_dt, rec.mean_theta, rec.min_v,
-                rec.max_v, rec.min_theta, rec.max_theta, rec.grad_v_sq,
-                rec.grad_u_sq, rec.grad_theta_sq, rec.h1_dev, repr_err]
+    for rec in traj.records:
+        vals = [getattr(rec, name) for name in CSV_COLUMNS]
         vals.extend(rec.lp_moments[q] for q in lp_exponents)
         out.append(",".join(_fmt(v) for v in vals))
     return "\n".join(out) + "\n"
@@ -339,7 +299,7 @@ def _summarize(cfg: RunConfig, traj: solver.Trajectory, v_star, theta_star,
             note = f"insufficient-data: {exc}"
 
     return RunSummary(
-        config_text=serialize_config(cfg),
+        config=serialize_config(cfg),
         failed=failed,
         already_at_equilibrium=first.h1_dev < _EQUILIBRIUM_TOL,
         normalized=normalized,
@@ -349,7 +309,7 @@ def _summarize(cfg: RunConfig, traj: solver.Trajectory, v_star, theta_star,
         bounds=bounds,
         decay_fit=decay_fit,
         decay_fit_note=note,
-        repr_err_max=max(traj.repr_errors),
+        repr_err_max=max(r.repr_err for r in records),
         v_star=v_star,
         theta_star=theta_star,
         theta_reference_gap=abs(theta_star - first.mean_theta),
@@ -406,17 +366,17 @@ def _run_with_outputs(cfg: RunConfig, out_dir=None):
 
     csv_path.write_text(_csv_text(traj, lp), encoding="utf-8")
     grid = traj.grid
-    write_snapshot(out / f"snap_{traj.records[0].t:g}.txt", traj.states[0], grid)
-    if len(traj.states) > 1:
-        write_snapshot(out / f"snap_{traj.records[-1].t:g}.txt", traj.states[-1], grid)
+    write_snapshot(out / f"snap_{traj.records[0].t:g}.txt", traj.initial_state, grid)
+    if len(traj.records) > 1:
+        write_snapshot(out / f"snap_{traj.records[-1].t:g}.txt", traj.final_state, grid)
     summary = _summarize(cfg, traj, v_star, theta_star, wall, failed)
     (out / "summary.json").write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n",
+        json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     if failed:
         raise SimulationFailure(f"run failed at t = {traj.records[-1].t}; "
                                 f"partial outputs in {out}",
-                                last_state=traj.states[-1], trajectory=traj)
+                                last_state=traj.final_state, trajectory=traj)
     return summary, traj
 
 
@@ -438,11 +398,34 @@ def _sweep_worker(args):
     }
 
 
+def _fan_out(worker, jobs, workers: int) -> list:
+    """Map ``worker`` over ``jobs`` with up to ``workers`` processes, in job order.
+
+    The jobs run in this process when one worker is asked for or no process
+    pool can be created here. A worker process that dies mid-job raises
+    SimulationFailure; its jobs are not rerun.
+    """
+    pool = None
+    if workers > 1:
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+        except (OSError, RuntimeError):
+            pass  # no semaphores or threads on this platform
+    if pool is None:
+        return [worker(job) for job in jobs]
+    with pool:
+        try:
+            return list(pool.map(worker, jobs))
+        except BrokenProcessPool as exc:
+            raise SimulationFailure(f"a worker process died: {exc}") from exc
+
+
 def sweep(cfg: RunConfig, beta_list, out_dir=None, workers: int | None = None):
     """Run the scenario once per beta; write sweep.csv; return the row dicts.
 
     Rows run concurrently when more than one worker is available; a failed
-    row is recorded and the sweep continues.
+    row is recorded and the sweep continues, but a worker process that dies
+    raises SimulationFailure.
     """
     betas = list(beta_list)
     if not betas:
@@ -459,14 +442,7 @@ def sweep(cfg: RunConfig, beta_list, out_dir=None, workers: int | None = None):
     if workers is None:
         import os
         workers = min(len(jobs), os.cpu_count() or 1, 4)
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_sweep_worker, jobs))
-        except (OSError, RuntimeError):
-            rows = [_sweep_worker(job) for job in jobs]
-    else:
-        rows = [_sweep_worker(job) for job in jobs]
+    rows = _fan_out(_sweep_worker, jobs, workers)
 
     lines = ["beta,eta0,inf_v,inf_theta,repr_err,status"]
     for row in rows:
@@ -508,7 +484,7 @@ def reconstruction_refinement(cfg: RunConfig, n_cells: int, t_end: float = 1.0) 
                   dt=cfg.dt * (cfg.n_cells / n_cells) ** 2,
                   t_end=t_end, sample_every=min(cfg.sample_every, t_end))
     traj, _, _ = _execute(sub)
-    return max(traj.repr_errors)
+    return float(traj.column("repr_err").max())
 
 
 def convergence_study(cfg: RunConfig, levels) -> dict:

@@ -11,7 +11,7 @@ gases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,9 @@ from .core import Grid, PhysParams, State, check_normalization
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One row of all monitored functionals at a sample time."""
+    """One row of all monitored functionals at a sample time; the one
+    diagnostics schema, read by field name everywhere. ``repr_err`` is the
+    volume reconstruction's max relative error, ``log_damping`` is log Y."""
 
     t: float
     mass: float
@@ -37,7 +39,13 @@ class DiagnosticsRecord:
     grad_u_sq: float
     grad_theta_sq: float
     h1_dev: float
+    repr_err: float
+    log_damping: float
     lp_moments: dict
+
+
+# Every scalar field of the schema, in declaration order.
+RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "lp_moments")
 
 
 def default_lp_exponents(p: PhysParams) -> tuple:
@@ -129,9 +137,11 @@ def extrema(s: State) -> tuple[float, float, float, float]:
 
 
 def record(s: State, g: Grid, p: PhysParams, *, int_v_dt: float = 0.0,
+           repr_err: float = 0.0, log_damping: float = 0.0,
            lp_exponents=None, v_star: float = 1.0,
            theta_star: float = 1.0) -> DiagnosticsRecord:
-    """Aggregate every monitored functional into one deterministic row."""
+    """Aggregate every monitored functional into one deterministic row;
+    the time-accumulated values come from the caller's running totals."""
     if lp_exponents is None:
         lp_exponents = default_lp_exponents(p)
     mass, energy = check_normalization(s, g, p)
@@ -152,5 +162,7 @@ def record(s: State, g: Grid, p: PhysParams, *, int_v_dt: float = 0.0,
         grad_u_sq=_grad_sq(s.u, g.dx),
         grad_theta_sq=_grad_sq(s.theta, g.dx),
         h1_dev=h1_deviation(s, g, v_star, theta_star),
+        repr_err=float(repr_err),
+        log_damping=float(log_damping),
         lp_moments={float(q): inverse_temperature_moment(s, g, q) for q in lp_exponents},
     )

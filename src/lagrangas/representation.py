@@ -126,4 +126,4 @@ def reconstruct_volume(acc: ReprAccumulators, s: State, g: Grid) -> np.ndarray:
 
 def reconstruction_errors(trajectory) -> list[tuple[float, float]]:
     """Per-sample max relative mismatch between reconstructed and solved v."""
-    return [(r.t, e) for r, e in zip(trajectory.records, trajectory.repr_errors)]
+    return [(r.t, r.repr_err) for r in trajectory.records]

@@ -166,7 +166,8 @@ def _imex_kernel(v, u, theta, t, dt, p, g, floor, src):
     v_new = v + dt * ux
     if s is not None:
         v_new += dt * s.s_v
-    if v_new.min() <= floor:
+    # written so that NaN fails the check too
+    if not v_new.min() > floor:
         raise StepRejected("volume fell to the positivity floor")
     inv_v = 1.0 / v_new
 
@@ -198,7 +199,7 @@ def _imex_kernel(v, u, theta, t, dt, p, g, floor, src):
     if s is not None:
         rhs2 += dt * s.s_theta
     theta_new = _solve_spd_tridiag(diag2, off2, rhs2)
-    if theta_new.min() <= floor:
+    if not theta_new.min() > floor:
         raise StepRejected("temperature fell to the positivity floor")
 
     for a in (v_new, u_new, theta_new):
@@ -215,7 +216,7 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, floor, src):
     vm = v + 0.5 * dt * k1.dv
     um = u + 0.5 * dt * k1.du
     tm = theta + 0.5 * dt * k1.dtheta
-    if vm.min() <= floor or tm.min() <= floor:
+    if not (vm.min() > floor and tm.min() > floor):
         raise StepRejected("midpoint stage violated positivity")
 
     k2 = rates(vm, um, tm, t + 0.5 * dt)
@@ -223,7 +224,7 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, floor, src):
     u_new = u + dt * k2.du
     u_new[0] = u_new[-1] = 0.0
     theta_new = theta + dt * k2.dtheta
-    if v_new.min() <= floor or theta_new.min() <= floor:
+    if not (v_new.min() > floor and theta_new.min() > floor):
         raise StepRejected("state violated positivity after the step")
 
     for a in (v_new, u_new, theta_new):
@@ -274,27 +275,27 @@ def step_explicit(s: State, p: PhysParams, g: Grid, c: StepControls,
 
 @dataclass
 class Trajectory:
-    """Sampled output of ``advance`` plus the running accumulators."""
+    """Sampled records of ``advance``, its first and last sampled states,
+    and the running accumulators."""
 
     grid: Grid
     params: PhysParams
     v_star: float
     theta_star: float
+    initial_state: State
+    final_state: State
     records: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    repr_errors: list = field(default_factory=list)
-    log_damping: list = field(default_factory=list)
     n_steps: int = 0
     n_rejected: int = 0
     accumulators: representation.ReprAccumulators | None = None
 
-    @property
-    def final_state(self) -> State:
-        return self.states[-1]
+    def column(self, name: str) -> np.ndarray:
+        """One scalar DiagnosticsRecord field across all samples."""
+        return np.array([getattr(r, name) for r in self.records])
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
+        return self.column("t")
 
 
 def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
@@ -339,15 +340,14 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     diss_prev = functionals.dissipation(s0, g, p)
 
     traj = Trajectory(grid=g, params=p, v_star=v_star, theta_star=theta_star,
-                      accumulators=acc)
+                      initial_state=s0, final_state=s0, accumulators=acc)
 
     def sample(state, repr_err):
         traj.records.append(functionals.record(
-            state, g, p, int_v_dt=int_v_dt, lp_exponents=lp_exponents,
+            state, g, p, int_v_dt=int_v_dt, repr_err=repr_err,
+            log_damping=acc.log_damping, lp_exponents=lp_exponents,
             v_star=v_star, theta_star=theta_star))
-        traj.states.append(state)
-        traj.repr_errors.append(repr_err)
-        traj.log_damping.append(acc.log_damping)
+        traj.final_state = state
 
     sample(s0, 0.0)
 

@@ -120,7 +120,8 @@ def fake_record(t, mean_theta=1.0, min_v=1.0, max_v=1.0, min_th=1.0, max_th=1.0)
         t=t, mass=1.0, total_energy=1.0, entropy_E=2.0, dissipation_V=0.0,
         int_V_dt=0.0, mean_theta=mean_theta, min_v=min_v, max_v=max_v,
         min_theta=min_th, max_theta=max_th, grad_v_sq=0.0, grad_u_sq=0.0,
-        grad_theta_sq=0.0, h1_dev=0.0, lp_moments={})
+        grad_theta_sq=0.0, h1_dev=0.0, repr_err=0.0, log_damping=0.0,
+        lp_moments={})
 
 
 class TestBoundsCertificate:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +31,16 @@ dt = 1e-3
 t_end = 0.3
 sample_every = 0.1
 """
+
+_TEST_PID = os.getpid()
+_sweep_worker = cli._sweep_worker
+
+
+def _worker_dying_in_child(args):
+    """A sweep worker whose process dies unless it is the test process."""
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    return _sweep_worker(args)
 
 
 class TestParseConfig:
@@ -147,7 +158,7 @@ class TestRunScenario:
 
     def test_cosine_outputs(self, tmp_path):
         cfg = cli.parse_config(QUICK)
-        summary = cli.run_scenario(cfg, tmp_path / "out")
+        summary, traj = cli._run_with_outputs(cfg, tmp_path / "out")
         out = tmp_path / "out"
         assert (out / "timeseries.csv").exists()
         assert (out / "snap_0.txt").exists()
@@ -156,8 +167,12 @@ class TestRunScenario:
         assert not summary.failed
         assert summary.normalized
         assert summary.bounds.corridor_ok
-        header = (out / "timeseries.csv").read_text().splitlines()[0]
-        assert header == ",".join(cli.CSV_COLUMNS) + ",lp_1,lp_2"
+        lines = (out / "timeseries.csv").read_text().splitlines()
+        assert lines[0] == ",".join(cli.CSV_COLUMNS) + ",lp_1,lp_2"
+        # .17g round-trips, so every CSV column equals its record field exactly
+        table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        for i, name in enumerate(cli.CSV_COLUMNS):
+            assert np.array_equal(table[:, i], traj.column(name)), name
         blob = json.loads((out / "summary.json").read_text())
         assert blob["failed"] is False
         assert blob["n_steps"] == summary.n_steps
@@ -252,6 +267,17 @@ class TestSweep:
                     assert x == y
         assert (tmp_path / "s" / "sweep.csv").read_bytes() == \
             (tmp_path / "p" / "sweep.csv").read_bytes()
+
+    def test_dead_worker_fails_the_sweep(self, tmp_path, monkeypatch):
+        # a crashed worker must not be hidden by rerunning its jobs here
+        monkeypatch.setattr(cli, "_sweep_worker", _worker_dying_in_child)
+        cfg = cli.parse_config(QUICK)
+        with pytest.raises(SimulationFailure):
+            cli.sweep(cfg, [0.5, 1.5], tmp_path / "sweep", workers=2)
+        path = tmp_path / "cfg.txt"
+        path.write_text(QUICK)
+        assert cli.main(["sweep", "--config", str(path), "--betas", "0.5,1.5",
+                         "--workers", "2", "--out", str(tmp_path / "main")]) == 1
 
 
 class TestConvergence:

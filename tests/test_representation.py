@@ -83,7 +83,7 @@ class TestDampingUpdate:
     def test_strictly_decreasing(self, grid64, cosine64, unit_params):
         traj = lg.advance(cosine64, unit_params, grid64,
                           lg.StepControls(dt=1e-3), 1.0, 0.1)
-        logy = traj.log_damping
+        logy = traj.column("log_damping")
         assert all(b < a for a, b in zip(logy, logy[1:]))
 
     def test_normalized_run_bounds_to_t5(self, unit_params):
@@ -95,10 +95,10 @@ class TestDampingUpdate:
             lg.InitialSpec(kind="cosine", a_v=0.1, a_u=0.1, a_theta=0.1), g)
         traj = lg.advance(s0, unit_params, g, lg.StepControls(dt=2e-4), 5.0, 0.5)
         t = traj.times[1:]
-        ly = np.array(traj.log_damping)[1:]
+        ly = traj.column("log_damping")[1:]
         assert np.all(ly >= -2.0 * t - 0.01)
         assert np.all(ly <= -t + 0.01 * t)
-        y5 = np.exp(traj.log_damping[-1])
+        y5 = np.exp(traj.column("log_damping")[-1])
         assert np.exp(-10.0) <= y5 <= np.exp(-5.0)
 
 
@@ -171,15 +171,15 @@ class TestReconstruction:
         dt = 1e-3
         traj = lg.advance(equilibrium64, unit_params, grid64,
                           lg.StepControls(dt=dt), 1.0, 0.25)
-        assert traj.repr_errors[0] == 0.0
-        assert max(traj.repr_errors) <= dt * dt / 6.0
+        assert traj.column("repr_err")[0] == 0.0
+        assert max(traj.column("repr_err")) <= dt * dt / 6.0
 
     def test_cosine_run_accuracy(self, unit_params):
         g = lg.build_grid(64)
         s0 = lg.make_initial_data(
             lg.InitialSpec(kind="cosine", a_v=0.1, a_u=0.1, a_theta=0.1), g)
         traj = lg.advance(s0, unit_params, g, lg.StepControls(dt=1e-3), 1.0, 0.1)
-        assert max(traj.repr_errors) <= 1e-3
+        assert max(traj.column("repr_err")) <= 1e-3
 
     def test_second_order_refinement(self, unit_params):
         errs = {}
@@ -189,7 +189,7 @@ class TestReconstruction:
                 lg.InitialSpec(kind="cosine", a_v=0.1, a_u=0.1, a_theta=0.1), g)
             dt = 2e-3 * (32 / n) ** 2
             traj = lg.advance(s0, unit_params, g, lg.StepControls(dt=dt), 0.5, 0.1)
-            errs[n] = max(traj.repr_errors)
+            errs[n] = max(traj.column("repr_err"))
         assert errs[32] / errs[64] >= 3.0
 
     def test_error_series_matches_trajectory(self, grid64, cosine64, unit_params):
@@ -197,5 +197,5 @@ class TestReconstruction:
                           lg.StepControls(dt=1e-3), 0.5, 0.1)
         series = lg.reconstruction_errors(traj)
         assert [t for t, _ in series] == [r.t for r in traj.records]
-        assert [e for _, e in series] == traj.repr_errors
+        assert [e for _, e in series] == list(traj.column("repr_err"))
         assert series[0][1] == 0.0

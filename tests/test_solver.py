@@ -198,6 +198,15 @@ class TestStepImex:
         with pytest.raises(StepRejected):
             lg.step_imex(s, unit_params, grid64, lg.StepControls(dt=0.5))
 
+    @pytest.mark.parametrize("kernel", [solver._imex_kernel, solver._rk2_kernel])
+    def test_nan_temperature_rejected(self, kernel, grid64, unit_params):
+        n = grid64.n_cells
+        theta = np.ones(n)
+        theta[n // 2] = np.nan
+        with pytest.raises(StepRejected):
+            kernel(np.ones(n), np.zeros(n + 1), theta, 0.0, 1e-5, unit_params,
+                   grid64, 1e-10, None)
+
     def test_scheme_mismatch(self, grid64, equilibrium64, unit_params):
         c = lg.StepControls(dt=1e-3, scheme=lg.EXPLICIT_RK2)
         with pytest.raises(ValueError):
