@@ -353,14 +353,14 @@ def _run_with_outputs(cfg: RunConfig, out_dir=None):
 
     lp = cfg.lp_exponents or functionals.default_lp_exponents(cfg.params)
     started = time.perf_counter()
-    failed = False
+    failure = None
     try:
         traj, v_star, theta_star = _execute(cfg)
     except SimulationFailure as exc:
         traj = exc.trajectory
         if traj is None:
             raise
-        failed = True
+        failure = exc
         v_star, theta_star = traj.v_star, traj.theta_star
     wall = time.perf_counter() - started
 
@@ -369,14 +369,15 @@ def _run_with_outputs(cfg: RunConfig, out_dir=None):
     write_snapshot(out / f"snap_{traj.records[0].t:g}.txt", traj.initial_state, grid)
     if len(traj.records) > 1:
         write_snapshot(out / f"snap_{traj.records[-1].t:g}.txt", traj.final_state, grid)
-    summary = _summarize(cfg, traj, v_star, theta_star, wall, failed)
+    summary = _summarize(cfg, traj, v_star, theta_star, wall, failure is not None)
     (out / "summary.json").write_text(
         json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
-    if failed:
-        raise SimulationFailure(f"run failed at t = {traj.records[-1].t}; "
+    if failure is not None:
+        raise SimulationFailure(f"run failed after the sample at t = "
+                                f"{traj.records[-1].t} ({failure}); "
                                 f"partial outputs in {out}",
-                                last_state=traj.final_state, trajectory=traj)
+                                last_state=failure.last_state, trajectory=traj)
     return summary, traj
 
 

@@ -8,7 +8,7 @@ are frozen after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,19 +56,23 @@ def validate_params(p: PhysParams, allow_beta_zero: bool = False) -> None:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform partition of the mass interval (0, 1)."""
+    """Uniform partition of the mass interval (0, 1).
+
+    ``node_weights`` are the trapezoid quadrature weights on the nodes (1/2
+    at the two ends), built once and read-only.
+    """
 
     n_cells: int
     dx: float
     cell_centers: np.ndarray
     nodes: np.ndarray
+    node_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def node_weights(self) -> np.ndarray:
-        """Trapezoid quadrature weights on nodes (1/2 at the two ends)."""
+    def __post_init__(self):
         w = np.ones(self.n_cells + 1)
         w[0] = w[-1] = 0.5
-        return w
+        w.setflags(write=False)
+        object.__setattr__(self, "node_weights", w)
 
 
 def build_grid(n_cells: int) -> Grid:

@@ -75,16 +75,23 @@ def dissipation(s: State, g: Grid, p: PhysParams) -> float:
     Face values of theta and v are arithmetic means, matching the solver's
     heat flux. Zero exactly iff u has no differences and theta is constant.
     """
+    ux = (s.u[1:] - s.u[:-1]) / g.dx
+    vf = 0.5 * (s.v[:-1] + s.v[1:])
+    return dissipation_from(ux, vf, s.v, s.theta, g, p)
+
+
+def dissipation_from(ux: np.ndarray, vf: np.ndarray, v: np.ndarray, theta: np.ndarray,
+                     g: Grid, p: PhysParams) -> float:
+    """``dissipation`` from the cell velocity gradient ``ux`` and the face
+    means ``vf`` of ``v``, which the time steppers have already computed."""
     dx = g.dx
-    ux = np.diff(s.u) / dx
-    shear = float(np.sum(p.mu_tilde * ux * ux / (s.v * s.theta)) * dx)
+    shear = float((p.mu_tilde * ux * ux / (v * theta)).sum() * dx)
     if g.n_cells < 2:
         return shear
-    thf = 0.5 * (s.theta[:-1] + s.theta[1:])
-    vf = 0.5 * (s.v[:-1] + s.v[1:])
-    dth = np.diff(s.theta) / dx
+    thf = 0.5 * (theta[:-1] + theta[1:])
+    dth = (theta[1:] - theta[:-1]) / dx
     thbeta = thf if p.beta == 1.0 else thf ** p.beta
-    thermal = float(np.sum(p.kappa_tilde * thbeta * dth * dth / (vf * thf * thf)) * dx)
+    thermal = float((p.kappa_tilde * thbeta * dth * dth / (vf * thf * thf)).sum() * dx)
     return thermal + shear
 
 

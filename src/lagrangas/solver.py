@@ -122,19 +122,24 @@ def spatial_rhs(s: State, p: PhysParams, g: Grid, src: Sources | None = None) ->
     divergence of the wall-vanishing heat flux, divided by c_v. Sources are
     added termwise.
     """
+    dv, du, dtheta = _rates(s.v, s.u, s.theta, p, g, src)
+    return Tendencies(dv=dv, du=du, dtheta=dtheta)
+
+
+def _rates(v, u, theta, p, g, src):
     dx = g.dx
-    ux = np.diff(s.u) / dx
-    sigma = (p.mu_tilde * ux - p.R * s.theta) / s.v
+    ux = (u[1:] - u[:-1]) / dx
+    sigma = (p.mu_tilde * ux - p.R * theta) / v
 
     du = np.zeros(g.n_cells + 1)
-    du[1:-1] = np.diff(sigma) / dx
+    du[1:-1] = (sigma[1:] - sigma[:-1]) / dx
 
     flux = np.zeros(g.n_cells + 1)
     if g.n_cells > 1:
-        thf = 0.5 * (s.theta[:-1] + s.theta[1:])
-        vf = 0.5 * (s.v[:-1] + s.v[1:])
-        flux[1:-1] = p.kappa_tilde * _pow(thf, p.beta) / vf * (np.diff(s.theta) / dx)
-    dtheta = (sigma * ux + np.diff(flux) / dx) / p.c_v
+        thf = 0.5 * (theta[:-1] + theta[1:])
+        vf = 0.5 * (v[:-1] + v[1:])
+        flux[1:-1] = p.kappa_tilde * _pow(thf, p.beta) / vf * ((theta[1:] - theta[:-1]) / dx)
+    dtheta = (sigma * ux + (flux[1:] - flux[:-1]) / dx) / p.c_v
 
     dv = ux
     if src is not None:
@@ -142,18 +147,26 @@ def spatial_rhs(s: State, p: PhysParams, g: Grid, src: Sources | None = None) ->
         du = du + src.s_u
         du[0] = du[-1] = 0.0
         dtheta = dtheta + src.s_theta
-    return Tendencies(dv=dv, du=du, dtheta=dtheta)
+    return dv, du, dtheta
 
 
 def stability_limit(s: State, p: PhysParams, g: Grid, cfl_safety: float = 1.0) -> float:
     """Largest stable dt for the explicit scheme at this state."""
+    return _stability_limit(s.v, s.theta, p, g, cfl_safety)
+
+
+def _stability_limit(v, theta, p, g, cfl_safety):
     dx2 = g.dx * g.dx
-    vmin = float(s.v.min())
-    th_max = float(s.theta.max())
+    vmin = float(v.min())
+    th_max = float(theta.max())
     dt_thermal = dx2 * vmin * p.c_v / (2.0 * p.kappa_tilde * th_max ** p.beta)
     dt_viscous = dx2 * vmin / (2.0 * p.mu_tilde)
     return cfl_safety * min(dt_thermal, dt_viscous)
 
+
+# Both kernels return (v, u, theta, ux, vf): the new state, its cell velocity
+# gradient and the face means of its volume, which ``advance`` reads for the
+# dissipation update instead of recomputing them.
 
 def _imex_kernel(v, u, theta, t, dt, p, g, floor, src):
     dx = g.dx
@@ -161,7 +174,7 @@ def _imex_kernel(v, u, theta, t, dt, p, g, floor, src):
     s = _sources_at(src, t + dt)
 
     # volume first, explicitly, so both solves see the new geometry
-    ux = np.diff(u)
+    ux = u[1:] - u[:-1]
     ux /= dx
     v_new = v + dt * ux
     if s is not None:
@@ -176,12 +189,12 @@ def _imex_kernel(v, u, theta, t, dt, p, g, floor, src):
     diag = 1.0 + coef * (inv_v[:-1] + inv_v[1:])
     off = -coef * inv_v[1:-1]
     pressure = p.R * theta * inv_v
-    rhs = u[1:-1] - (dt / dx) * np.diff(pressure)
+    rhs = u[1:-1] - (dt / dx) * (pressure[1:] - pressure[:-1])
     if s is not None:
         rhs += dt * s.s_u[1:-1]
     u_new = np.zeros(n + 1)
     u_new[1:-1] = _solve_spd_tridiag(diag, off, rhs)
-    ux_new = np.diff(u_new)
+    ux_new = u_new[1:] - u_new[:-1]
     ux_new /= dx
 
     # implicit temperature: conductivity frozen at the old theta, reaction and
@@ -201,44 +214,41 @@ def _imex_kernel(v, u, theta, t, dt, p, g, floor, src):
     theta_new = _solve_spd_tridiag(diag2, off2, rhs2)
     if not theta_new.min() > floor:
         raise StepRejected("temperature fell to the positivity floor")
-
-    for a in (v_new, u_new, theta_new):
-        a.setflags(write=False)
-    return v_new, u_new, theta_new
+    return v_new, u_new, theta_new, ux_new, vf
 
 
 def _rk2_kernel(v, u, theta, t, dt, p, g, floor, src):
     def rates(vv, uu, tt, when):
-        s = State(t=when, v=vv, u=uu, theta=tt)
-        return spatial_rhs(s, p, g, _sources_at(src, when))
+        return _rates(vv, uu, tt, p, g, _sources_at(src, when))
 
-    k1 = rates(v, u, theta, t)
-    vm = v + 0.5 * dt * k1.dv
-    um = u + 0.5 * dt * k1.du
-    tm = theta + 0.5 * dt * k1.dtheta
+    dv, du, dtheta = rates(v, u, theta, t)
+    vm = v + 0.5 * dt * dv
+    um = u + 0.5 * dt * du
+    tm = theta + 0.5 * dt * dtheta
     if not (vm.min() > floor and tm.min() > floor):
         raise StepRejected("midpoint stage violated positivity")
 
-    k2 = rates(vm, um, tm, t + 0.5 * dt)
-    v_new = v + dt * k2.dv
-    u_new = u + dt * k2.du
+    dv, du, dtheta = rates(vm, um, tm, t + 0.5 * dt)
+    v_new = v + dt * dv
+    u_new = u + dt * du
     u_new[0] = u_new[-1] = 0.0
-    theta_new = theta + dt * k2.dtheta
+    theta_new = theta + dt * dtheta
     if not (v_new.min() > floor and theta_new.min() > floor):
         raise StepRejected("state violated positivity after the step")
+    ux_new = (u_new[1:] - u_new[:-1]) / g.dx
+    vf = 0.5 * (v_new[:-1] + v_new[1:])
+    return v_new, u_new, theta_new, ux_new, vf
 
-    for a in (v_new, u_new, theta_new):
-        a.setflags(write=False)
-    return v_new, u_new, theta_new
 
-
-def _take_step(state, p, g, scheme, dt, floor, cfl_safety, src):
+def _take_step(v, u, theta, t, p, g, scheme, dt, floor, cfl_safety, src):
+    """One attempt at a step of size dt from (v, u, theta) at time t; returns
+    the kernel's (v, u, theta, ux, vf) or raises StepRejected."""
     if g.n_cells < 2:
         raise ValueError("time stepping requires at least 2 cells")
     if scheme == IMEX_BE:
         kernel = _imex_kernel
     elif scheme == EXPLICIT_RK2:
-        dt_stab = stability_limit(state, p, g, cfl_safety)
+        dt_stab = _stability_limit(v, theta, p, g, cfl_safety)
         if dt > dt_stab:
             raise StepRejected(
                 f"dt = {dt} exceeds the explicit stability bound {dt_stab}",
@@ -247,8 +257,7 @@ def _take_step(state, p, g, scheme, dt, floor, cfl_safety, src):
         kernel = _rk2_kernel
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    v, u, theta = kernel(state.v, state.u, state.theta, state.t, dt, p, g, floor, src)
-    return v, u, theta
+    return kernel(v, u, theta, t, dt, p, g, floor, src)
 
 
 def step_imex(s: State, p: PhysParams, g: Grid, c: StepControls,
@@ -256,7 +265,8 @@ def step_imex(s: State, p: PhysParams, g: Grid, c: StepControls,
     """One linearly-implicit backward-Euler step of size c.dt."""
     if c.scheme != IMEX_BE:
         raise ValueError(f"controls request scheme {c.scheme!r}, not {IMEX_BE}")
-    v, u, theta = _take_step(s, p, g, IMEX_BE, c.dt, c.positivity_floor, c.cfl_safety, src)
+    v, u, theta, _, _ = _take_step(s.v, s.u, s.theta, s.t, p, g, IMEX_BE, c.dt,
+                                   c.positivity_floor, c.cfl_safety, src)
     return State(t=s.t + c.dt, v=v, u=u, theta=theta)
 
 
@@ -269,7 +279,8 @@ def step_explicit(s: State, p: PhysParams, g: Grid, c: StepControls,
     """
     if c.scheme != EXPLICIT_RK2:
         raise ValueError(f"controls request scheme {c.scheme!r}, not {EXPLICIT_RK2}")
-    v, u, theta = _take_step(s, p, g, EXPLICIT_RK2, c.dt, c.positivity_floor, c.cfl_safety, src)
+    v, u, theta, _, _ = _take_step(s.v, s.u, s.theta, s.t, p, g, EXPLICIT_RK2, c.dt,
+                                   c.positivity_floor, c.cfl_safety, src)
     return State(t=s.t + c.dt, v=v, u=u, theta=theta)
 
 
@@ -309,10 +320,13 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     row; the nominal dt is restored after RECOVERY_STEPS accepted steps.
     The running time integral of the dissipation and the volume
     reconstruction accumulators are updated once per accepted step, with the
-    step's actual dt.
+    step's actual dt, from the kernel's own intermediates. The fields of the
+    last accepted step are plain arrays; a State is built only to sample
+    and to report a failure.
 
-    Raises SimulationFailure, carrying the last good state, when the retry
-    budget is exhausted.
+    Raises SimulationFailure, carrying the last accepted state and the
+    partial trajectory, when the retry budget is exhausted or a linear solve
+    breaks down.
     """
     validate_state(s0, g)
     if not t_end > s0.t:
@@ -351,7 +365,8 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
 
     sample(s0, 0.0)
 
-    state = s0
+    t, v, u, theta = s0.t, s0.v, s0.u, s0.theta
+    scratch = np.empty(g.n_cells)
     t0 = s0.t
     cur_dt = c.dt
     rejected_in_row = 0
@@ -359,32 +374,40 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     sample_idx = 1
     tiny = 1e-12 * max(1.0, abs(t_end))
 
-    while state.t < t_end - tiny:
+    while t < t_end - tiny:
         target = min(t0 + sample_idx * sample_every, t_end)
 
         # integrate to the target exactly, clamping the last step onto it
-        while state.t < target:
-            remaining = target - state.t
+        while t < target:
+            remaining = target - t
             if remaining <= cur_dt * (1.0 + 1e-9):
                 dt_try, t_new = remaining, target
             else:
-                dt_try, t_new = cur_dt, state.t + cur_dt
+                dt_try, t_new = cur_dt, t + cur_dt
 
             try:
-                v, u, theta = _take_step(state, p, g, c.scheme, dt_try,
-                                         c.positivity_floor, c.cfl_safety, src)
+                v_new, u_new, theta_new, ux, vf = _take_step(
+                    v, u, theta, t, p, g, c.scheme, dt_try,
+                    c.positivity_floor, c.cfl_safety, src)
             except StepRejected:
                 traj.n_rejected += 1
                 rejected_in_row += 1
                 if rejected_in_row > c.max_retries:
                     raise SimulationFailure(
-                        f"step at t = {state.t} rejected {rejected_in_row} times "
-                        f"(dt down to {cur_dt})", last_state=state, trajectory=traj)
+                        f"step at t = {t} rejected {rejected_in_row} times "
+                        f"(dt down to {cur_dt})",
+                        last_state=State(t=t, v=v, u=u, theta=theta),
+                        trajectory=traj)
                 cur_dt *= 0.5
                 accepted_at_reduced = 0
                 continue
+            except NumericalBreakdown as exc:
+                raise SimulationFailure(
+                    f"step at t = {t} broke down: {exc}",
+                    last_state=State(t=t, v=v, u=u, theta=theta),
+                    trajectory=traj) from exc
 
-            state = State(t=t_new, v=v, u=u, theta=theta)
+            t, v, u, theta = t_new, v_new, u_new, theta_new
             traj.n_steps += 1
             rejected_in_row = 0
             if cur_dt < c.dt:
@@ -393,14 +416,15 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
                     cur_dt = c.dt
                     accepted_at_reduced = 0
 
-            diss_new = functionals.dissipation(state, g, p)
+            diss_new = functionals.dissipation_from(ux, vf, v, theta, g, p)
             int_v_dt += 0.5 * dt_try * (diss_prev + diss_new)
             diss_prev = diss_new
 
-            representation.update_damping(acc, state, g, dt_try)
-            base = representation._base_factor_cached(acc, state, g)
-            representation.update_history(acc, state, base, g, dt_try)
+            representation.fold_damping(acc, u, theta, g, dt_try)
+            base = representation.base_profile(acc, v, u, g, scratch)
+            representation.fold_history(acc, theta, base, dt_try)
 
+        state = State(t=t, v=v, u=u, theta=theta)
         v_rec = representation.reconstruct_volume(acc, state, g)
         repr_err = float(np.max(np.abs(v_rec - state.v) / state.v))
         sample(state, repr_err)

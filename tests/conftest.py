@@ -35,3 +35,21 @@ def make_state(v, u, theta, t=0.0):
     """Assemble a state from plain lists/arrays (no invariant checks)."""
     return lg.State(t=t, v=np.asarray(v, float), u=np.asarray(u, float),
                     theta=np.asarray(theta, float))
+
+
+def tridiag_breaking_after(calls):
+    """Stand-in for ``solver._solve_spd_tridiag`` that solves the first
+    ``calls`` systems and then reports a non-positive pivot."""
+    from lagrangas import solver
+    from lagrangas.errors import NumericalBreakdown
+
+    solve = solver._solve_spd_tridiag
+    done = []
+
+    def breaking(diag, off, rhs):
+        if len(done) >= calls:
+            raise NumericalBreakdown("forced non-positive pivot")
+        done.append(None)
+        return solve(diag, off, rhs)
+
+    return breaking

@@ -16,6 +16,8 @@ import pytest
 
 from lagrangas.acceptance import run_acceptance
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="session")
 def acceptance(tmp_path_factory):

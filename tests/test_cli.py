@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lagrangas as lg
-from lagrangas import cli
+from lagrangas import cli, solver
 from lagrangas.errors import ConfigError, SimulationFailure
+
+from conftest import tridiag_breaking_after
 
 MINIMAL = "beta=1\ninit.kind=cosine\nn_cells=256\ndt=1e-4\nt_end=20\n"
 
@@ -225,6 +227,22 @@ class TestRunScenario:
         assert blob["failed"] is True
         assert (tmp_path / "out" / "timeseries.csv").exists()
 
+    def test_breakdown_writes_partial_outputs(self, tmp_path, monkeypatch):
+        # two solves per step: step 251 breaks down, after the samples at
+        # t = 0, 0.1 and 0.2
+        monkeypatch.setattr(solver, "_solve_spd_tridiag", tridiag_breaking_after(500))
+        with pytest.raises(SimulationFailure) as exc:
+            cli.run_scenario(cli.parse_config(QUICK), tmp_path / "out")
+        assert exc.value.trajectory.n_steps == 250
+        assert exc.value.last_state.t > 0.2
+        out = tmp_path / "out"
+        rows = (out / "timeseries.csv").read_text().splitlines()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, 0.1, 0.2]
+        blob = json.loads((out / "summary.json").read_text())
+        assert blob["failed"] is True
+        assert blob["n_steps"] == 250
+        assert (out / "snap_0.2.txt").exists()
+
 
 class TestSweep:
     def test_single_beta_matches_run(self, tmp_path):
@@ -324,6 +342,16 @@ class TestMainExitCodes:
         code = cli.main(["run", "--config", str(path),
                          "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_breakdown_exit_one(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text(QUICK)
+        monkeypatch.setattr(solver, "_solve_spd_tridiag", tridiag_breaking_after(500))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "non-positive pivot" in capsys.readouterr().err
+        blob = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert blob["failed"] is True
 
     def test_verify_missing_dir(self, tmp_path):
         assert cli.main(["verify", "--dir", str(tmp_path / "absent")]) == 2

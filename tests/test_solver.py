@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lagrangas as lg
-from lagrangas import solver
+from lagrangas import functionals, representation, solver
 from lagrangas.errors import (NumericalBreakdown, SimulationFailure,
                               StepRejected)
 
-from conftest import make_state
+from conftest import make_state, tridiag_breaking_after
+
+# a power of two, so that step times add up exactly
+DT_EXACT = 2.0 ** -10
 
 
 def rhs_oracle(s, p, g, src=None):
@@ -337,6 +340,49 @@ class TestAdvance:
         assert exc.value.trajectory is not None
         assert exc.value.last_state.theta.min() > 0.0
 
+    def test_retry_exhaustion_after_accepted_steps(self, grid64, cosine64, unit_params):
+        # no forcing for the first five step attempts, then a sink that no
+        # step can survive: the failure carries the fifth step's state
+        n = grid64.n_cells
+        zero = lg.Sources(np.zeros(n), np.zeros(n + 1), np.zeros(n))
+        sink = lg.Sources(np.zeros(n), np.zeros(n + 1), np.full(n, -1e9))
+        attempts = []
+
+        def src(t):
+            attempts.append(t)
+            return zero if len(attempts) <= 5 else sink
+
+        with pytest.raises(SimulationFailure) as exc:
+            lg.advance(cosine64, unit_params, grid64,
+                       lg.StepControls(dt=DT_EXACT, max_retries=3), 1.0, 0.5, src)
+        want = lg.advance(cosine64, unit_params, grid64, lg.StepControls(dt=DT_EXACT),
+                          5 * DT_EXACT, 5 * DT_EXACT, zero).final_state
+        last = exc.value.last_state
+        assert last.t == exc.value.t == 5 * DT_EXACT
+        for name in ("v", "u", "theta"):
+            assert np.array_equal(getattr(last, name), getattr(want, name))
+            assert not getattr(last, name).flags.writeable
+        traj = exc.value.trajectory
+        assert (traj.n_steps, traj.n_rejected) == (5, 4)
+
+    def test_breakdown_becomes_failure(self, monkeypatch, grid64, cosine64, unit_params):
+        # two solves per step: the 21st step breaks down
+        want = lg.advance(cosine64, unit_params, grid64, lg.StepControls(dt=DT_EXACT),
+                          20 * DT_EXACT, 20 * DT_EXACT).final_state
+        monkeypatch.setattr(solver, "_solve_spd_tridiag", tridiag_breaking_after(40))
+        with pytest.raises(SimulationFailure) as exc:
+            lg.advance(cosine64, unit_params, grid64, lg.StepControls(dt=DT_EXACT),
+                       1.0, 0.5)
+        assert isinstance(exc.value.__cause__, NumericalBreakdown)
+        last = exc.value.last_state
+        assert last.t == exc.value.t == 20 * DT_EXACT
+        for name in ("v", "u", "theta"):
+            assert np.array_equal(getattr(last, name), getattr(want, name))
+            assert not getattr(last, name).flags.writeable
+        traj = exc.value.trajectory
+        assert traj.n_steps == 20
+        assert [r.t for r in traj.records] == [0.0]
+
     def test_rejection_recovery_counts(self, grid64, unit_params):
         # explicit scheme with dt above the stability limit must halve its
         # way down and then integrate
@@ -357,6 +403,58 @@ class TestAdvance:
             traj = lg.advance(s0, unit_params, g, lg.StepControls(dt=dt), 2.0, 0.5)
             drifts[dt] = max(abs(r.total_energy - 1.0) for r in traj.records)
         assert 1.5 <= drifts[2e-4] / drifts[1e-4] <= 2.6
+
+
+class TestAdvanceMatchesAdapters:
+    """``advance`` folds each accepted step into its running totals through
+    array-level helpers. Stepping by hand and calling the State-level
+    adapters after each step must give the same totals, bit for bit."""
+
+    STEPS = 50
+
+    def by_hand(self, s0, p, g, src):
+        dt = DT_EXACT
+        acc = representation.init_accumulators(s0, g)
+        diss_prev = functionals.dissipation(s0, g, p)
+        int_v = 0.0
+        s = s0
+        for _ in range(self.STEPS):
+            s = lg.step_imex(s, p, g, lg.StepControls(dt=dt), src)
+            diss = functionals.dissipation(s, g, p)
+            int_v += 0.5 * dt * (diss_prev + diss)
+            diss_prev = diss
+            representation.update_damping(acc, s, g, dt)
+            base = representation._base_factor_cached(acc, s, g)
+            representation.update_history(acc, s, base, g, dt)
+        return s, int_v, acc
+
+    @pytest.mark.parametrize("beta, forced", [(1.0, False), (1.5, False), (1.0, True)])
+    def test_final_totals_identical(self, beta, forced):
+        p = lg.PhysParams(beta=beta)
+        g = lg.build_grid(48)
+        if forced:
+            s0, _ = solver.manufactured_solution(0.0, g, p)
+            src = solver.manufactured_sources_at(g, p)
+        else:
+            s0 = lg.make_initial_data(
+                lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3,
+                               a_theta=0.2, seed=9), g)
+            src = None
+        t_end = self.STEPS * DT_EXACT
+        traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), t_end, t_end, src)
+        s, int_v, ref = self.by_hand(s0, p, g, src)
+
+        acc = traj.accumulators
+        last = traj.records[-1]
+        assert traj.n_steps == self.STEPS
+        assert last.t == s.t == t_end
+        assert last.int_V_dt == int_v
+        assert last.log_damping == acc.log_damping == ref.log_damping
+        assert acc.last_damping_integrand == ref.last_damping_integrand
+        assert np.array_equal(acc.log_history, ref.log_history)
+        assert np.array_equal(acc.last_log_integrand, ref.last_log_integrand)
+        for name in ("v", "u", "theta"):
+            assert np.array_equal(getattr(traj.final_state, name), getattr(s, name))
 
 
 class TestTridiagonalBreakdown:
