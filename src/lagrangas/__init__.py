@@ -21,7 +21,7 @@ from .representation import (ReprAccumulators, base_factor, init_accumulators,
                              update_damping, update_history)
 from .solver import (EXPLICIT_RK2, IMEX_BE, Sources, StepControls, Tendencies,
                      Trajectory, advance, manufactured_solution, spatial_rhs,
-                     stability_limit, step_explicit, step_imex)
+                     stability_limit, step)
 
 __version__ = "0.1.0"
 
@@ -35,6 +35,6 @@ __all__ = [
     "init_accumulators", "inverse_temperature_moment", "load_table",
     "make_initial_data", "manufactured_solution", "mean_theta", "parse_table",
     "reconstruct_volume", "reconstruction_errors", "record", "spatial_rhs",
-    "stability_limit", "step_explicit", "step_imex", "stress_field",
+    "stability_limit", "step", "stress_field",
     "update_damping", "update_history", "validate_params", "validate_state",
 ]

@@ -78,7 +78,7 @@ def _acceptance_worker(args):
     if out_dir is not None:
         _, traj = cli._run_with_outputs(cfg, out_dir)
     else:
-        traj, _, _ = cli._execute(cfg)
+        traj = cli._execute(cfg)
     return tag, _reduce(traj)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, functionals, solver
 from .core import (Grid, InitialSpec, PhysParams, State, build_grid,
-                   check_normalization, make_initial_data, validate_params)
+                   make_initial_data, validate_params)
 from .errors import (ConfigError, ConstructionError, FormatError,
                      InsufficientDataError, ParamError, SimulationFailure)
 
@@ -267,8 +267,8 @@ def _csv_text(traj: solver.Trajectory, lp_exponents) -> str:
     return "\n".join(out) + "\n"
 
 
-def _summarize(cfg: RunConfig, traj: solver.Trajectory, v_star, theta_star,
-               wall_time, failed: bool) -> RunSummary:
+def _summarize(cfg: RunConfig, traj: solver.Trajectory, wall_time,
+               failed: bool) -> RunSummary:
     records = traj.records
     first = records[0]
     mass0, energy0 = first.mass, first.total_energy
@@ -310,29 +310,24 @@ def _summarize(cfg: RunConfig, traj: solver.Trajectory, v_star, theta_star,
         decay_fit=decay_fit,
         decay_fit_note=note,
         repr_err_max=max(r.repr_err for r in records),
-        v_star=v_star,
-        theta_star=theta_star,
-        theta_reference_gap=abs(theta_star - first.mean_theta),
+        v_star=traj.v_star,
+        theta_star=traj.theta_star,
+        theta_reference_gap=abs(traj.theta_star - first.mean_theta),
         n_steps=traj.n_steps,
         n_rejected=traj.n_rejected,
         wall_time=wall_time,
     )
 
 
-def _execute(cfg: RunConfig):
-    """Run one scenario in memory; returns (trajectory, v_star, theta_star)."""
+def _execute(cfg: RunConfig) -> solver.Trajectory:
+    """Run one scenario in memory and return its trajectory."""
     validate_params(cfg.params, allow_beta_zero=True)
     grid = build_grid(cfg.n_cells)
     s0 = build_initial_state(cfg, grid)
-    mass0, energy0 = check_normalization(s0, grid, cfg.params)
-    v_star = mass0
-    theta_star = energy0 / cfg.params.c_v
     controls = solver.StepControls(dt=cfg.dt, scheme=cfg.scheme)
     lp = cfg.lp_exponents or functionals.default_lp_exponents(cfg.params)
-    traj = solver.advance(s0, cfg.params, grid, controls, cfg.t_end,
-                          cfg.sample_every, lp_exponents=lp,
-                          v_star=v_star, theta_star=theta_star)
-    return traj, v_star, theta_star
+    return solver.advance(s0, cfg.params, grid, controls, cfg.t_end,
+                          cfg.sample_every, lp_exponents=lp)
 
 
 def run_scenario(cfg: RunConfig, out_dir=None) -> RunSummary:
@@ -355,13 +350,12 @@ def _run_with_outputs(cfg: RunConfig, out_dir=None):
     started = time.perf_counter()
     failure = None
     try:
-        traj, v_star, theta_star = _execute(cfg)
+        traj = _execute(cfg)
     except SimulationFailure as exc:
         traj = exc.trajectory
         if traj is None:
             raise
         failure = exc
-        v_star, theta_star = traj.v_star, traj.theta_star
     wall = time.perf_counter() - started
 
     csv_path.write_text(_csv_text(traj, lp), encoding="utf-8")
@@ -369,7 +363,7 @@ def _run_with_outputs(cfg: RunConfig, out_dir=None):
     write_snapshot(out / f"snap_{traj.records[0].t:g}.txt", traj.initial_state, grid)
     if len(traj.records) > 1:
         write_snapshot(out / f"snap_{traj.records[-1].t:g}.txt", traj.final_state, grid)
-    summary = _summarize(cfg, traj, v_star, theta_star, wall, failure is not None)
+    summary = _summarize(cfg, traj, wall, failure is not None)
     (out / "summary.json").write_text(
         json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
@@ -484,7 +478,7 @@ def reconstruction_refinement(cfg: RunConfig, n_cells: int, t_end: float = 1.0) 
     sub = replace(cfg, n_cells=n_cells,
                   dt=cfg.dt * (cfg.n_cells / n_cells) ** 2,
                   t_end=t_end, sample_every=min(cfg.sample_every, t_end))
-    traj, _, _ = _execute(sub)
+    traj = _execute(sub)
     return float(traj.column("repr_err").max())
 
 

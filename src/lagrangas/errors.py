@@ -41,15 +41,7 @@ class ConfigError(LagrangasError, ValueError):
 
 
 class StepRejected(LagrangasError):
-    """A time step was refused; the caller may retry with a smaller dt.
-
-    ``dt_stab`` carries the computed stability limit when the rejection came
-    from the explicit scheme's step-size bound, else None.
-    """
-
-    def __init__(self, message, dt_stab=None):
-        super().__init__(message)
-        self.dt_stab = dt_stab
+    """A time step was refused; the caller may retry with a smaller dt."""
 
 
 class NumericalBreakdown(LagrangasError):

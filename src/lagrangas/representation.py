@@ -94,9 +94,7 @@ def _base_exponent(v, u, g, u0_integral, g0, out=None):
 def base_factor(s: State, s0: State, g: Grid) -> np.ndarray:
     """Per-cell base profile: v0 * exp(velocity potential difference) times
     the mass-weighted normalization that removes the potential's drift."""
-    u0_int = velocity_integral(s0.u, g)
-    g0 = float(s0.v.dot(u0_int) * g.dx)
-    return s0.v * np.exp(_base_exponent(s.v, s.u, g, u0_int, g0))
+    return _base_factor_cached(init_accumulators(s0, g), s, g)
 
 
 def _base_factor_cached(acc: ReprAccumulators, s: State, g: Grid) -> np.ndarray:

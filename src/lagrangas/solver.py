@@ -5,11 +5,11 @@ differences live on cells, stress differences on interior nodes, and the heat
 flux on interior nodes with arithmetic face means of temperature and volume.
 Both walls are impermeable (u = 0) and adiabatic (zero heat flux).
 
-Two steppers are provided: a linearly-implicit backward-Euler step (stiff
-diffusion solved with one symmetric positive-definite tridiagonal system per
-field) and a fully explicit midpoint step used for cross-validation. Both
-reject a step instead of returning a state with non-positive volume or
-temperature.
+``step`` takes one step with either of two schemes: a linearly-implicit
+backward-Euler step (stiff diffusion solved with one symmetric
+positive-definite tridiagonal system per field) and a fully explicit midpoint
+step used for cross-validation. Both reject a step instead of returning a
+state with non-positive volume or temperature.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from . import functionals, representation
-from .core import Grid, PhysParams, State, validate_state
+from .core import Grid, PhysParams, State, check_normalization, validate_state
 from .errors import NumericalBreakdown, SimulationFailure, StepRejected
 
 _ptsv, = get_lapack_funcs(("ptsv",), (np.array([1.0]),))
@@ -33,6 +33,11 @@ IMEX_BE = "imex_be"
 EXPLICIT_RK2 = "explicit_rk2"
 SCHEMES = (IMEX_BE, EXPLICIT_RK2)
 
+# The explicit scheme rejects a dt above this share of its stability bound.
+CFL_SAFETY = 0.9
+# No step may bring a volume or a temperature down to this value.
+POSITIVITY_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class Tendencies:
@@ -43,21 +48,17 @@ class Tendencies:
     dtheta: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepControls:
     """Time-stepping knobs."""
 
     dt: float
     scheme: str = IMEX_BE
-    cfl_safety: float = 0.9
     max_retries: int = 12
-    positivity_floor: float = 1e-10
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError(f"cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
 
@@ -150,25 +151,25 @@ def _rates(v, u, theta, p, g, src):
     return dv, du, dtheta
 
 
-def stability_limit(s: State, p: PhysParams, g: Grid, cfl_safety: float = 1.0) -> float:
+def stability_limit(s: State, p: PhysParams, g: Grid) -> float:
     """Largest stable dt for the explicit scheme at this state."""
-    return _stability_limit(s.v, s.theta, p, g, cfl_safety)
+    return _stability_limit(s.v, s.theta, p, g)
 
 
-def _stability_limit(v, theta, p, g, cfl_safety):
+def _stability_limit(v, theta, p, g):
     dx2 = g.dx * g.dx
     vmin = float(v.min())
     th_max = float(theta.max())
     dt_thermal = dx2 * vmin * p.c_v / (2.0 * p.kappa_tilde * th_max ** p.beta)
     dt_viscous = dx2 * vmin / (2.0 * p.mu_tilde)
-    return cfl_safety * min(dt_thermal, dt_viscous)
+    return min(dt_thermal, dt_viscous)
 
 
 # Both kernels return (v, u, theta, ux, vf): the new state, its cell velocity
 # gradient and the face means of its volume, which ``advance`` reads for the
 # dissipation update instead of recomputing them.
 
-def _imex_kernel(v, u, theta, t, dt, p, g, floor, src):
+def _imex_kernel(v, u, theta, t, dt, p, g, src):
     dx = g.dx
     n = g.n_cells
     s = _sources_at(src, t + dt)
@@ -180,7 +181,7 @@ def _imex_kernel(v, u, theta, t, dt, p, g, floor, src):
     if s is not None:
         v_new += dt * s.s_v
     # written so that NaN fails the check too
-    if not v_new.min() > floor:
+    if not v_new.min() > POSITIVITY_FLOOR:
         raise StepRejected("volume fell to the positivity floor")
     inv_v = 1.0 / v_new
 
@@ -212,12 +213,16 @@ def _imex_kernel(v, u, theta, t, dt, p, g, floor, src):
     if s is not None:
         rhs2 += dt * s.s_theta
     theta_new = _solve_spd_tridiag(diag2, off2, rhs2)
-    if not theta_new.min() > floor:
+    if not theta_new.min() > POSITIVITY_FLOOR:
         raise StepRejected("temperature fell to the positivity floor")
     return v_new, u_new, theta_new, ux_new, vf
 
 
-def _rk2_kernel(v, u, theta, t, dt, p, g, floor, src):
+def _rk2_kernel(v, u, theta, t, dt, p, g, src):
+    dt_stab = CFL_SAFETY * _stability_limit(v, theta, p, g)
+    if dt > dt_stab:
+        raise StepRejected(f"dt = {dt} exceeds the explicit stability bound {dt_stab}")
+
     def rates(vv, uu, tt, when):
         return _rates(vv, uu, tt, p, g, _sources_at(src, when))
 
@@ -225,7 +230,7 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, floor, src):
     vm = v + 0.5 * dt * dv
     um = u + 0.5 * dt * du
     tm = theta + 0.5 * dt * dtheta
-    if not (vm.min() > floor and tm.min() > floor):
+    if not (vm.min() > POSITIVITY_FLOOR and tm.min() > POSITIVITY_FLOOR):
         raise StepRejected("midpoint stage violated positivity")
 
     dv, du, dtheta = rates(vm, um, tm, t + 0.5 * dt)
@@ -233,54 +238,33 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, floor, src):
     u_new = u + dt * du
     u_new[0] = u_new[-1] = 0.0
     theta_new = theta + dt * dtheta
-    if not (v_new.min() > floor and theta_new.min() > floor):
+    if not (v_new.min() > POSITIVITY_FLOOR and theta_new.min() > POSITIVITY_FLOOR):
         raise StepRejected("state violated positivity after the step")
     ux_new = (u_new[1:] - u_new[:-1]) / g.dx
     vf = 0.5 * (v_new[:-1] + v_new[1:])
     return v_new, u_new, theta_new, ux_new, vf
 
 
-def _take_step(v, u, theta, t, p, g, scheme, dt, floor, cfl_safety, src):
+_KERNELS = {IMEX_BE: _imex_kernel, EXPLICIT_RK2: _rk2_kernel}
+
+
+def _take_step(v, u, theta, t, p, g, scheme, dt, src):
     """One attempt at a step of size dt from (v, u, theta) at time t; returns
     the kernel's (v, u, theta, ux, vf) or raises StepRejected."""
+    return _KERNELS[scheme](v, u, theta, t, dt, p, g, src)
+
+
+def step(s: State, p: PhysParams, g: Grid, c: StepControls,
+         src: Sources | None = None) -> State:
+    """One step of size c.dt with the scheme c.scheme.
+
+    Raises StepRejected when the step would bring volume or temperature down
+    to the positivity floor, or when c.dt exceeds the explicit scheme's
+    stability bound.
+    """
     if g.n_cells < 2:
         raise ValueError("time stepping requires at least 2 cells")
-    if scheme == IMEX_BE:
-        kernel = _imex_kernel
-    elif scheme == EXPLICIT_RK2:
-        dt_stab = _stability_limit(v, theta, p, g, cfl_safety)
-        if dt > dt_stab:
-            raise StepRejected(
-                f"dt = {dt} exceeds the explicit stability bound {dt_stab}",
-                dt_stab=dt_stab,
-            )
-        kernel = _rk2_kernel
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return kernel(v, u, theta, t, dt, p, g, floor, src)
-
-
-def step_imex(s: State, p: PhysParams, g: Grid, c: StepControls,
-              src: Sources | None = None) -> State:
-    """One linearly-implicit backward-Euler step of size c.dt."""
-    if c.scheme != IMEX_BE:
-        raise ValueError(f"controls request scheme {c.scheme!r}, not {IMEX_BE}")
-    v, u, theta, _, _ = _take_step(s.v, s.u, s.theta, s.t, p, g, IMEX_BE, c.dt,
-                                   c.positivity_floor, c.cfl_safety, src)
-    return State(t=s.t + c.dt, v=v, u=u, theta=theta)
-
-
-def step_explicit(s: State, p: PhysParams, g: Grid, c: StepControls,
-                  src: Sources | None = None) -> State:
-    """One explicit midpoint (two-stage, second-order) step of size c.dt.
-
-    Rejects with the computed stability bound attached when c.dt is too
-    large for the diffusion terms.
-    """
-    if c.scheme != EXPLICIT_RK2:
-        raise ValueError(f"controls request scheme {c.scheme!r}, not {EXPLICIT_RK2}")
-    v, u, theta, _, _ = _take_step(s.v, s.u, s.theta, s.t, p, g, EXPLICIT_RK2, c.dt,
-                                   c.positivity_floor, c.cfl_safety, src)
+    v, u, theta, _, _ = _take_step(s.v, s.u, s.theta, s.t, p, g, c.scheme, c.dt, src)
     return State(t=s.t + c.dt, v=v, u=u, theta=theta)
 
 
@@ -311,9 +295,11 @@ class Trajectory:
 
 def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
             sample_every: float, src: Sources | None = None, *,
-            lp_exponents=None, v_star: float | None = None,
-            theta_star: float | None = None) -> Trajectory:
+            lp_exponents=None) -> Trajectory:
     """Integrate from ``s0`` to ``t_end``, sampling diagnostics on the way.
+
+    The reference states of the diagnostics are v_star, the mass of ``s0``,
+    and theta_star, its total energy over c_v.
 
     Steps are shortened to land exactly on every sample time and on t_end.
     A rejected step halves dt and retries, up to c.max_retries times in a
@@ -335,19 +321,11 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
         raise ValueError(f"sample_every must be positive, got {sample_every}")
     if g.n_cells < 2:
         raise ValueError("time stepping requires at least 2 cells")
-    if c.scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {c.scheme!r}")
 
     if lp_exponents is None:
         lp_exponents = functionals.default_lp_exponents(p)
-    if v_star is None or theta_star is None:
-        from .core import check_normalization
-
-        mass0, energy0 = check_normalization(s0, g, p)
-        if v_star is None:
-            v_star = mass0
-        if theta_star is None:
-            theta_star = energy0 / p.c_v
+    v_star, energy0 = check_normalization(s0, g, p)
+    theta_star = energy0 / p.c_v
 
     acc = representation.init_accumulators(s0, g)
     int_v_dt = 0.0
@@ -387,8 +365,7 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
 
             try:
                 v_new, u_new, theta_new, ux, vf = _take_step(
-                    v, u, theta, t, p, g, c.scheme, dt_try,
-                    c.positivity_floor, c.cfl_safety, src)
+                    v, u, theta, t, p, g, c.scheme, dt_try, src)
             except StepRejected:
                 traj.n_rejected += 1
                 rejected_in_row += 1
@@ -434,6 +411,13 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     return traj
 
 
+_MMS_OMEGA = 2.0 * np.pi
+
+
+def _mms_phi(t: float) -> float:
+    return 0.1 * np.exp(-t)
+
+
 def manufactured_solution(t: float, g: Grid, p: PhysParams) -> tuple[State, Sources]:
     """Analytic fields and the forcing that makes them an exact solution.
 
@@ -442,64 +426,59 @@ def manufactured_solution(t: float, g: Grid, p: PhysParams) -> tuple[State, Sour
     and tend to equilibrium. The sources are the closed-form residuals of the
     three equations evaluated on the respective lattices.
     """
-    eps = 0.1
-    omega = 2.0 * np.pi
-    phi = eps * np.exp(-t)
-
-    xc = g.cell_centers
-    xn = g.nodes
-    v = 1.0 + phi * np.cos(omega * xc)
-    theta = 1.0 + phi * np.cos(omega * xc)
-    u = phi * np.sin(omega * xn)
+    phi = _mms_phi(t)
+    v = 1.0 + phi * np.cos(_MMS_OMEGA * g.cell_centers)
+    theta = v.copy()
+    u = phi * np.sin(_MMS_OMEGA * g.nodes)
     u[0] = u[-1] = 0.0
     exact = State(t=t, v=v, u=u, theta=theta)
-
-    def source_fields(x, on_cells):
-        c = np.cos(omega * x)
-        s = np.sin(omega * x)
-        vv = 1.0 + phi * c
-        th = 1.0 + phi * c
-        uu_x = omega * phi * c
-        v_x = -omega * phi * s
-        th_x = -omega * phi * s
-        uu_xx = -(omega ** 2) * phi * s
-        th_xx = -(omega ** 2) * phi * c
-        if on_cells:
-            # volume equation: v_t - u_x
-            s_v = -phi * c - uu_x
-            # temperature equation: theta_t - (heat flux divergence + work terms)/c_v
-            q_x = (p.kappa_tilde * (p.beta * _pow(th, p.beta - 1.0) * th_x ** 2
-                                    + _pow(th, p.beta) * th_xx) / vv
-                   - p.kappa_tilde * _pow(th, p.beta) * th_x * v_x / vv ** 2)
-            rate = (-p.R * th * uu_x / vv + p.mu_tilde * uu_x ** 2 / vv + q_x) / p.c_v
-            s_theta = -phi * c - rate
-            return s_v, s_theta
-        # momentum equation: u_t - d/dx of (mu*u_x - R*theta)/v
-        sigma_x = ((p.mu_tilde * uu_xx - p.R * th_x) / vv
-                   - (p.mu_tilde * uu_x - p.R * th) * v_x / vv ** 2)
-        s_u = -phi * s - sigma_x
-        return s_u
-
-    s_v, s_theta = source_fields(xc, on_cells=True)
-    s_u = source_fields(xn, on_cells=False)
-    s_u[0] = s_u[-1] = 0.0
-    return exact, Sources(s_v=s_v, s_u=s_u, s_theta=s_theta)
+    return exact, manufactured_sources_at(g, p)(t)
 
 
 def manufactured_rates(t: float, g: Grid) -> Tendencies:
     """Exact time derivatives of the manufactured fields on the grid."""
-    eps = 0.1
-    omega = 2.0 * np.pi
-    phi = eps * np.exp(-t)
-    dv = -phi * np.cos(omega * g.cell_centers)
-    du = -phi * np.sin(omega * g.nodes)
+    phi = _mms_phi(t)
+    dv = -phi * np.cos(_MMS_OMEGA * g.cell_centers)
+    du = -phi * np.sin(_MMS_OMEGA * g.nodes)
     du[0] = du[-1] = 0.0
-    dtheta = -phi * np.cos(omega * g.cell_centers)
-    return Tendencies(dv=dv, du=du, dtheta=dtheta)
+    return Tendencies(dv=dv, du=du, dtheta=dv.copy())
 
 
 def manufactured_sources_at(g: Grid, p: PhysParams):
     """Time-dependent source callable for driving MMS runs."""
+    omega = _MMS_OMEGA
+    cos_c = np.cos(omega * g.cell_centers)
+    sin_c = np.sin(omega * g.cell_centers)
+    cos_n = np.cos(omega * g.nodes)
+    sin_n = np.sin(omega * g.nodes)
+    kappa, mu, R, beta = p.kappa_tilde, p.mu_tilde, p.R, p.beta
+
     def src(t: float) -> Sources:
-        return manufactured_solution(t, g, p)[1]
+        phi = _mms_phi(t)
+
+        # cells, where v = theta: volume equation v_t - u_x, and temperature
+        # equation theta_t - (heat flux divergence + work terms)/c_v
+        th = 1.0 + phi * cos_c
+        u_x = omega * phi * cos_c
+        th_x = -omega * phi * sin_c
+        th_xx = -(omega ** 2) * phi * cos_c
+        th_beta = _pow(th, beta)
+        q_x = (kappa * (beta * _pow(th, beta - 1.0) * th_x ** 2 + th_beta * th_xx) / th
+               - kappa * th_beta * th_x * th_x / th ** 2)
+        rate = (-R * th * u_x / th + mu * u_x ** 2 / th + q_x) / p.c_v
+        v_t = -phi * cos_c
+        s_v = v_t - u_x
+        s_theta = v_t - rate
+
+        # nodes: momentum equation u_t - d/dx of (mu*u_x - R*theta)/v
+        th = 1.0 + phi * cos_n
+        u_x = omega * phi * cos_n
+        th_x = -omega * phi * sin_n
+        u_xx = -(omega ** 2) * phi * sin_n
+        sigma_x = ((mu * u_xx - R * th_x) / th
+                   - (mu * u_x - R * th) * th_x / th ** 2)
+        s_u = -phi * sin_n - sigma_x
+        s_u[0] = s_u[-1] = 0.0
+        return Sources(s_v=s_v, s_u=s_u, s_theta=s_theta)
+
     return src

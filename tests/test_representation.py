@@ -136,7 +136,7 @@ class TestHistoryUpdate:
         controls = lg.StepControls(dt=1e-3)
         prev = acc.history.copy()
         for _ in range(20):
-            state = lg.step_imex(state, unit_params, grid64, controls)
+            state = lg.step(state, unit_params, grid64, controls)
             lg.update_damping(acc, state, grid64, controls.dt)
             base = lg.base_factor(state, cosine64, grid64)
             lg.update_history(acc, state, base, grid64, controls.dt)
