@@ -17,10 +17,9 @@ from .functionals import (DiagnosticsRecord, dissipation, entropy, extrema,
                           h1_deviation, inverse_temperature_moment,
                           mean_theta, record, stress_field)
 from .representation import (ReprAccumulators, base_factor, init_accumulators,
-                             reconstruct_volume, reconstruction_errors,
-                             update_damping, update_history)
-from .solver import (EXPLICIT_RK2, IMEX_BE, Sources, StepControls, Tendencies,
-                     Trajectory, advance, manufactured_solution, spatial_rhs,
+                             reconstruct_volume, update_damping, update_history)
+from .solver import (EXPLICIT_RK2, IMEX_BE, Sources, StepControls, Trajectory,
+                     advance, manufactured_solution, spatial_rhs,
                      stability_limit, step)
 
 __version__ = "0.1.0"
@@ -28,13 +27,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsCertificate", "DecayFit", "DiagnosticsRecord", "EXPLICIT_RK2",
     "Grid", "IMEX_BE", "InitialSpec", "PhysParams", "ReprAccumulators",
-    "Sources", "State", "StepControls", "Tendencies", "Trajectory",
+    "Sources", "State", "StepControls", "Trajectory",
     "advance", "base_factor", "bounds_certificate", "build_grid",
     "check_normalization", "convergence_order", "dissipation", "entropy",
     "entropy_roots", "extrema", "fit_decay_rate", "h1_deviation",
     "init_accumulators", "inverse_temperature_moment", "load_table",
     "make_initial_data", "manufactured_solution", "mean_theta", "parse_table",
-    "reconstruct_volume", "reconstruction_errors", "record", "spatial_rhs",
+    "reconstruct_volume", "record", "spatial_rhs",
     "stability_limit", "step", "stress_field",
     "update_damping", "update_history", "validate_params", "validate_state",
 ]

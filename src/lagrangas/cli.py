@@ -164,6 +164,8 @@ def parse_config(text: str) -> RunConfig:
             bad("lp", f"cannot parse value {get('lp')!r}")
         if any(q <= 0.0 for q in lp):
             bad("lp", "moment exponents must be positive")
+        if len(set(lp)) < len(lp):
+            bad("lp", f"moment exponents must be distinct, got {get('lp')!r}")
     fit_window = None
     if get("fit_window") is not None:
         try:
@@ -257,7 +259,8 @@ def write_snapshot(path, state: State, grid: Grid) -> None:
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def _csv_text(traj: solver.Trajectory, lp_exponents) -> str:
+def _csv_text(traj: solver.Trajectory) -> str:
+    lp_exponents = list(traj.records[0].lp_moments)
     header = ",".join(CSV_COLUMNS) + "".join(f",lp_{q:g}" for q in lp_exponents)
     out = [header]
     for rec in traj.records:
@@ -325,9 +328,8 @@ def _execute(cfg: RunConfig) -> solver.Trajectory:
     grid = build_grid(cfg.n_cells)
     s0 = build_initial_state(cfg, grid)
     controls = solver.StepControls(dt=cfg.dt, scheme=cfg.scheme)
-    lp = cfg.lp_exponents or functionals.default_lp_exponents(cfg.params)
     return solver.advance(s0, cfg.params, grid, controls, cfg.t_end,
-                          cfg.sample_every, lp_exponents=lp)
+                          cfg.sample_every, lp_exponents=cfg.lp_exponents)
 
 
 def run_scenario(cfg: RunConfig, out_dir=None) -> RunSummary:
@@ -346,7 +348,6 @@ def _run_with_outputs(cfg: RunConfig, out_dir=None):
     csv_path = out / "timeseries.csv"
     csv_path.touch()
 
-    lp = cfg.lp_exponents or functionals.default_lp_exponents(cfg.params)
     started = time.perf_counter()
     failure = None
     try:
@@ -358,7 +359,7 @@ def _run_with_outputs(cfg: RunConfig, out_dir=None):
         failure = exc
     wall = time.perf_counter() - started
 
-    csv_path.write_text(_csv_text(traj, lp), encoding="utf-8")
+    csv_path.write_text(_csv_text(traj), encoding="utf-8")
     grid = traj.grid
     write_snapshot(out / f"snap_{traj.records[0].t:g}.txt", traj.initial_state, grid)
     if len(traj.records) > 1:

@@ -94,49 +94,34 @@ def _base_exponent(v, u, g, u0_integral, g0, out=None):
 def base_factor(s: State, s0: State, g: Grid) -> np.ndarray:
     """Per-cell base profile: v0 * exp(velocity potential difference) times
     the mass-weighted normalization that removes the potential's drift."""
-    return _base_factor_cached(init_accumulators(s0, g), s, g)
+    return _base_factor_cached(init_accumulators(s0, g), s.v, s.u, g)
 
 
-def _base_factor_cached(acc: ReprAccumulators, s: State, g: Grid) -> np.ndarray:
-    return base_profile(acc, s.v, s.u, g)
-
-
-def base_profile(acc: ReprAccumulators, v: np.ndarray, u: np.ndarray, g: Grid,
-                 scratch: np.ndarray | None = None) -> np.ndarray:
+def _base_factor_cached(acc: ReprAccumulators, v: np.ndarray, u: np.ndarray, g: Grid,
+                        scratch: np.ndarray | None = None) -> np.ndarray:
     """Base profile of the fields (v, u), with the initial velocity potential
     taken from ``acc``; ``scratch`` (one float per cell) is overwritten."""
     return acc.s0.v * np.exp(_base_exponent(v, u, g, acc.u0_integral, acc.g0, scratch))
 
 
-def update_damping(acc: ReprAccumulators, s: State, g: Grid, dt: float) -> ReprAccumulators:
-    """Fold one accepted step of size dt into log Y (trapezoid in time)."""
-    fold_damping(acc, s.u, s.theta, g, dt)
-    return acc
-
-
-def fold_damping(acc: ReprAccumulators, u: np.ndarray, theta: np.ndarray, g: Grid,
-                 dt: float) -> None:
-    """``update_damping`` on the fields of the step's new state."""
+def update_damping(acc: ReprAccumulators, u: np.ndarray, theta: np.ndarray, g: Grid,
+                   dt: float) -> None:
+    """Fold one accepted step of size dt, ending at the fields (u, theta),
+    into log Y (trapezoid in time)."""
     integrand = damping_integrand(u, theta, g)
     acc.log_damping -= 0.5 * dt * (acc.last_damping_integrand + integrand)
     acc.last_damping_integrand = integrand
 
 
-def update_history(acc: ReprAccumulators, s: State, base: np.ndarray, g: Grid,
-                   dt: float) -> ReprAccumulators:
-    """Fold one accepted step into the history integral of theta / (B * Y).
+def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
+                   dt: float) -> None:
+    """Fold one accepted step, ending at the temperature ``theta``, into the
+    history integral of theta / (B * Y).
 
-    ``base`` must be the base profile of ``s`` and log Y must already be at
-    s.t. Accumulation is log-sum-exp so the integrand may exceed the linear
-    floating-point range without overflow.
+    ``base`` must be the base profile of the step's new state and log Y must
+    already include the step. Accumulation is log-sum-exp so the integrand
+    may exceed the linear floating-point range without overflow.
     """
-    fold_history(acc, s.theta, base, dt)
-    return acc
-
-
-def fold_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
-                 dt: float) -> None:
-    """``update_history`` on the temperature of the step's new state."""
     log_f = np.log(theta) - np.log(base) - acc.log_damping
     log_increment = np.log(0.5 * dt) + np.logaddexp(acc.last_log_integrand, log_f)
     acc.log_history = np.logaddexp(acc.log_history, log_increment)
@@ -148,8 +133,3 @@ def reconstruct_volume(acc: ReprAccumulators, s: State, g: Grid) -> np.ndarray:
     exponent = _base_exponent(s.v, s.u, g, acc.u0_integral, acc.g0)
     return acc.s0.v * np.exp(exponent + acc.log_damping
                              + np.logaddexp(0.0, acc.log_history))
-
-
-def reconstruction_errors(trajectory) -> list[tuple[float, float]]:
-    """Per-sample max relative mismatch between reconstructed and solved v."""
-    return [(r.t, r.repr_err) for r in trajectory.records]

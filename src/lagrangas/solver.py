@@ -40,15 +40,6 @@ POSITIVITY_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
-class Tendencies:
-    """Instantaneous rates (dv on cells, du on nodes, dtheta on cells)."""
-
-    dv: np.ndarray
-    du: np.ndarray
-    dtheta: np.ndarray
-
-
-@dataclass(frozen=True)
 class StepControls:
     """Time-stepping knobs."""
 
@@ -82,11 +73,6 @@ class Sources:
         if self.s_u[0] != 0.0 or self.s_u[-1] != 0.0:
             raise ValueError("s_u must vanish at the boundary nodes")
 
-    @classmethod
-    def zero(cls, grid: Grid) -> "Sources":
-        n = grid.n_cells
-        return cls(np.zeros(n), np.zeros(n + 1), np.zeros(n))
-
 
 def _sources_at(src, t):
     if src is None or isinstance(src, Sources):
@@ -114,8 +100,10 @@ def _solve_spd_tridiag(diag, off, rhs):
     return x
 
 
-def spatial_rhs(s: State, p: PhysParams, g: Grid, src: Sources | None = None) -> Tendencies:
-    """Evaluate the semi-discrete right-hand side at a state.
+def spatial_rhs(v: np.ndarray, u: np.ndarray, theta: np.ndarray, p: PhysParams,
+                g: Grid, src: Sources | None = None):
+    """Evaluate the semi-discrete right-hand side at the fields (v, u, theta);
+    returns the rates (dv on cells, du on nodes, dtheta on cells).
 
     dv is the cell difference quotient of u; du the node difference quotient
     of the cell stress (mu_tilde*u_x - R*theta)/v, forced to zero at the
@@ -123,11 +111,6 @@ def spatial_rhs(s: State, p: PhysParams, g: Grid, src: Sources | None = None) ->
     divergence of the wall-vanishing heat flux, divided by c_v. Sources are
     added termwise.
     """
-    dv, du, dtheta = _rates(s.v, s.u, s.theta, p, g, src)
-    return Tendencies(dv=dv, du=du, dtheta=dtheta)
-
-
-def _rates(v, u, theta, p, g, src):
     dx = g.dx
     ux = (u[1:] - u[:-1]) / dx
     sigma = (p.mu_tilde * ux - p.R * theta) / v
@@ -151,12 +134,8 @@ def _rates(v, u, theta, p, g, src):
     return dv, du, dtheta
 
 
-def stability_limit(s: State, p: PhysParams, g: Grid) -> float:
-    """Largest stable dt for the explicit scheme at this state."""
-    return _stability_limit(s.v, s.theta, p, g)
-
-
-def _stability_limit(v, theta, p, g):
+def stability_limit(v: np.ndarray, theta: np.ndarray, p: PhysParams, g: Grid) -> float:
+    """Largest stable dt for the explicit scheme at the fields (v, theta)."""
     dx2 = g.dx * g.dx
     vmin = float(v.min())
     th_max = float(theta.max())
@@ -219,12 +198,12 @@ def _imex_kernel(v, u, theta, t, dt, p, g, src):
 
 
 def _rk2_kernel(v, u, theta, t, dt, p, g, src):
-    dt_stab = CFL_SAFETY * _stability_limit(v, theta, p, g)
+    dt_stab = CFL_SAFETY * stability_limit(v, theta, p, g)
     if dt > dt_stab:
         raise StepRejected(f"dt = {dt} exceeds the explicit stability bound {dt_stab}")
 
     def rates(vv, uu, tt, when):
-        return _rates(vv, uu, tt, p, g, _sources_at(src, when))
+        return spatial_rhs(vv, uu, tt, p, g, _sources_at(src, when))
 
     dv, du, dtheta = rates(v, u, theta, t)
     vm = v + 0.5 * dt * dv
@@ -322,8 +301,6 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     if g.n_cells < 2:
         raise ValueError("time stepping requires at least 2 cells")
 
-    if lp_exponents is None:
-        lp_exponents = functionals.default_lp_exponents(p)
     v_star, energy0 = check_normalization(s0, g, p)
     theta_star = energy0 / p.c_v
 
@@ -397,9 +374,9 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
             int_v_dt += 0.5 * dt_try * (diss_prev + diss_new)
             diss_prev = diss_new
 
-            representation.fold_damping(acc, u, theta, g, dt_try)
-            base = representation.base_profile(acc, v, u, g, scratch)
-            representation.fold_history(acc, theta, base, dt_try)
+            representation.update_damping(acc, u, theta, g, dt_try)
+            base = representation._base_factor_cached(acc, v, u, g, scratch)
+            representation.update_history(acc, theta, base, dt_try)
 
         state = State(t=t, v=v, u=u, theta=theta)
         v_rec = representation.reconstruct_volume(acc, state, g)
@@ -435,13 +412,14 @@ def manufactured_solution(t: float, g: Grid, p: PhysParams) -> tuple[State, Sour
     return exact, manufactured_sources_at(g, p)(t)
 
 
-def manufactured_rates(t: float, g: Grid) -> Tendencies:
-    """Exact time derivatives of the manufactured fields on the grid."""
+def manufactured_rates(t: float, g: Grid):
+    """Exact time derivatives (dv, du, dtheta) of the manufactured fields on
+    the grid."""
     phi = _mms_phi(t)
     dv = -phi * np.cos(_MMS_OMEGA * g.cell_centers)
     du = -phi * np.sin(_MMS_OMEGA * g.nodes)
     du[0] = du[-1] = 0.0
-    return Tendencies(dv=dv, du=du, dtheta=dv.copy())
+    return dv, du, dv.copy()
 
 
 def manufactured_sources_at(g: Grid, p: PhysParams):

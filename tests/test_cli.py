@@ -114,6 +114,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             cli.parse_config("lp = 1,0\n")
 
+    def test_lp_rejects_repeats(self):
+        # the moments are keyed by exponent, so a repeat would drop a column
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config("lp = 2,0.5,2.0\n")
+        assert exc.value.key == "lp"
+
     def test_fit_window(self):
         cfg = cli.parse_config("fit_window = 10,20\n")
         assert cfg.fit_window == (10.0, 20.0)

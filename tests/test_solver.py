@@ -51,22 +51,23 @@ def rhs_oracle(s, p, g, src=None):
 
 class TestSpatialRhs:
     def test_equilibrium_fixed_point(self, grid64, equilibrium64, unit_params):
-        td = lg.spatial_rhs(equilibrium64, unit_params, grid64)
-        assert np.all(td.dv == 0.0)
-        assert np.all(td.du == 0.0)
-        assert np.all(td.dtheta == 0.0)
+        s = equilibrium64
+        dv, du, dtheta = lg.spatial_rhs(s.v, s.u, s.theta, unit_params, grid64)
+        assert np.all(dv == 0.0)
+        assert np.all(du == 0.0)
+        assert np.all(dtheta == 0.0)
 
     def test_sine_velocity_against_dense_oracle(self, unit_params):
         g = lg.build_grid(64)
         u = np.sin(np.pi * g.nodes)
         u[0] = u[-1] = 0.0
         s = make_state(np.ones(64), u, np.ones(64))
-        td = lg.spatial_rhs(s, unit_params, g)
-        dv, du, dtheta = rhs_oracle(s, unit_params, g)
-        assert np.allclose(td.dv, dv, rtol=1e-13, atol=1e-15)
-        assert np.allclose(td.du, du, rtol=1e-13, atol=1e-12)
-        assert np.allclose(td.dtheta, dtheta, rtol=1e-13, atol=1e-12)
-        assert np.allclose(td.dv, np.diff(u) / g.dx, rtol=0, atol=0)
+        dv, du, dtheta = lg.spatial_rhs(s.v, s.u, s.theta, unit_params, g)
+        want_dv, want_du, want_dtheta = rhs_oracle(s, unit_params, g)
+        assert np.allclose(dv, want_dv, rtol=1e-13, atol=1e-15)
+        assert np.allclose(du, want_du, rtol=1e-13, atol=1e-12)
+        assert np.allclose(dtheta, want_dtheta, rtol=1e-13, atol=1e-12)
+        assert np.allclose(dv, np.diff(u) / g.dx, rtol=0, atol=0)
 
     def test_random_state_against_dense_oracle(self):
         p = lg.PhysParams(beta=1.7, mu_tilde=0.6, kappa_tilde=1.4, R=1.2, c_v=0.8)
@@ -75,16 +76,17 @@ class TestSpatialRhs:
             lg.InitialSpec(kind="random_smooth", a_v=0.3, a_u=0.4, a_theta=0.25,
                            seed=5), g)
         exact, src = solver.manufactured_solution(0.2, g, p)
-        td = lg.spatial_rhs(s, p, g, src)
-        dv, du, dtheta = rhs_oracle(s, p, g, src)
-        assert np.allclose(td.dv, dv, rtol=1e-12, atol=1e-14)
-        assert np.allclose(td.du, du, rtol=1e-12, atol=1e-11)
-        assert np.allclose(td.dtheta, dtheta, rtol=1e-12, atol=1e-11)
+        dv, du, dtheta = lg.spatial_rhs(s.v, s.u, s.theta, p, g, src)
+        want_dv, want_du, want_dtheta = rhs_oracle(s, p, g, src)
+        assert np.allclose(dv, want_dv, rtol=1e-12, atol=1e-14)
+        assert np.allclose(du, want_du, rtol=1e-12, atol=1e-11)
+        assert np.allclose(dtheta, want_dtheta, rtol=1e-12, atol=1e-11)
         del exact
 
     def test_boundary_rates_zero(self, grid64, cosine64, unit_params):
-        td = lg.spatial_rhs(cosine64, unit_params, grid64)
-        assert td.du[0] == 0.0 and td.du[-1] == 0.0
+        s = cosine64
+        _, du, _ = lg.spatial_rhs(s.v, s.u, s.theta, unit_params, grid64)
+        assert du[0] == 0.0 and du[-1] == 0.0
 
     @given(seed=st.integers(0, 500))
     def test_volume_rate_telescopes(self, seed):
@@ -93,8 +95,8 @@ class TestSpatialRhs:
         s = lg.make_initial_data(
             lg.InitialSpec(kind="random_smooth", a_v=0.4, a_u=0.7, a_theta=0.3,
                            seed=seed), g)
-        td = lg.spatial_rhs(s, p, g)
-        assert abs(np.sum(td.dv) * g.dx) <= 1e-13
+        dv, _, _ = lg.spatial_rhs(s.v, s.u, s.theta, p, g)
+        assert abs(np.sum(dv) * g.dx) <= 1e-13
 
     def test_sources_require_zero_boundary(self, grid64):
         n = grid64.n_cells
@@ -128,11 +130,9 @@ class TestManufacturedSolution:
         for n in (64, 128, 256):
             g = lg.build_grid(n)
             exact, src = solver.manufactured_solution(0.3, g, unit_params)
-            td = lg.spatial_rhs(exact, unit_params, g, src)
-            rates = solver.manufactured_rates(0.3, g)
-            residuals[n] = max(np.max(np.abs(td.dv - rates.dv)),
-                               np.max(np.abs(td.du - rates.du)),
-                               np.max(np.abs(td.dtheta - rates.dtheta)))
+            got = lg.spatial_rhs(exact.v, exact.u, exact.theta, unit_params, g, src)
+            want = solver.manufactured_rates(0.3, g)
+            residuals[n] = max(np.max(np.abs(a - b)) for a, b in zip(got, want))
         assert 3.4 <= residuals[64] / residuals[128] <= 4.6
         assert 3.4 <= residuals[128] / residuals[256] <= 4.6
 
@@ -240,7 +240,7 @@ class TestStepExplicit:
         assert np.array_equal(s1.theta, equilibrium64.theta)
 
     def test_rejects_above_stability(self, grid64, cosine64, unit_params):
-        dt_stab = lg.stability_limit(cosine64, unit_params, grid64)
+        dt_stab = lg.stability_limit(cosine64.v, cosine64.theta, unit_params, grid64)
         c = lg.StepControls(dt=10 * dt_stab, scheme=lg.EXPLICIT_RK2)
         with pytest.raises(StepRejected):
             lg.step(cosine64, unit_params, grid64, c)
@@ -266,7 +266,7 @@ class TestStepExplicit:
         s = lg.make_initial_data(
             lg.InitialSpec(kind="random_smooth", a_v=0.3, a_u=0.3, a_theta=0.2,
                            seed=seed), g)
-        dt = 0.5 * lg.stability_limit(s, p, g)
+        dt = 0.5 * lg.stability_limit(s.v, s.theta, p, g)
         s1 = lg.step(s, p, g, lg.StepControls(dt=dt, scheme=lg.EXPLICIT_RK2))
         assert abs(np.sum(s1.v) * g.dx - np.sum(s.v) * g.dx) <= 1e-13
 
@@ -383,7 +383,7 @@ class TestAdvance:
         # explicit scheme with dt above the stability limit must halve its
         # way down and then integrate
         s0 = lg.make_initial_data(lg.InitialSpec(kind="cosine", a_v=0.05), grid64)
-        dt_stab = lg.stability_limit(s0, unit_params, grid64)
+        dt_stab = lg.stability_limit(s0.v, s0.theta, unit_params, grid64)
         controls = lg.StepControls(dt=3.9 * dt_stab, scheme=lg.EXPLICIT_RK2,
                                    max_retries=12)
         traj = lg.advance(s0, unit_params, grid64, controls, 0.01, 0.01)
@@ -444,9 +444,10 @@ class TestAdvanceProperty:
 
 
 class TestAdvanceMatchesAdapters:
-    """``advance`` folds each accepted step into its running totals through
-    array-level helpers. Stepping by hand and calling the State-level
-    adapters after each step must give the same totals, bit for bit."""
+    """``advance`` folds each accepted step into its running totals from the
+    kernel's own arrays. Stepping by hand with ``step``, the State-level
+    dissipation and the per-step accumulator updates must give the same
+    totals, bit for bit."""
 
     STEPS = 50
 
@@ -461,9 +462,9 @@ class TestAdvanceMatchesAdapters:
             diss = functionals.dissipation(s, g, p)
             int_v += 0.5 * dt * (diss_prev + diss)
             diss_prev = diss
-            representation.update_damping(acc, s, g, dt)
-            base = representation._base_factor_cached(acc, s, g)
-            representation.update_history(acc, s, base, g, dt)
+            representation.update_damping(acc, s.u, s.theta, g, dt)
+            base = representation._base_factor_cached(acc, s.v, s.u, g)
+            representation.update_history(acc, s.theta, base, dt)
         return s, int_v, acc
 
     @pytest.mark.parametrize("beta, forced", [(1.0, False), (1.5, False), (1.0, True)])
