@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -73,8 +74,7 @@ def _reduce(traj: solver.Trajectory) -> dict:
 
 
 def _acceptance_worker(args):
-    tag, cfg_text, out_dir = args
-    cfg = cli.parse_config(cfg_text)
+    tag, cfg, out_dir = args
     if out_dir is not None:
         _, traj = cli._run_with_outputs(cfg, out_dir)
     else:
@@ -96,17 +96,14 @@ def _pin_ok(observed: float, pin: float) -> bool:
 def _load_reference(config_dir):
     if config_dir is None:
         base = resources.files("lagrangas").joinpath("configs")
-        cfg_text = base.joinpath("reference.cfg").read_text(encoding="utf-8")
-        pins_file = base.joinpath("pins.json")
-        pins = json.loads(pins_file.read_text(encoding="utf-8")) if pins_file.is_file() else None
-        return cfg_text, pins
-    base = Path(config_dir)
-    ref = base / "reference.cfg"
+    else:
+        base = Path(config_dir)
+    ref = base.joinpath("reference.cfg")
     if not ref.is_file():
         raise FileNotFoundError(f"reference config not found: {ref}")
-    pins_path = base / "pins.json"
-    pins = json.loads(pins_path.read_text(encoding="utf-8")) if pins_path.is_file() else None
-    return ref.read_text(encoding="utf-8"), pins
+    pins = base.joinpath("pins.json")
+    return (ref.read_text(encoding="utf-8"),
+            json.loads(pins.read_text(encoding="utf-8")) if pins.is_file() else None)
 
 
 def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
@@ -117,32 +114,30 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
     """
     cfg_text, pins = _load_reference(config_dir)
     cfg = cli.parse_config(cfg_text)
-    out = Path(out_dir) if out_dir is not None else Path(tempfile.mkdtemp(prefix="lagrangas-verify-"))
-    out.mkdir(parents=True, exist_ok=True)
-
-    def variant(**changes):
-        params = changes.pop("params", cfg.params)
-        return replace(cfg, params=params, **changes)
-
-    jobs = [
-        ("ref", cli.serialize_config(cfg), str(out / "ref")),
-        ("rerun", cli.serialize_config(cfg), str(out / "rerun")),
-        ("dt_half", cli.serialize_config(variant(dt=cfg.dt / 2, t_end=RATIO_WINDOW_END)), None),
-        ("n512", cli.serialize_config(variant(n_cells=2 * cfg.n_cells)), None),
-        ("refined", cli.serialize_config(variant(n_cells=2 * cfg.n_cells, dt=cfg.dt / 2,
-                                                 t_end=RATIO_WINDOW_END)), None),
-        ("repr512", cli.serialize_config(variant(n_cells=2 * cfg.n_cells, dt=cfg.dt / 4,
-                                                 t_end=1.0)), None),
-    ]
-    for beta in SWEEP_BETAS:
-        jobs.append((f"beta_{beta:g}",
-                     cli.serialize_config(variant(params=replace(cfg.params, beta=beta))),
-                     None))
-
     if workers is None:
         import os
         workers = min(2, os.cpu_count() or 1)
-    runs = dict(cli._fan_out(_acceptance_worker, jobs, workers))
+
+    scratch = (tempfile.TemporaryDirectory(prefix="lagrangas-verify-") if out_dir is None
+               else nullcontext(out_dir))
+    with scratch as out_name:
+        out = Path(out_name)
+        out.mkdir(parents=True, exist_ok=True)
+        jobs = [
+            ("ref", cfg, str(out / "ref")),
+            ("rerun", cfg, str(out / "rerun")),
+            ("dt_half", replace(cfg, dt=cfg.dt / 2, t_end=RATIO_WINDOW_END), None),
+            ("n512", replace(cfg, n_cells=2 * cfg.n_cells), None),
+            ("refined", replace(cfg, n_cells=2 * cfg.n_cells, dt=cfg.dt / 2,
+                                t_end=RATIO_WINDOW_END), None),
+            ("repr512", replace(cfg, n_cells=2 * cfg.n_cells, dt=cfg.dt / 4, t_end=1.0),
+             None),
+        ]
+        jobs += [(f"beta_{beta:g}", replace(cfg, params=replace(cfg.params, beta=beta)), None)
+                 for beta in SWEEP_BETAS]
+        runs = dict(cli._fan_out(_acceptance_worker, jobs, workers))
+        csv_a = (out / "ref" / "timeseries.csv").read_bytes()
+        csv_b = (out / "rerun" / "timeseries.csv").read_bytes()
 
     mms_errors = {n: cli.mms_error(cfg, n) for n in MMS_LEVELS}
 
@@ -230,9 +225,9 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
     except InsufficientDataError as exc:
         detail5 = f"fit impossible: {exc}"
         ok5 = False
-    add(5, "exponential stability", ok5,
-        detail5 + f"; h1 spans [{h1_window.min():.2e}, {h1_window.max():.2e}] "
-        f"in the window")
+    span = (f"h1 spans [{h1_window.min():.2e}, {h1_window.max():.2e}] in the window"
+            if h1_window.size else "no samples in the window")
+    add(5, "exponential stability", ok5, f"{detail5}; {span}")
 
     # 6: volume reconstruction accuracy on [0, 1] and second-order refinement
     early = (ref["t"] > 0.0) & (ref["t"] <= 1.0 + 1e-9)
@@ -287,8 +282,6 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
         + ", ".join(parts9))
 
     # 10: byte-identical time series for identical config and seed
-    csv_a = (out / "ref" / "timeseries.csv").read_bytes()
-    csv_b = (out / "rerun" / "timeseries.csv").read_bytes()
     add(10, "determinism", csv_a == csv_b,
         f"timeseries.csv {'identical' if csv_a == csv_b else 'differs'} "
         f"across reruns ({len(csv_a)} bytes)")

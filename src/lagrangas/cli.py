@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,10 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One scenario. ``seed`` seeds the initial data (``initial.seed`` is
+    overridden by it); ``lp_exponents`` None means the defaults derived from
+    beta, ``fit_window`` None the second half of the run."""
+
     params: PhysParams
     initial: InitialSpec
     n_cells: int
@@ -55,27 +61,44 @@ class RunConfig:
     seed: int
 
 
-_DEFAULTS = {
-    "beta": "1", "mu": "1", "kappa": "1", "R": "1", "c_v": "1",
-    "init.kind": "equilibrium", "init.a_v": "0.1", "init.a_u": "0.1",
-    "init.a_theta": "0.1", "init.k": "1",
-    "n_cells": "256", "dt": "1e-4", "scheme": solver.IMEX_BE,
-    "t_end": "50", "sample_every": "0.1", "out_dir": "out",
-    "lp": None, "fit_window": None, "seed": "0",
-}
+def _floats(text: str) -> tuple:
+    return tuple(float(part) for part in text.split(","))
 
-_PARAM_KEY = {"mu_tilde": "mu", "kappa_tilde": "kappa", "R": "R",
-              "c_v": "c_v", "beta": "beta"}
+
+# Every config key: the RunConfig attribute it sets, its default text (None
+# leaves the attribute None) and its value parser, in the order
+# serialize_config writes them.
+_KEYS = {
+    "beta": ("params.beta", "1", float),
+    "mu": ("params.mu_tilde", "1", float),
+    "kappa": ("params.kappa_tilde", "1", float),
+    "R": ("params.R", "1", float),
+    "c_v": ("params.c_v", "1", float),
+    "init.kind": ("initial.kind", "equilibrium", str),
+    "init.a_v": ("initial.a_v", "0.1", float),
+    "init.a_u": ("initial.a_u", "0.1", float),
+    "init.a_theta": ("initial.a_theta", "0.1", float),
+    "init.k": ("initial.k", "1", int),
+    "n_cells": ("n_cells", "256", int),
+    "dt": ("dt", "1e-4", float),
+    "scheme": ("scheme", solver.IMEX_BE, str),
+    "t_end": ("t_end", "50", float),
+    "sample_every": ("sample_every", "0.1", float),
+    "out_dir": ("out_dir", "out", str),
+    "seed": ("seed", "0", int),
+    "lp": ("lp_exponents", None, _floats),
+    "fit_window": ("fit_window", None, _floats),
+}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse the flat key = value format into a validated RunConfig.
 
-    Every key has a documented default (see _DEFAULTS); ``lp`` defaults to
-    the moment exponents derived from beta and ``fit_window`` to the second
-    half of the run. ``init.kind`` accepts ``custom_table:<path>`` to seed a
-    run from a snapshot file. Unknown keys, unparsable values, duplicate
-    keys, and invariant violations raise ConfigError naming key and line.
+    Every key has a documented default (see _KEYS); ``lp`` defaults to the
+    moment exponents derived from beta and ``fit_window`` to the second half
+    of the run. ``init.kind`` accepts ``custom_table:<path>`` to seed a run
+    from a snapshot file. Unknown keys, unparsable values, duplicate keys,
+    and invariant violations raise ConfigError naming key and line.
     """
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -88,39 +111,38 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", key=key, line=lineno)
         if key in raw:
             raise ConfigError("duplicate key", key=key, line=lines[key])
         raw[key] = value
         lines[key] = lineno
 
-    def get(key):
-        return raw.get(key, _DEFAULTS[key])
-
-    def number(key, conv=float):
-        value = get(key)
-        try:
-            return conv(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"cannot parse value {value!r}", key=key,
-                              line=lines.get(key)) from None
-
     def bad(key, message):
         raise ConfigError(message, key=key, line=lines.get(key))
 
-    params = PhysParams(beta=number("beta"), mu_tilde=number("mu"),
-                        kappa_tilde=number("kappa"), R=number("R"),
-                        c_v=number("c_v"))
+    values = {}
+    fields = {"params": {}, "initial": {}, "": {}}
+    for key, (attr, default, conv) in _KEYS.items():
+        value = raw.get(key, default)
+        try:
+            values[key] = None if value is None else conv(value)
+        except ValueError:
+            raise ConfigError(f"cannot parse value {value!r}", key=key,
+                              line=lines.get(key)) from None
+        head, _, name = attr.rpartition(".")
+        fields[head][name] = values[key]
+
+    params = PhysParams(**fields["params"])
     try:
         # beta = 0 is reachable from configs on purpose: it is the classical
         # constant-conductivity comparison case
         validate_params(params, allow_beta_zero=True)
     except ParamError as exc:
-        key = _PARAM_KEY[exc.field]
-        bad(key, str(exc))
+        bad(next(key for key, (attr, _, _) in _KEYS.items()
+                 if attr == f"params.{exc.field}"), str(exc))
 
-    kind = get("init.kind")
+    kind = values["init.kind"]
     table_path = None
     if kind.startswith("custom_table:"):
         kind, _, table_path = kind.partition(":")
@@ -129,88 +151,47 @@ def parse_config(text: str) -> RunConfig:
             bad("init.kind", "custom_table needs a path after the colon")
     if kind not in InitialSpec.KINDS:
         bad("init.kind", f"unknown initial-data kind {kind!r}")
-    a_v = number("init.a_v")
-    if abs(a_v) >= 1.0:
-        bad("init.a_v", f"|a_v| = {abs(a_v)} >= 1 would make the volume vanish")
-    k = number("init.k", int)
-    if k < 1:
-        bad("init.k", f"wavenumber must be a positive integer, got {k}")
-    seed = number("seed", int)
-    initial = InitialSpec(kind=kind, a_v=a_v, a_u=number("init.a_u"),
-                          a_theta=number("init.a_theta"), k=k, seed=seed,
-                          table_path=table_path)
+    if abs(values["init.a_v"]) >= 1.0:
+        bad("init.a_v", f"|a_v| = {abs(values['init.a_v'])} >= 1 would make the "
+            "volume vanish")
+    if values["init.k"] < 1:
+        bad("init.k", f"wavenumber must be a positive integer, got {values['init.k']}")
+    if values["n_cells"] < 2:
+        bad("n_cells", f"runs need at least 2 cells, got {values['n_cells']}")
+    for key in ("dt", "t_end", "sample_every"):
+        if not (math.isfinite(values[key]) and values[key] > 0.0):
+            bad(key, f"{key} must be positive and finite, got {values[key]}")
+    if values["scheme"] not in solver.SCHEMES:
+        bad("scheme", f"scheme must be one of {solver.SCHEMES}, got {values['scheme']!r}")
+    lp = values["lp"]
+    if lp is not None:
+        if not all(math.isfinite(q) and q > 0.0 for q in lp):
+            bad("lp", "moment exponents must be positive and finite")
+        if len({functionals.lp_column(q) for q in lp}) < len(lp):
+            bad("lp", f"moment exponents must have distinct column names "
+                f"lp_<p>, got {raw['lp']!r}")
+    window = values["fit_window"]
+    if window is not None and (len(window) != 2 or not window[0] < window[1]):
+        bad("fit_window", f"window must be an ordered pair t0,t1, got {raw['fit_window']!r}")
 
-    n_cells = number("n_cells", int)
-    if n_cells < 2:
-        bad("n_cells", f"runs need at least 2 cells, got {n_cells}")
-    dt = number("dt")
-    if dt <= 0.0:
-        bad("dt", f"dt must be positive, got {dt}")
-    scheme = get("scheme")
-    if scheme not in solver.SCHEMES:
-        bad("scheme", f"scheme must be one of {solver.SCHEMES}, got {scheme!r}")
-    t_end = number("t_end")
-    if t_end <= 0.0:
-        bad("t_end", f"t_end must be positive, got {t_end}")
-    sample_every = number("sample_every")
-    if sample_every <= 0.0:
-        bad("sample_every", f"sample_every must be positive, got {sample_every}")
-
-    lp = None
-    if get("lp") is not None:
-        try:
-            lp = tuple(float(part) for part in get("lp").split(","))
-        except ValueError:
-            bad("lp", f"cannot parse value {get('lp')!r}")
-        if any(q <= 0.0 for q in lp):
-            bad("lp", "moment exponents must be positive")
-        if len(set(lp)) < len(lp):
-            bad("lp", f"moment exponents must be distinct, got {get('lp')!r}")
-    fit_window = None
-    if get("fit_window") is not None:
-        try:
-            lo, hi = (float(part) for part in get("fit_window").split(","))
-        except ValueError:
-            bad("fit_window", f"cannot parse value {get('fit_window')!r}")
-        if not lo < hi:
-            bad("fit_window", f"window must be ordered, got ({lo}, {hi})")
-        fit_window = (lo, hi)
-
-    return RunConfig(params=params, initial=initial, n_cells=n_cells, dt=dt,
-                     scheme=scheme, t_end=t_end, sample_every=sample_every,
-                     out_dir=get("out_dir"), lp_exponents=lp,
-                     fit_window=fit_window, seed=seed)
+    initial = InitialSpec(**dict(fields["initial"], kind=kind, table_path=table_path))
+    return RunConfig(params=params, initial=initial, **fields[""])
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Emit a config text that parses back to an equal RunConfig."""
-    kind = cfg.initial.kind
-    if cfg.initial.table_path is not None:
-        kind = f"{kind}:{cfg.initial.table_path}"
-    pairs = [
-        ("beta", _fmt(cfg.params.beta)),
-        ("mu", _fmt(cfg.params.mu_tilde)),
-        ("kappa", _fmt(cfg.params.kappa_tilde)),
-        ("R", _fmt(cfg.params.R)),
-        ("c_v", _fmt(cfg.params.c_v)),
-        ("init.kind", kind),
-        ("init.a_v", _fmt(cfg.initial.a_v)),
-        ("init.a_u", _fmt(cfg.initial.a_u)),
-        ("init.a_theta", _fmt(cfg.initial.a_theta)),
-        ("init.k", str(cfg.initial.k)),
-        ("n_cells", str(cfg.n_cells)),
-        ("dt", _fmt(cfg.dt)),
-        ("scheme", cfg.scheme),
-        ("t_end", _fmt(cfg.t_end)),
-        ("sample_every", _fmt(cfg.sample_every)),
-        ("out_dir", cfg.out_dir),
-        ("seed", str(cfg.seed)),
-    ]
-    if cfg.lp_exponents is not None:
-        pairs.append(("lp", ",".join(_fmt(q) for q in cfg.lp_exponents)))
-    if cfg.fit_window is not None:
-        pairs.append(("fit_window", ",".join(_fmt(w) for w in cfg.fit_window)))
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+    out = []
+    for key, (attr, _, _) in _KEYS.items():
+        value = attrgetter(attr)(cfg)
+        if key == "init.kind" and cfg.initial.table_path is not None:
+            value = f"{value}:{cfg.initial.table_path}"
+        if isinstance(value, float):
+            value = _fmt(value)
+        elif isinstance(value, tuple):
+            value = ",".join(_fmt(x) for x in value)
+        if value is not None:
+            out.append(f"{key} = {value}")
+    return "\n".join(out) + "\n"
 
 
 def load_config(path) -> RunConfig:
@@ -242,10 +223,7 @@ class RunSummary:
 
 
 def build_initial_state(cfg: RunConfig, grid: Grid) -> State:
-    spec = cfg.initial
-    if spec.seed != cfg.seed:
-        spec = replace(spec, seed=cfg.seed)
-    return make_initial_data(spec, grid, c_v=cfg.params.c_v)
+    return make_initial_data(replace(cfg.initial, seed=cfg.seed), grid, c_v=cfg.params.c_v)
 
 
 def write_snapshot(path, state: State, grid: Grid) -> None:
@@ -261,7 +239,7 @@ def write_snapshot(path, state: State, grid: Grid) -> None:
 
 def _csv_text(traj: solver.Trajectory) -> str:
     lp_exponents = list(traj.records[0].lp_moments)
-    header = ",".join(CSV_COLUMNS) + "".join(f",lp_{q:g}" for q in lp_exponents)
+    header = ",".join(CSV_COLUMNS + tuple(map(functionals.lp_column, lp_exponents)))
     out = [header]
     for rec in traj.records:
         vals = [getattr(rec, name) for name in CSV_COLUMNS]
@@ -376,11 +354,9 @@ def _run_with_outputs(cfg: RunConfig, out_dir=None):
     return summary, traj
 
 
-def _sweep_worker(args):
-    cfg_text, out_dir = args
-    cfg = parse_config(cfg_text)
+def _sweep_worker(cfg: RunConfig):
     try:
-        summary = run_scenario(cfg, out_dir)
+        summary = run_scenario(cfg)
     except SimulationFailure:
         return {"status": "failed", "beta": cfg.params.beta}
     fit = summary.decay_fit
@@ -429,11 +405,8 @@ def sweep(cfg: RunConfig, beta_list, out_dir=None, workers: int | None = None):
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
-    for beta in betas:
-        sub = replace(cfg, params=replace(cfg.params, beta=float(beta)),
-                      out_dir=str(out / f"beta_{beta:g}"))
-        jobs.append((serialize_config(sub), sub.out_dir))
+    jobs = [replace(cfg, params=replace(cfg.params, beta=float(beta)),
+                    out_dir=str(out / f"beta_{beta:g}")) for beta in betas]
 
     if workers is None:
         import os
@@ -540,8 +513,6 @@ def _cmd_sweep(args) -> int:
         betas = list(DEFAULT_SWEEP_BETAS)
     else:
         betas = [float(b) for b in args.betas.split(",") if b.strip()]
-        if not betas:
-            raise ValueError("sweep needs at least one beta value")
     rows = sweep(cfg, betas, args.out, workers=args.workers)
     print("beta    eta0      inf_v    inf_theta  repr_err   status")
     for row in rows:

@@ -48,14 +48,19 @@ class DiagnosticsRecord:
 RECORD_FIELDS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "lp_moments")
 
 
+def lp_column(q: float) -> str:
+    """CSV column name of the moment with exponent q."""
+    return f"lp_{q:g}"
+
+
 def default_lp_exponents(p: PhysParams) -> tuple:
-    """Moment exponents tracked by default: beta, beta + 1, and 2 (only positive ones)."""
-    candidates = (p.beta, p.beta + 1.0, 2.0)
-    out = []
-    for c in candidates:
-        if c > 0.0 and c not in out:
-            out.append(float(c))
-    return tuple(out)
+    """Moment exponents tracked by default: beta, beta + 1, and 2 (only
+    positive ones, and only the first of those sharing a column name)."""
+    out = {}
+    for c in (p.beta, p.beta + 1.0, 2.0):
+        if c > 0.0:
+            out.setdefault(lp_column(c), float(c))
+    return tuple(out.values())
 
 
 def entropy(s: State, g: Grid, p: PhysParams) -> float:

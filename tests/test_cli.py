@@ -1,5 +1,8 @@
 import json
 import os
+import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,9 @@ dt = 1e-3
 t_end = 0.3
 sample_every = 0.1
 """
+
+# path-like words for out_dir and table paths
+_WORDS = st.text(alphabet=string.ascii_letters + string.digits + "/._-:=", min_size=1)
 
 _TEST_PID = os.getpid()
 _sweep_worker = cli._sweep_worker
@@ -93,6 +99,14 @@ class TestParseConfig:
             cli.parse_config("beta 1\n")
         assert exc.value.line == 1
 
+    def test_times_must_be_finite(self):
+        # t_end = inf ran zero steps and exited 0; sample_every = nan never ended
+        for key in ("dt", "t_end", "sample_every"):
+            for value in ("nan", "inf"):
+                with pytest.raises(ConfigError) as exc:
+                    cli.parse_config(f"{key} = {value}\n")
+                assert exc.value.key == key
+
     def test_bad_scheme(self):
         with pytest.raises(ConfigError):
             cli.parse_config("scheme = leapfrog\n")
@@ -120,6 +134,18 @@ class TestParseConfig:
             cli.parse_config("lp = 2,0.5,2.0\n")
         assert exc.value.key == "lp"
 
+    def test_lp_rejects_non_finite(self):
+        for text in ("nan", "inf", "1,nan", "2,inf"):
+            with pytest.raises(ConfigError) as exc:
+                cli.parse_config(f"lp = {text}\n")
+            assert exc.value.key == "lp"
+
+    def test_lp_rejects_colliding_column_names(self):
+        # both would be written as column lp_1
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config("lp = 1.0000001,1.0000002\n")
+        assert exc.value.key == "lp"
+
     def test_fit_window(self):
         cfg = cli.parse_config("fit_window = 10,20\n")
         assert cfg.fit_window == (10.0, 20.0)
@@ -140,14 +166,42 @@ class TestParseConfig:
             again = cli.parse_config(cli.serialize_config(cfg))
             assert again == cfg
 
-    @given(dt=st.floats(1e-8, 1.0), t_end=st.floats(1e-3, 1e3),
-           beta=st.floats(0.0, 10.0), seed=st.integers(0, 2 ** 31))
-    def test_round_trip_exact_floats(self, dt, t_end, beta, seed):
-        text = f"dt = {dt!r}\nt_end = {t_end!r}\nbeta = {beta!r}\nseed = {seed}\n"
+    @given(st.data())
+    def test_round_trip_exact_floats(self, data):
+        draw = data.draw
+        lp = draw(st.none() | st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=4,
+                                       unique_by=lambda q: f"{q:g}"))
+        window = draw(st.none() | st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2,
+                                           unique=True).map(sorted))
+        kind = draw(st.sampled_from(("equilibrium", "cosine", "random_smooth", "custom_table"))
+                    | _WORDS.map(lambda path: f"custom_table:{path}"))
+        positive = st.floats(1e-6, 1e6)
+        values = {
+            "beta": draw(st.floats(0.0, 10.0)), "mu": draw(positive),
+            "kappa": draw(positive), "R": draw(positive), "c_v": draw(positive),
+            "init.kind": kind, "init.a_v": draw(st.floats(-0.999, 0.999)),
+            "init.a_u": draw(st.floats(-10.0, 10.0)),
+            "init.a_theta": draw(st.floats(-10.0, 10.0)),
+            "init.k": draw(st.integers(1, 1000)), "n_cells": draw(st.integers(2, 10 ** 6)),
+            "dt": draw(st.floats(1e-8, 1.0)), "scheme": draw(st.sampled_from(solver.SCHEMES)),
+            "t_end": draw(st.floats(1e-3, 1e3)), "sample_every": draw(st.floats(1e-6, 1e3)),
+            "out_dir": draw(_WORDS), "seed": draw(st.integers(0, 2 ** 31)),
+        }
+        text = "".join(f"{key} = {value!r}\n" if isinstance(value, float)
+                       else f"{key} = {value}\n" for key, value in values.items())
+        if lp is not None:
+            text += "lp = " + ",".join(map(repr, lp)) + "\n"
+        if window is not None:
+            text += "fit_window = " + ",".join(map(repr, window)) + "\n"
         cfg = cli.parse_config(text)
         again = cli.parse_config(cli.serialize_config(cfg))
         assert again == cfg
-        assert again.dt == dt and again.t_end == t_end
+        assert again.dt == values["dt"] and again.t_end == values["t_end"]
+        assert again.params.c_v == values["c_v"] and again.out_dir == values["out_dir"]
+        assert again.lp_exponents == (None if lp is None else tuple(lp))
+        assert again.fit_window == (None if window is None else tuple(window))
+        if kind.startswith("custom_table:"):
+            assert again.initial.table_path == kind.partition(":")[2]
 
 
 class TestRunScenario:
@@ -221,6 +275,21 @@ class TestRunScenario:
         rows = np.asarray(lg.load_table(snap))
         assert np.allclose(restarted.v, rows[:, 1], atol=1e-12)
         assert np.allclose(restarted.theta, rows[:, 3], atol=1e-12)
+
+    @given(n=st.integers(2, 255), seed=st.integers(0, 2 ** 32 - 1),
+           a_v=st.floats(-0.9, 0.9), a_u=st.floats(-1.0, 1.0),
+           a_theta=st.floats(-0.7, 0.7))
+    def test_snapshot_restart_exact(self, n, seed, a_v, a_u, a_theta):
+        grid = lg.build_grid(n)
+        s = lg.make_initial_data(lg.InitialSpec(kind="random_smooth", a_v=a_v, a_u=a_u,
+                                                a_theta=a_theta, seed=seed), grid)
+        with tempfile.TemporaryDirectory() as tmp:
+            snap = Path(tmp) / "snap.txt"
+            cli.write_snapshot(snap, s, grid)
+            restarted = lg.make_initial_data(
+                lg.InitialSpec(kind="custom_table", table_path=str(snap)), grid)
+        assert np.array_equal(restarted.v, s.v)
+        assert np.array_equal(restarted.theta, s.theta)
 
     def test_failure_writes_partial_outputs(self, tmp_path):
         # explicit scheme with dt so far above the stability bound that the
@@ -372,6 +441,26 @@ class TestMainExitCodes:
         path.write_text(EQUILIBRIUM_QUICK)
         assert cli.main(["convergence", "--config", str(path),
                          "--levels", "64"]) == 2
+
+
+class TestVerifyShortReference:
+    def test_every_criterion_reported_and_scratch_removed(self, tmp_path, monkeypatch):
+        # [25, 50], criterion 5's window, holds no sample of this run; two
+        # workers make the jobs cross a process boundary
+        from lagrangas import acceptance
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        (config_dir / "reference.cfg").write_text(
+            "init.kind = cosine\nn_cells = 8\ndt = 2e-3\nt_end = 0.4\n")
+        monkeypatch.setattr(acceptance, "MMS_LEVELS", (8, 16, 32))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        results, _ = acceptance.run_acceptance(config_dir=config_dir, workers=2,
+                                               echo=lambda line: None)
+        assert [r.number for r in results] == list(range(1, 11))
+        assert not results[4].passed
+        assert "no samples in the window" in results[4].detail
+        assert results[9].passed
+        assert not list(tmp_path.glob("lagrangas-verify-*"))
 
 
 class TestPins:

@@ -206,6 +206,11 @@ class TestRecord:
         p2 = lg.PhysParams(beta=1.0)
         assert functionals.default_lp_exponents(p2) == (1.0, 2.0)
 
+    def test_default_moment_column_names_unique(self):
+        # beta + 1 and 2 differ, but both print as lp_2
+        p = lg.PhysParams(beta=1.0000001)
+        assert functionals.default_lp_exponents(p) == (p.beta, p.beta + 1.0)
+
     @given(seed=st.integers(0, 1000))
     def test_entropy_and_dissipation_nonnegative(self, seed):
         g = lg.build_grid(16)
