@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -151,6 +152,9 @@ def parse_config(text: str) -> RunConfig:
             bad("init.kind", "custom_table needs a path after the colon")
     if kind not in InitialSpec.KINDS:
         bad("init.kind", f"unknown initial-data kind {kind!r}")
+    for key in ("init.a_v", "init.a_u", "init.a_theta"):
+        if not math.isfinite(values[key]):
+            bad(key, f"amplitude must be finite, got {values[key]}")
     if abs(values["init.a_v"]) >= 1.0:
         bad("init.a_v", f"|a_v| = {abs(values['init.a_v'])} >= 1 would make the "
             "volume vanish")
@@ -161,6 +165,8 @@ def parse_config(text: str) -> RunConfig:
     for key in ("dt", "t_end", "sample_every"):
         if not (math.isfinite(values[key]) and values[key] > 0.0):
             bad(key, f"{key} must be positive and finite, got {values[key]}")
+    if values["seed"] < 0:
+        bad("seed", f"seed must be a non-negative integer, got {values['seed']}")
     if values["scheme"] not in solver.SCHEMES:
         bad("scheme", f"scheme must be one of {solver.SCHEMES}, got {values['scheme']!r}")
     lp = values["lp"]
@@ -322,9 +328,9 @@ def run_scenario(cfg: RunConfig, out_dir=None) -> RunSummary:
 def _run_with_outputs(cfg: RunConfig, out_dir=None):
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # probe writability before spending time on the run
-    csv_path = out / "timeseries.csv"
-    csv_path.touch()
+    # probe writability before spending time on the run; the probe file
+    # vanishes on close, so a run that dies before writing leaves no file
+    tempfile.TemporaryFile(dir=out).close()
 
     started = time.perf_counter()
     failure = None
@@ -337,7 +343,7 @@ def _run_with_outputs(cfg: RunConfig, out_dir=None):
         failure = exc
     wall = time.perf_counter() - started
 
-    csv_path.write_text(_csv_text(traj), encoding="utf-8")
+    (out / "timeseries.csv").write_text(_csv_text(traj), encoding="utf-8")
     grid = traj.grid
     write_snapshot(out / f"snap_{traj.records[0].t:g}.txt", traj.initial_state, grid)
     if len(traj.records) > 1:

@@ -54,6 +54,15 @@ def validate_params(p: PhysParams, allow_beta_zero: bool = False) -> None:
         )
 
 
+def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    # theta**beta dominates the step cost at small N; shortcut the common cases.
+    if exponent == 1.0:
+        return base
+    if exponent == 0.0:
+        return np.ones_like(base)
+    return base ** exponent
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of the mass interval (0, 1).

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Grid, PhysParams, State, check_normalization
+from .core import Grid, PhysParams, State, _pow, check_normalization
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def dissipation_from(ux: np.ndarray, vf: np.ndarray, v: np.ndarray, theta: np.nd
         return shear
     thf = 0.5 * (theta[:-1] + theta[1:])
     dth = (theta[1:] - theta[:-1]) / dx
-    thbeta = thf if p.beta == 1.0 else thf ** p.beta
+    thbeta = _pow(thf, p.beta)
     thermal = float((p.kappa_tilde * thbeta * dth * dth / (vf * thf * thf)).sum() * dx)
     return thermal + shear
 

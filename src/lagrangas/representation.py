@@ -7,13 +7,14 @@ totals over time) damps the base exponentially, and A accumulates the
 history integral of theta / (B * Y). The reconstruction is evaluated next
 to the solver as an independent accuracy oracle; it is never used to step.
 
-Y and A are held in log space: Y underflows near t = 700 and the history
-integrand grows like 1/Y, so linear accumulation would overflow on
-long-time runs. The log-space update is algebraically identical.
+The history is held scaled by the damping, a = Y * A, so v = B * (Y + a).
+a stays bounded (about v / B - Y) while Y decays and A grows like 1 / Y, so
+long-time runs need no log space: each step rescales a by Y_new / Y_old.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +44,16 @@ def damping_integrand(u: np.ndarray, theta: np.ndarray, g: Grid) -> float:
 
 @dataclass
 class ReprAccumulators:
-    """Running state of the reconstruction along one trajectory."""
+    """Running state of the reconstruction along one trajectory: the scaled
+    history a = Y * A, the last step's Y_new / Y_old and its theta / B."""
 
     s0: State
     u0_integral: np.ndarray
     g0: float
     log_damping: float
-    log_history: np.ndarray
-    last_log_integrand: np.ndarray
+    damping_ratio: float
+    scaled_history: np.ndarray
+    last_integrand: np.ndarray
     last_damping_integrand: float
 
     @property
@@ -61,7 +64,7 @@ class ReprAccumulators:
     @property
     def history(self) -> np.ndarray:
         """A_j(t); zero at t = 0 and nondecreasing."""
-        return np.exp(self.log_history)
+        return self.scaled_history * np.exp(-self.log_damping)
 
 
 def init_accumulators(s0: State, g: Grid) -> ReprAccumulators:
@@ -75,20 +78,11 @@ def init_accumulators(s0: State, g: Grid) -> ReprAccumulators:
         u0_integral=u0_int,
         g0=g0,
         log_damping=0.0,
-        log_history=np.full(g.n_cells, -np.inf),
-        last_log_integrand=np.log(s0.theta) - np.log(s0.v),
+        damping_ratio=1.0,
+        scaled_history=np.zeros(g.n_cells),
+        last_integrand=s0.theta / s0.v,
         last_damping_integrand=damping_integrand(s0.u, s0.theta, g),
     )
-
-
-def _base_exponent(v, u, g, u0_integral, g0, out=None):
-    # vanishes identically at the initial state, so the base profile is v0
-    # there bit for bit
-    u_int = velocity_integral(u, g, out)
-    g_now = float(v.dot(u_int) * g.dx)
-    u_int -= u0_integral
-    u_int -= g_now - g0
-    return u_int
 
 
 def base_factor(s: State, s0: State, g: Grid) -> np.ndarray:
@@ -101,35 +95,42 @@ def _base_factor_cached(acc: ReprAccumulators, v: np.ndarray, u: np.ndarray, g: 
                         scratch: np.ndarray | None = None) -> np.ndarray:
     """Base profile of the fields (v, u), with the initial velocity potential
     taken from ``acc``; ``scratch`` (one float per cell) is overwritten."""
-    return acc.s0.v * np.exp(_base_exponent(v, u, g, acc.u0_integral, acc.g0, scratch))
+    # the exponent vanishes identically at the initial state, so the base
+    # profile is v0 there bit for bit
+    exponent = velocity_integral(u, g, scratch)
+    g_now = float(v.dot(exponent) * g.dx)
+    exponent -= acc.u0_integral
+    exponent -= g_now - acc.g0
+    return acc.s0.v * np.exp(exponent)
 
 
 def update_damping(acc: ReprAccumulators, u: np.ndarray, theta: np.ndarray, g: Grid,
                    dt: float) -> None:
     """Fold one accepted step of size dt, ending at the fields (u, theta),
-    into log Y (trapezoid in time)."""
+    into log Y (trapezoid in time) and keep the step's ratio Y_new / Y_old."""
     integrand = damping_integrand(u, theta, g)
-    acc.log_damping -= 0.5 * dt * (acc.last_damping_integrand + integrand)
+    decrement = 0.5 * dt * (acc.last_damping_integrand + integrand)
+    acc.log_damping -= decrement
+    acc.damping_ratio = math.exp(-decrement)
     acc.last_damping_integrand = integrand
 
 
 def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
                    dt: float) -> None:
     """Fold one accepted step, ending at the temperature ``theta``, into the
-    history integral of theta / (B * Y).
+    scaled history a = Y * A.
 
-    ``base`` must be the base profile of the step's new state and log Y must
-    already include the step. Accumulation is log-sum-exp so the integrand
-    may exceed the linear floating-point range without overflow.
+    ``base`` must be the base profile B of the step's new state, and
+    ``update_damping`` must already have folded the step. This is the
+    trapezoid rule for A in theta / (B * Y), multiplied through by Y_new.
     """
-    log_f = np.log(theta) - np.log(base) - acc.log_damping
-    log_increment = np.log(0.5 * dt) + np.logaddexp(acc.last_log_integrand, log_f)
-    acc.log_history = np.logaddexp(acc.log_history, log_increment)
-    acc.last_log_integrand = log_f
+    integrand = theta / base
+    acc.scaled_history = (acc.damping_ratio * (acc.scaled_history + 0.5 * dt * acc.last_integrand)
+                          + 0.5 * dt * integrand)
+    acc.last_integrand = integrand
 
 
-def reconstruct_volume(acc: ReprAccumulators, s: State, g: Grid) -> np.ndarray:
-    """Evaluate B * Y * (1 + A) at the accumulators' current time."""
-    exponent = _base_exponent(s.v, s.u, g, acc.u0_integral, acc.g0)
-    return acc.s0.v * np.exp(exponent + acc.log_damping
-                             + np.logaddexp(0.0, acc.log_history))
+def reconstruct_volume(acc: ReprAccumulators, base: np.ndarray) -> np.ndarray:
+    """Evaluate B * (Y + a) at the accumulators' current time, where ``base``
+    is the base profile B of the state there."""
+    return base * (acc.damping + acc.scaled_history)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from . import functionals, representation
-from .core import Grid, PhysParams, State, check_normalization, validate_state
+from .core import Grid, PhysParams, State, _pow, check_normalization, validate_state
 from .errors import NumericalBreakdown, SimulationFailure, StepRejected
 
 _ptsv, = get_lapack_funcs(("ptsv",), (np.array([1.0]),))
@@ -78,15 +78,6 @@ def _sources_at(src, t):
     if src is None or isinstance(src, Sources):
         return src
     return src(t)
-
-
-def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
-    # theta**beta dominates the step cost at small N; shortcut the common cases.
-    if exponent == 1.0:
-        return base
-    if exponent == 0.0:
-        return np.ones_like(base)
-    return base ** exponent
 
 
 def _solve_spd_tridiag(diag, off, rhs):
@@ -379,7 +370,7 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
             representation.update_history(acc, theta, base, dt_try)
 
         state = State(t=t, v=v, u=u, theta=theta)
-        v_rec = representation.reconstruct_volume(acc, state, g)
+        v_rec = representation.reconstruct_volume(acc, base)
         repr_err = float(np.max(np.abs(v_rec - state.v) / state.v))
         sample(state, repr_err)
         while t0 + sample_idx * sample_every <= target + tiny:

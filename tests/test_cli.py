@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import lagrangas as lg
 from lagrangas import cli, solver
-from lagrangas.errors import ConfigError, SimulationFailure
+from lagrangas.errors import ConfigError, ConstructionError, SimulationFailure
 
 from conftest import tridiag_breaking_after
 
@@ -119,6 +119,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             cli.parse_config("init.a_v = 1.5\n")
         assert exc.value.key == "init.a_v"
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config("beta = 1\nseed = -1\n")
+        assert exc.value.key == "seed"
+        assert exc.value.line == 2
+
+    def test_amplitudes_must_be_finite(self):
+        for key in ("init.a_v", "init.a_u", "init.a_theta"):
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigError) as exc:
+                    cli.parse_config(f"init.kind = cosine\n{key} = {value}\n")
+                assert exc.value.key == key
+                assert exc.value.line == 2
 
     def test_lp_list(self):
         cfg = cli.parse_config("lp = 0.5,1,2\n")
@@ -261,6 +275,13 @@ class TestRunScenario:
         cfg = cli.parse_config(EQUILIBRIUM_QUICK)
         with pytest.raises(OSError):
             cli.run_scenario(cfg, blocker)
+
+    def test_construction_error_leaves_no_csv(self, tmp_path):
+        text = QUICK.replace("init.kind = cosine", "init.kind = random_smooth")
+        cfg = cli.parse_config(text.replace("init.a_u = 0.1", "init.a_u = 50"))
+        with pytest.raises(ConstructionError):
+            cli.run_scenario(cfg, tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_snapshot_restart_round_trip(self, tmp_path):
         cfg = cli.parse_config(QUICK)

@@ -490,8 +490,9 @@ class TestAdvanceMatchesAdapters:
         assert last.int_V_dt == int_v
         assert last.log_damping == acc.log_damping == ref.log_damping
         assert acc.last_damping_integrand == ref.last_damping_integrand
-        assert np.array_equal(acc.log_history, ref.log_history)
-        assert np.array_equal(acc.last_log_integrand, ref.last_log_integrand)
+        assert acc.damping_ratio == ref.damping_ratio
+        assert np.array_equal(acc.scaled_history, ref.scaled_history)
+        assert np.array_equal(acc.last_integrand, ref.last_integrand)
         for name in ("v", "u", "theta"):
             assert np.array_equal(getattr(traj.final_state, name), getattr(s, name))
 
