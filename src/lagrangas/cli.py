@@ -27,7 +27,8 @@ from . import analysis, functionals, solver
 from .core import (Grid, InitialSpec, PhysParams, State, build_grid,
                    make_initial_data, validate_params)
 from .errors import (ConfigError, ConstructionError, FormatError,
-                     InsufficientDataError, ParamError, SimulationFailure)
+                     InsufficientDataError, ParamError, SimulationFailure,
+                     WorkerDied)
 
 # log Y is left out so that the published column set stays fixed; the
 # moment columns follow these, one per exponent.
@@ -380,8 +381,9 @@ def _fan_out(worker, jobs, workers: int) -> list:
     """Map ``worker`` over ``jobs`` with up to ``workers`` processes, in job order.
 
     The jobs run in this process when one worker is asked for or no process
-    pool can be created here. A worker process that dies mid-job raises
-    SimulationFailure; its jobs are not rerun.
+    pool can be created here. A worker process that dies mid-job takes the
+    pool's unfinished jobs with it, and none of them is rerun: WorkerDied
+    then carries the results of the jobs that finished.
     """
     pool = None
     if workers > 1:
@@ -391,19 +393,32 @@ def _fan_out(worker, jobs, workers: int) -> list:
             pass  # no semaphores or threads on this platform
     if pool is None:
         return [worker(job) for job in jobs]
+    results, died = [], None
     with pool:
+        futures = [pool.submit(worker, job) for job in jobs]
         try:
-            return list(pool.map(worker, jobs))
-        except BrokenProcessPool as exc:
-            raise SimulationFailure(f"a worker process died: {exc}") from exc
+            for future in futures:
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool as exc:
+                    results.append(None)
+                    died = exc
+        finally:
+            # a job that raised leaves none of the queued jobs to run
+            for future in futures:
+                future.cancel()
+    if died is not None:
+        raise WorkerDied(f"a worker process died: {died}", results) from died
+    return results
 
 
 def sweep(cfg: RunConfig, beta_list, out_dir=None, workers: int | None = None):
     """Run the scenario once per beta; write sweep.csv; return the row dicts.
 
     Rows run concurrently when more than one worker is available; a failed
-    row is recorded and the sweep continues, but a worker process that dies
-    raises SimulationFailure.
+    row is recorded and the sweep continues. A worker process that dies
+    loses the rows not finished yet: sweep.csv records them as failed, next
+    to the finished ones, and SimulationFailure is raised.
     """
     betas = list(beta_list)
     if not betas:
@@ -417,7 +432,13 @@ def sweep(cfg: RunConfig, beta_list, out_dir=None, workers: int | None = None):
     if workers is None:
         import os
         workers = min(len(jobs), os.cpu_count() or 1, 4)
-    rows = _fan_out(_sweep_worker, jobs, workers)
+    died = None
+    try:
+        rows = _fan_out(_sweep_worker, jobs, workers)
+    except WorkerDied as exc:
+        died = exc
+        rows = [{"status": "failed", "beta": job.params.beta} if row is None else row
+                for row, job in zip(exc.results, jobs)]
 
     lines = ["beta,eta0,inf_v,inf_theta,repr_err,status"]
     for row in rows:
@@ -428,6 +449,9 @@ def sweep(cfg: RunConfig, beta_list, out_dir=None, workers: int | None = None):
         else:
             lines.append(f"{_fmt(row['beta'])},,,,,failed")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if died is not None:
+        raise SimulationFailure(f"{died}; the rows it lost are failed in "
+                                f"{out / 'sweep.csv'}") from died
     return rows
 
 

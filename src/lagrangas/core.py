@@ -54,13 +54,16 @@ def validate_params(p: PhysParams, allow_beta_zero: bool = False) -> None:
         )
 
 
-def _pow(base: np.ndarray, exponent: float) -> np.ndarray:
+def _pow(base: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np.ndarray:
     # theta**beta dominates the step cost at small N; shortcut the common cases.
+    # The power goes into ``out`` when given, unless it is ``base`` itself.
     if exponent == 1.0:
         return base
     if exponent == 0.0:
-        return np.ones_like(base)
-    return base ** exponent
+        out = np.empty_like(base) if out is None else out
+        out.fill(1.0)
+        return out
+    return np.power(base, exponent, out=out)
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,51 @@ class State:
     @property
     def n_cells(self) -> int:
         return self.v.shape[0]
+
+
+class _Fields:
+    """One IMEX kernel output: the fields (v, u, theta) of a new state, its
+    cell velocity gradient ``ux`` and the face means ``vf`` of its volume."""
+
+    __slots__ = ("v", "u", "theta", "ux", "vf")
+
+    def __init__(self, n: int):
+        self.v = np.empty(n)
+        self.u = np.zeros(n + 1)  # the kernel never writes the wall values
+        self.theta = np.empty(n)
+        self.ux = np.empty(n)
+        self.vf = np.empty(n - 1)
+
+
+class Workspace:
+    """Preallocated arrays for stepping one run on an n-cell grid, so that an
+    accepted IMEX step and its per-step diagnostics allocate no array.
+
+    The IMEX kernel writes the new state into ``nxt``, and ``swap`` makes it
+    ``cur`` once the step is accepted, so a rejected attempt overwrites
+    neither the accepted state nor the values carried from it. Two values of
+    the accepted state are carried to the next kernel instead of being
+    recomputed there: ``cur.ux``, its cell velocity gradient, and ``knum``,
+    kappa_tilde * theta**beta at its temperature face means, which the
+    dissipation update leaves behind. ``base`` holds the reconstruction's base
+    profile of the accepted state. ``cells``, ``faces`` and ``nodes`` are
+    scratch arrays of n, n - 1 and n + 1 floats that any per-step function
+    may overwrite.
+    """
+
+    def __init__(self, n_cells: int):
+        n = n_cells
+        self.cur = _Fields(n)
+        self.nxt = _Fields(n)
+        self.knum = np.empty(n - 1)
+        self.base = np.empty(n)
+        self.cells = tuple(np.empty(n) for _ in range(3))
+        self.faces = tuple(np.empty(n - 1) for _ in range(3))
+        self.nodes = np.empty(n + 1)
+
+    def swap(self) -> None:
+        """Make the kernel's last output the accepted state."""
+        self.cur, self.nxt = self.nxt, self.cur
 
 
 def validate_state(s: State, grid: Grid) -> None:

@@ -59,6 +59,16 @@ class SimulationFailure(LagrangasError):
         self.trajectory = trajectory
 
 
+class WorkerDied(SimulationFailure):
+    """A worker process of a process pool died. ``results`` holds, in job
+    order, the result of each job that finished before, and None for each
+    job lost with the pool."""
+
+    def __init__(self, message, results):
+        super().__init__(message)
+        self.results = results
+
+
 class InsufficientDataError(LagrangasError, ValueError):
     """Too few usable samples for a fit."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Grid, PhysParams, State, _pow, check_normalization
+from .core import Grid, PhysParams, State, Workspace, _pow, check_normalization
 
 
 @dataclass(frozen=True)
@@ -74,29 +74,56 @@ def entropy(s: State, g: Grid, p: PhysParams) -> float:
     return float((np.sum(cells) + kinetic) * g.dx)
 
 
-def dissipation(s: State, g: Grid, p: PhysParams) -> float:
+def dissipation(s: State, g: Grid, p: PhysParams, ws: Workspace | None = None) -> float:
     """Entropy dissipation rate: thermal-gradient and shear contributions.
 
     Face values of theta and v are arithmetic means, matching the solver's
     heat flux. Zero exactly iff u has no differences and theta is constant.
+    With a run's workspace ``ws``, the state's cell velocity gradient and
+    volume face means are left in ``ws.cur`` and its face conductivities in
+    ``ws.knum``, which readies ``ws`` for a first IMEX step from ``s``.
     """
-    ux = (s.u[1:] - s.u[:-1]) / g.dx
-    vf = 0.5 * (s.v[:-1] + s.v[1:])
-    return dissipation_from(ux, vf, s.v, s.theta, g, p)
+    if ws is None:
+        ws = Workspace(g.n_cells)
+    ux = np.subtract(s.u[1:], s.u[:-1], out=ws.cur.ux)
+    ux /= g.dx
+    vf = np.add(s.v[:-1], s.v[1:], out=ws.cur.vf)
+    vf *= 0.5
+    return dissipation_from(ux, vf, s.v, s.theta, g, p, ws)
 
 
 def dissipation_from(ux: np.ndarray, vf: np.ndarray, v: np.ndarray, theta: np.ndarray,
-                     g: Grid, p: PhysParams) -> float:
+                     g: Grid, p: PhysParams, ws: Workspace | None = None) -> float:
     """``dissipation`` from the cell velocity gradient ``ux`` and the face
-    means ``vf`` of ``v``, which the time steppers have already computed."""
+    means ``vf`` of ``v``, which the time steppers have already computed.
+
+    Works in the scratch of ``ws`` and leaves kappa_tilde * theta**beta at
+    the temperature face means in ``ws.knum``: the numerator of the next
+    IMEX step's face conductivities.
+    """
+    if ws is None:
+        ws = Workspace(g.n_cells)
     dx = g.dx
-    shear = float((p.mu_tilde * ux * ux / (v * theta)).sum() * dx)
+    shear, vth, _ = ws.cells
+    np.multiply(ux, p.mu_tilde, out=shear)
+    shear *= ux
+    shear /= np.multiply(v, theta, out=vth)
+    shear = float(shear.sum() * dx)
     if g.n_cells < 2:
         return shear
-    thf = 0.5 * (theta[:-1] + theta[1:])
-    dth = (theta[1:] - theta[:-1]) / dx
-    thbeta = _pow(thf, p.beta)
-    thermal = float((p.kappa_tilde * thbeta * dth * dth / (vf * thf * thf)).sum() * dx)
+    thf, dth, thermal = ws.faces
+    np.add(theta[:-1], theta[1:], out=thf)
+    thf *= 0.5
+    np.subtract(theta[1:], theta[:-1], out=dth)
+    dth /= dx
+    knum = np.multiply(_pow(thf, p.beta, ws.knum), p.kappa_tilde, out=ws.knum)
+    np.multiply(knum, dth, out=thermal)
+    thermal *= dth
+    # dth is spent: it takes the denominator vf * thf * thf
+    np.multiply(vf, thf, out=dth)
+    dth *= thf
+    thermal /= dth
+    thermal = float(thermal.sum() * dx)
     return thermal + shear
 
 

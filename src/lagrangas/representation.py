@@ -19,27 +19,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, State
+from .core import Grid, State, Workspace
 
 
-def velocity_integral(u: np.ndarray, g: Grid, out: np.ndarray | None = None) -> np.ndarray:
+def velocity_integral(u: np.ndarray, g: Grid, out: np.ndarray | None = None,
+                      ws: Workspace | None = None) -> np.ndarray:
     """Cumulative trapezoid of a node field up to each cell center, written
-    into ``out`` (one float per cell) when given."""
+    into ``out`` (one float per cell) when given; ``ws`` lends scratch."""
     dx = g.dx
+    if ws is None:
+        ws = Workspace(g.n_cells)
     if out is None:
         out = np.empty(g.n_cells)
+    half_faces, quarter_cells = ws.faces[0], ws.cells[0]
     # out takes the integral up to each cell's left node, then up to its
     # center. cumsum adds in sequence, so its sums over the first N - 1
     # faces are those it gives over all N.
     out[0] = 0.0
-    (0.5 * dx * (u[:-2] + u[1:-1])).cumsum(out=out[1:])
-    out += (dx / 8.0) * (3.0 * u[:-1] + u[1:])
+    np.add(u[:-2], u[1:-1], out=half_faces)
+    half_faces *= 0.5 * dx
+    half_faces.cumsum(out=out[1:])
+    np.multiply(u[:-1], 3.0, out=quarter_cells)
+    quarter_cells += u[1:]
+    quarter_cells *= dx / 8.0
+    out += quarter_cells
     return out
 
 
-def damping_integrand(u: np.ndarray, theta: np.ndarray, g: Grid) -> float:
+def damping_integrand(u: np.ndarray, theta: np.ndarray, g: Grid,
+                      ws: Workspace | None = None) -> float:
     """Mass total of u^2 + theta (trapezoid nodes + cell sum)."""
-    return float((g.node_weights * u * u).sum() * g.dx) + float(theta.sum() * g.dx)
+    if ws is None:
+        ws = Workspace(g.n_cells)
+    kinetic = np.multiply(g.node_weights, u, out=ws.nodes)
+    kinetic *= u
+    return float(kinetic.sum() * g.dx) + float(theta.sum() * g.dx)
 
 
 @dataclass
@@ -67,9 +81,11 @@ class ReprAccumulators:
         return self.scaled_history * np.exp(-self.log_damping)
 
 
-def init_accumulators(s0: State, g: Grid) -> ReprAccumulators:
+def init_accumulators(s0: State, g: Grid, ws: Workspace | None = None) -> ReprAccumulators:
     """Fresh accumulators at the trajectory's initial state."""
-    u0_int = velocity_integral(s0.u, g)
+    if ws is None:
+        ws = Workspace(g.n_cells)
+    u0_int = velocity_integral(s0.u, g, ws=ws)
     g0 = float(s0.v.dot(u0_int) * g.dx)
     # the base profile at t = 0 is exactly v0, so the first history integrand
     # is theta0 / v0
@@ -81,7 +97,7 @@ def init_accumulators(s0: State, g: Grid) -> ReprAccumulators:
         damping_ratio=1.0,
         scaled_history=np.zeros(g.n_cells),
         last_integrand=s0.theta / s0.v,
-        last_damping_integrand=damping_integrand(s0.u, s0.theta, g),
+        last_damping_integrand=damping_integrand(s0.u, s0.theta, g, ws),
     )
 
 
@@ -92,23 +108,27 @@ def base_factor(s: State, s0: State, g: Grid) -> np.ndarray:
 
 
 def _base_factor_cached(acc: ReprAccumulators, v: np.ndarray, u: np.ndarray, g: Grid,
-                        scratch: np.ndarray | None = None) -> np.ndarray:
+                        ws: Workspace | None = None) -> np.ndarray:
     """Base profile of the fields (v, u), with the initial velocity potential
-    taken from ``acc``; ``scratch`` (one float per cell) is overwritten."""
+    taken from ``acc``; it is written into ``ws.base``."""
+    if ws is None:
+        ws = Workspace(g.n_cells)
     # the exponent vanishes identically at the initial state, so the base
     # profile is v0 there bit for bit
-    exponent = velocity_integral(u, g, scratch)
+    exponent = velocity_integral(u, g, ws.base, ws)
     g_now = float(v.dot(exponent) * g.dx)
     exponent -= acc.u0_integral
     exponent -= g_now - acc.g0
-    return acc.s0.v * np.exp(exponent)
+    base = np.exp(exponent, out=exponent)
+    base *= acc.s0.v
+    return base
 
 
 def update_damping(acc: ReprAccumulators, u: np.ndarray, theta: np.ndarray, g: Grid,
-                   dt: float) -> None:
+                   dt: float, ws: Workspace | None = None) -> None:
     """Fold one accepted step of size dt, ending at the fields (u, theta),
     into log Y (trapezoid in time) and keep the step's ratio Y_new / Y_old."""
-    integrand = damping_integrand(u, theta, g)
+    integrand = damping_integrand(u, theta, g, ws)
     decrement = 0.5 * dt * (acc.last_damping_integrand + integrand)
     acc.log_damping -= decrement
     acc.damping_ratio = math.exp(-decrement)
@@ -116,18 +136,23 @@ def update_damping(acc: ReprAccumulators, u: np.ndarray, theta: np.ndarray, g: G
 
 
 def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
-                   dt: float) -> None:
+                   dt: float, ws: Workspace | None = None) -> None:
     """Fold one accepted step, ending at the temperature ``theta``, into the
-    scaled history a = Y * A.
+    scaled history a = Y * A, in place.
 
     ``base`` must be the base profile B of the step's new state, and
     ``update_damping`` must already have folded the step. This is the
-    trapezoid rule for A in theta / (B * Y), multiplied through by Y_new.
+    trapezoid rule for A in theta / (B * Y), multiplied through by Y_new:
+    a <- r * (a + dt/2 * f_prev) + dt/2 * f_new, with f = theta / B.
     """
-    integrand = theta / base
-    acc.scaled_history = (acc.damping_ratio * (acc.scaled_history + 0.5 * dt * acc.last_integrand)
-                          + 0.5 * dt * integrand)
-    acc.last_integrand = integrand
+    if ws is None:
+        ws = Workspace(theta.shape[0])
+    half_dt = 0.5 * dt
+    history, integrand, term = acc.scaled_history, acc.last_integrand, ws.cells[0]
+    history += np.multiply(integrand, half_dt, out=term)
+    history *= acc.damping_ratio
+    np.divide(theta, base, out=integrand)
+    history += np.multiply(integrand, half_dt, out=term)
 
 
 def reconstruct_volume(acc: ReprAccumulators, base: np.ndarray) -> np.ndarray:

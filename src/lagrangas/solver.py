@@ -20,7 +20,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from . import functionals, representation
-from .core import Grid, PhysParams, State, _pow, check_normalization, validate_state
+from .core import (Grid, PhysParams, State, Workspace, _pow, check_normalization,
+                   validate_state)
 from .errors import NumericalBreakdown, SimulationFailure, StepRejected
 
 _ptsv, = get_lapack_funcs(("ptsv",), (np.array([1.0]),))
@@ -81,14 +82,26 @@ def _sources_at(src, t):
 
 
 def _solve_spd_tridiag(diag, off, rhs):
+    """Solve the symmetric positive-definite tridiagonal system with main
+    diagonal ``diag``, off-diagonal ``off`` and right-hand side ``rhs``.
+
+    Works in place: the solution overwrites ``rhs``, which is returned, and
+    the factorization overwrites ``diag`` and ``off``. Raises
+    NumericalBreakdown on a pivot that is not positive.
+    """
     if diag.shape[0] == 1:
-        if diag[0] <= 0.0:
+        # written so that a NaN pivot fails the check too
+        if not diag[0] > 0.0:
             raise NumericalBreakdown("tridiagonal solve hit a non-positive pivot")
-        return rhs / diag
-    _, _, x, info = _ptsv(diag, off, rhs)
+        rhs /= diag
+        return rhs
+    _, _, x, info = _ptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
         raise NumericalBreakdown(f"tridiagonal solve hit a non-positive pivot (row {info})")
-    return x
+    if x is not rhs:
+        # LAPACK got a copy of an array it could not use as it is
+        rhs[...] = x
+    return rhs
 
 
 def spatial_rhs(v: np.ndarray, u: np.ndarray, theta: np.ndarray, p: PhysParams,
@@ -137,58 +150,79 @@ def stability_limit(v: np.ndarray, theta: np.ndarray, p: PhysParams, g: Grid) ->
 
 # Both kernels return (v, u, theta, ux, vf): the new state, its cell velocity
 # gradient and the face means of its volume, which ``advance`` reads for the
-# dissipation update instead of recomputing them.
+# dissipation update instead of recomputing them. Both take the run's
+# Workspace ``ws``, or None for a fresh one.
 
-def _imex_kernel(v, u, theta, t, dt, p, g, src):
+def _imex_kernel(v, u, theta, t, dt, p, g, src, ws=None):
+    # writes its result into ws.nxt, and reads ws.cur.ux and ws.knum as the
+    # values carried from (v, u, theta)
+    if ws is None:
+        ws = Workspace(g.n_cells)
+        functionals.dissipation(State(t=t, v=v, u=u, theta=theta), g, p, ws)
     dx = g.dx
-    n = g.n_cells
     s = _sources_at(src, t + dt)
+    out = ws.nxt
+    inv_v, work, work2 = ws.cells
+    work_f, work_f2, kf = ws.faces
 
     # volume first, explicitly, so both solves see the new geometry
-    ux = u[1:] - u[:-1]
-    ux /= dx
-    v_new = v + dt * ux
+    v_new = np.multiply(ws.cur.ux, dt, out=out.v)
+    v_new += v
     if s is not None:
-        v_new += dt * s.s_v
+        v_new += np.multiply(s.s_v, dt, out=work)
     # written so that NaN fails the check too
     if not v_new.min() > POSITIVITY_FLOOR:
         raise StepRejected("volume fell to the positivity floor")
-    inv_v = 1.0 / v_new
+    np.divide(1.0, v_new, out=inv_v)
 
-    # implicit velocity: (I - dt*L) u = u + dt*(-P_x + s_u), pressure lagged in theta
+    # implicit velocity: (I - dt*L) u = u + dt*(-P_x + s_u), pressure lagged in
+    # theta, solved in place in the interior of the new velocity
     coef = dt * p.mu_tilde / (dx * dx)
-    diag = 1.0 + coef * (inv_v[:-1] + inv_v[1:])
-    off = -coef * inv_v[1:-1]
-    pressure = p.R * theta * inv_v
-    rhs = u[1:-1] - (dt / dx) * (pressure[1:] - pressure[:-1])
+    diag = np.add(inv_v[:-1], inv_v[1:], out=work_f)
+    diag *= coef
+    diag += 1.0
+    off = np.multiply(inv_v[1:-1], -coef, out=work_f2[:-1])
+    pressure = np.multiply(theta, p.R, out=work)
+    pressure *= inv_v
+    rhs = np.subtract(pressure[1:], pressure[:-1], out=out.u[1:-1])
+    rhs *= dt / dx
+    np.subtract(u[1:-1], rhs, out=rhs)
     if s is not None:
-        rhs += dt * s.s_u[1:-1]
-    u_new = np.zeros(n + 1)
-    u_new[1:-1] = _solve_spd_tridiag(diag, off, rhs)
-    ux_new = u_new[1:] - u_new[:-1]
+        rhs += np.multiply(s.s_u[1:-1], dt, out=kf)
+    _solve_spd_tridiag(diag, off, rhs)
+    ux_new = np.subtract(out.u[1:], out.u[:-1], out=out.ux)
     ux_new /= dx
 
     # implicit temperature: conductivity frozen at the old theta, reaction and
     # viscous heating explicit but evaluated with the new velocity
-    thf = 0.5 * (theta[:-1] + theta[1:])
-    vf = 0.5 * (v_new[:-1] + v_new[1:])
-    kf = p.kappa_tilde * _pow(thf, p.beta) / vf
+    vf = np.add(v_new[:-1], v_new[1:], out=out.vf)
+    vf *= 0.5
+    np.divide(ws.knum, vf, out=kf)
     lam = dt / (p.c_v * dx * dx)
-    k_full = np.zeros(n + 1)
-    k_full[1:-1] = kf
-    diag2 = 1.0 + lam * (k_full[:-1] + k_full[1:])
-    off2 = -lam * kf
-    heating = (p.mu_tilde * ux_new - p.R * theta) * ux_new * inv_v
-    rhs2 = theta + (dt / p.c_v) * heating
+    heating = np.multiply(ux_new, p.mu_tilde, out=work)
+    heating -= np.multiply(theta, p.R, out=work2)
+    heating *= ux_new
+    heating *= inv_v
+    heating *= dt / p.c_v
+    theta_new = np.add(theta, heating, out=out.theta)
     if s is not None:
-        rhs2 += dt * s.s_theta
-    theta_new = _solve_spd_tridiag(diag2, off2, rhs2)
+        theta_new += np.multiply(s.s_theta, dt, out=work)
+    # each row couples through the faces beside it; the walls conduct nothing
+    diag2 = work
+    np.add(kf[:-1], kf[1:], out=diag2[1:-1])
+    diag2[0] = kf[0]
+    diag2[-1] = kf[-1]
+    diag2 *= lam
+    diag2 += 1.0
+    off2 = np.multiply(kf, -lam, out=work_f)
+    _solve_spd_tridiag(diag2, off2, theta_new)
     if not theta_new.min() > POSITIVITY_FLOOR:
         raise StepRejected("temperature fell to the positivity floor")
-    return v_new, u_new, theta_new, ux_new, vf
+    return out.v, out.u, theta_new, ux_new, vf
 
 
-def _rk2_kernel(v, u, theta, t, dt, p, g, src):
+def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws=None):
+    # allocates its own arrays and leaves ws alone
     dt_stab = CFL_SAFETY * stability_limit(v, theta, p, g)
     if dt > dt_stab:
         raise StepRejected(f"dt = {dt} exceeds the explicit stability bound {dt_stab}")
@@ -218,10 +252,10 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, src):
 _KERNELS = {IMEX_BE: _imex_kernel, EXPLICIT_RK2: _rk2_kernel}
 
 
-def _take_step(v, u, theta, t, p, g, scheme, dt, src):
+def _take_step(v, u, theta, t, p, g, scheme, dt, src, ws=None):
     """One attempt at a step of size dt from (v, u, theta) at time t; returns
     the kernel's (v, u, theta, ux, vf) or raises StepRejected."""
-    return _KERNELS[scheme](v, u, theta, t, dt, p, g, src)
+    return _KERNELS[scheme](v, u, theta, t, dt, p, g, src, ws)
 
 
 def step(s: State, p: PhysParams, g: Grid, c: StepControls,
@@ -276,9 +310,10 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     row; the nominal dt is restored after RECOVERY_STEPS accepted steps.
     The running time integral of the dissipation and the volume
     reconstruction accumulators are updated once per accepted step, with the
-    step's actual dt, from the kernel's own intermediates. The fields of the
-    last accepted step are plain arrays; a State is built only to sample
-    and to report a failure.
+    step's actual dt, from the kernel's own intermediates. The IMEX kernel
+    and the per-step updates work in one Workspace for the run, which holds
+    the fields of the last accepted step; a State, which copies them, is
+    built only to sample and to report a failure.
 
     Raises SimulationFailure, carrying the last accepted state and the
     partial trajectory, when the retry budget is exhausted or a linear solve
@@ -295,9 +330,10 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     v_star, energy0 = check_normalization(s0, g, p)
     theta_star = energy0 / p.c_v
 
-    acc = representation.init_accumulators(s0, g)
+    ws = Workspace(g.n_cells)
+    acc = representation.init_accumulators(s0, g, ws)
     int_v_dt = 0.0
-    diss_prev = functionals.dissipation(s0, g, p)
+    diss_prev = functionals.dissipation(s0, g, p, ws)
 
     traj = Trajectory(grid=g, params=p, v_star=v_star, theta_star=theta_star,
                       initial_state=s0, final_state=s0, accumulators=acc)
@@ -312,7 +348,6 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     sample(s0, 0.0)
 
     t, v, u, theta = s0.t, s0.v, s0.u, s0.theta
-    scratch = np.empty(g.n_cells)
     t0 = s0.t
     cur_dt = c.dt
     rejected_in_row = 0
@@ -333,7 +368,7 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
 
             try:
                 v_new, u_new, theta_new, ux, vf = _take_step(
-                    v, u, theta, t, p, g, c.scheme, dt_try, src)
+                    v, u, theta, t, p, g, c.scheme, dt_try, src, ws)
             except StepRejected:
                 traj.n_rejected += 1
                 rejected_in_row += 1
@@ -352,6 +387,7 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
                     last_state=State(t=t, v=v, u=u, theta=theta),
                     trajectory=traj) from exc
 
+            ws.swap()
             t, v, u, theta = t_new, v_new, u_new, theta_new
             traj.n_steps += 1
             rejected_in_row = 0
@@ -361,13 +397,13 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
                     cur_dt = c.dt
                     accepted_at_reduced = 0
 
-            diss_new = functionals.dissipation_from(ux, vf, v, theta, g, p)
+            diss_new = functionals.dissipation_from(ux, vf, v, theta, g, p, ws)
             int_v_dt += 0.5 * dt_try * (diss_prev + diss_new)
             diss_prev = diss_new
 
-            representation.update_damping(acc, u, theta, g, dt_try)
-            base = representation._base_factor_cached(acc, v, u, g, scratch)
-            representation.update_history(acc, theta, base, dt_try)
+            representation.update_damping(acc, u, theta, g, dt_try, ws)
+            base = representation._base_factor_cached(acc, v, u, g, ws)
+            representation.update_history(acc, theta, base, dt_try, ws)
 
         state = State(t=t, v=v, u=u, theta=theta)
         v_rec = representation.reconstruct_volume(acc, base)

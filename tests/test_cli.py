@@ -2,6 +2,7 @@ import json
 import os
 import string
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,19 @@ def _worker_dying_in_child(args):
     if os.getpid() != _TEST_PID:
         os._exit(1)
     return _sweep_worker(args)
+
+
+def _worker_dying_after_beta_half(cfg):
+    """A sweep worker whose beta 1.5 job kills its process once the beta 0.5
+    job has written its summary and had time to hand its row back."""
+    if cfg.params.beta == 1.5 and os.getpid() != _TEST_PID:
+        done = Path(cfg.out_dir).parent / "beta_0.5" / "summary.json"
+        deadline = time.monotonic() + 60.0
+        while not done.exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        time.sleep(1.0)
+        os._exit(1)
+    return _sweep_worker(cfg)
 
 
 class TestParseConfig:
@@ -388,10 +402,27 @@ class TestSweep:
         cfg = cli.parse_config(QUICK)
         with pytest.raises(SimulationFailure):
             cli.sweep(cfg, [0.5, 1.5], tmp_path / "sweep", workers=2)
+        # every job died with the pool, and each is a failed row
+        assert (tmp_path / "sweep" / "sweep.csv").read_text().splitlines() == [
+            "beta,eta0,inf_v,inf_theta,repr_err,status",
+            "0.5,,,,,failed", "1.5,,,,,failed"]
         path = tmp_path / "cfg.txt"
         path.write_text(QUICK)
         assert cli.main(["sweep", "--config", str(path), "--betas", "0.5,1.5",
                          "--workers", "2", "--out", str(tmp_path / "main")]) == 1
+        assert (tmp_path / "main" / "sweep.csv").read_text().splitlines()[1:] == [
+            "0.5,,,,,failed", "1.5,,,,,failed"]
+
+    def test_dead_worker_keeps_finished_rows(self, tmp_path, monkeypatch):
+        cfg = cli.parse_config(QUICK)
+        cli.sweep(cfg, [0.5], tmp_path / "serial", workers=1)
+        finished = (tmp_path / "serial" / "sweep.csv").read_text().splitlines()[1]
+        monkeypatch.setattr(cli, "_sweep_worker", _worker_dying_after_beta_half)
+        with pytest.raises(SimulationFailure, match="sweep.csv"):
+            cli.sweep(cfg, [0.5, 1.5], tmp_path / "sweep", workers=2)
+        assert (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:] == [
+            finished, "1.5,,,,,failed"]
+        assert finished.endswith(",ok")
 
 
 class TestConvergence:

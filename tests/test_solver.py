@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 import lagrangas as lg
 from lagrangas import functionals, representation, solver
+from lagrangas.core import Workspace
 from lagrangas.errors import (ConstructionError, NumericalBreakdown,
                               SimulationFailure, StepRejected)
 
@@ -229,6 +231,81 @@ class TestStepImex:
         assert abs(np.sum(s1.v) * g.dx - np.sum(s.v) * g.dx) <= 1e-13
         assert s1.u[0] == 0.0 and s1.u[-1] == 0.0
         assert s1.v.min() > 0.0 and s1.theta.min() > 0.0
+
+
+def imex_systems(s, s1, dt, p, g, sources=None):
+    """The velocity and temperature systems that the IMEX step from ``s`` to
+    ``s1`` must satisfy, assembled row by row as dense matrices from the old
+    state and the new volume; returns [(A, x, b)] for both solves."""
+    n = g.n_cells
+    dx = g.dx
+    v1 = s1.v
+    zero_c, zero_n = np.zeros(n), np.zeros(n + 1)
+    s_u = zero_n if sources is None else sources.s_u
+    s_theta = zero_c if sources is None else sources.s_theta
+
+    # interior node i (1..n-1) sits between cells i-1 and i
+    coef = dt * p.mu_tilde / dx ** 2
+    a_u = np.zeros((n - 1, n - 1))
+    b_u = np.zeros(n - 1)
+    for row in range(n - 1):
+        i = row + 1
+        a_u[row, row] = 1.0 + coef * (1.0 / v1[i - 1] + 1.0 / v1[i])
+        if row > 0:
+            a_u[row, row - 1] = -coef / v1[i - 1]
+        if row < n - 2:
+            a_u[row, row + 1] = -coef / v1[i]
+        pressure_jump = p.R * s.theta[i] / v1[i] - p.R * s.theta[i - 1] / v1[i - 1]
+        b_u[row] = s.u[i] - dt / dx * pressure_jump + dt * s_u[i]
+
+    # face conductivities: old temperature, new volume; the walls conduct nothing
+    k = np.zeros(n + 1)
+    for i in range(1, n):
+        thf = 0.5 * (s.theta[i - 1] + s.theta[i])
+        k[i] = p.kappa_tilde * thf ** p.beta / (0.5 * (v1[i - 1] + v1[i]))
+    lam = dt / (p.c_v * dx ** 2)
+    a_th = np.zeros((n, n))
+    b_th = np.zeros(n)
+    for j in range(n):
+        a_th[j, j] = 1.0 + lam * (k[j] + k[j + 1])
+        if j > 0:
+            a_th[j, j - 1] = -lam * k[j]
+        if j < n - 1:
+            a_th[j, j + 1] = -lam * k[j + 1]
+        ux1 = (s1.u[j + 1] - s1.u[j]) / dx
+        heating = (p.mu_tilde * ux1 - p.R * s.theta[j]) * ux1 / v1[j]
+        b_th[j] = s.theta[j] + dt / p.c_v * heating + dt * s_theta[j]
+    return [(a_u, s1.u[1:-1], b_u), (a_th, s1.theta, b_th)]
+
+
+class TestImexStepOracle:
+    """``step`` satisfies its own linear systems, assembled independently of
+    the kernel's vectorized arrays, at the smallest grids as well."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_step_solves_its_systems(self, n, beta, forced):
+        p = lg.PhysParams(beta=beta, mu_tilde=0.7, kappa_tilde=1.3, R=1.1, c_v=0.9)
+        g = lg.build_grid(n)
+        s = lg.make_initial_data(
+            lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.1,
+                           seed=n), g, p.c_v)
+        s = replace(s, t=0.25)
+        dt = 1e-3
+        src = solver.manufactured_sources_at(g, p) if forced else None
+        s1 = lg.step(s, p, g, lg.StepControls(dt=dt), src)
+
+        sources = src(s.t + dt) if forced else None
+        s_v = 0.0 if sources is None else sources.s_v
+        assert np.allclose(s1.v, s.v + dt * (np.diff(s.u) / g.dx + s_v),
+                           rtol=1e-14, atol=0.0)
+        assert s1.u[0] == 0.0 and s1.u[-1] == 0.0
+        assert np.any(s1.u != s.u)
+        for a, x, b in imex_systems(s, s1, dt, p, g, sources):
+            residual = np.max(np.abs(a @ x - b))
+            scale = np.max(np.abs(a)) * np.max(np.abs(x)) + np.max(np.abs(b))
+            assert residual <= 1e-12 * scale
 
 
 class TestStepExplicit:
@@ -497,6 +574,108 @@ class TestAdvanceMatchesAdapters:
             assert np.array_equal(getattr(traj.final_state, name), getattr(s, name))
 
 
+class TestRejectionReplay:
+    """A rejected attempt writes only into the workspace's spare output set:
+    replaying the accepted steps by hand gives the same run, bit for bit."""
+
+    def test_rejected_attempt_changes_nothing(self, monkeypatch):
+        p = lg.PhysParams(beta=1.5)
+        g = lg.build_grid(48)
+        s0 = lg.make_initial_data(
+            lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.2,
+                           seed=4), g)
+        take = solver._take_step
+        attempts, accepted = [], []
+
+        def rejecting_after_kernel(*args):
+            # the kernel runs in full, then the seventh attempt is refused
+            result = take(*args)
+            attempts.append(None)
+            if len(attempts) == 7:
+                raise StepRejected("refused after the kernel ran")
+            accepted.append(args[7])
+            return result
+
+        monkeypatch.setattr(solver, "_take_step", rejecting_after_kernel)
+        t_end = 30 * DT_EXACT
+        traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), t_end, t_end / 2)
+        assert traj.n_rejected == 1
+        assert traj.n_steps == len(accepted) > 30
+
+        monkeypatch.setattr(solver, "_take_step", take)
+        acc = representation.init_accumulators(s0, g)
+        diss_prev = functionals.dissipation(s0, g, p)
+        int_v = 0.0
+        s = s0
+        for dt in accepted:
+            s = lg.step(s, p, g, lg.StepControls(dt=dt))
+            diss = functionals.dissipation(s, g, p)
+            int_v += 0.5 * dt * (diss_prev + diss)
+            diss_prev = diss
+            representation.update_damping(acc, s.u, s.theta, g, dt)
+            base = representation._base_factor_cached(acc, s.v, s.u, g)
+            representation.update_history(acc, s.theta, base, dt)
+
+        for name in ("v", "u", "theta"):
+            assert np.array_equal(getattr(traj.final_state, name), getattr(s, name))
+        assert traj.records[-1].int_V_dt == int_v
+        assert traj.records[-1].log_damping == acc.log_damping
+        assert traj.accumulators.log_damping == acc.log_damping
+        assert np.array_equal(traj.accumulators.scaled_history, acc.scaled_history)
+        assert np.array_equal(traj.accumulators.last_integrand, acc.last_integrand)
+
+
+class TestWorkspace:
+    def test_warm_step_allocates_no_array(self):
+        # an accepted IMEX step with its accumulator updates, as advance
+        # takes it, allocates less than one 4096-float array
+        n, dt = 4096, 1e-4
+        p = lg.PhysParams(beta=1.5)
+        g = lg.build_grid(n)
+        s0 = lg.make_initial_data(
+            lg.InitialSpec(kind="cosine", a_v=0.1, a_u=0.1, a_theta=0.1), g)
+        ws = Workspace(n)
+        acc = representation.init_accumulators(s0, g, ws)
+        functionals.dissipation(s0, g, p, ws)
+
+        def accepted_step(v, u, theta):
+            v, u, theta, ux, vf = solver._take_step(v, u, theta, 0.0, p, g,
+                                                    lg.IMEX_BE, dt, None, ws)
+            ws.swap()
+            functionals.dissipation_from(ux, vf, v, theta, g, p, ws)
+            representation.update_damping(acc, u, theta, g, dt, ws)
+            base = representation._base_factor_cached(acc, v, u, g, ws)
+            representation.update_history(acc, theta, base, dt, ws)
+            return v, u, theta
+
+        fields = accepted_step(*accepted_step(s0.v, s0.u, s0.theta))
+        tracemalloc.start()
+        try:
+            accepted_step(*fields)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
+
+    def test_trajectory_owns_its_arrays(self, grid64, cosine64, unit_params):
+        first = lg.advance(cosine64, unit_params, grid64, lg.StepControls(dt=DT_EXACT),
+                           0.05, 0.025)
+        final = {name: getattr(first.final_state, name).copy()
+                 for name in ("v", "u", "theta")}
+        history = first.accumulators.scaled_history.copy()
+        integrand = first.accumulators.last_integrand.copy()
+        records = list(first.records)
+        other = lg.make_initial_data(
+            lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.2,
+                           seed=1), grid64)
+        lg.advance(other, unit_params, grid64, lg.StepControls(dt=DT_EXACT), 0.05, 0.025)
+        for name, values in final.items():
+            assert np.array_equal(getattr(first.final_state, name), values)
+        assert np.array_equal(first.accumulators.scaled_history, history)
+        assert np.array_equal(first.accumulators.last_integrand, integrand)
+        assert first.records == records
+
+
 class TestTridiagonalBreakdown:
     def test_indefinite_system_raises(self):
         diag = np.array([1.0, -5.0, 1.0])
@@ -514,3 +693,23 @@ class TestTridiagonalBreakdown:
     def test_one_unknown(self):
         x = solver._solve_spd_tridiag(np.array([4.0]), np.array([]), np.array([2.0]))
         assert x[0] == 0.5
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_solution_overwrites_rhs(self, n):
+        # the kernels solve in place, into the interior of their output arrays
+        diag = np.full(n, 4.0)
+        off = np.full(n - 1, -1.0)
+        want = np.linalg.solve(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1),
+                               np.arange(1.0, n + 1.0))
+        buffer = np.zeros(n + 2)
+        rhs = buffer[1:-1]
+        rhs[:] = np.arange(1.0, n + 1.0)
+        x = solver._solve_spd_tridiag(diag, off, rhs)
+        assert x is rhs
+        assert np.allclose(buffer[1:-1], want, rtol=1e-14, atol=0.0)
+        assert buffer[0] == buffer[-1] == 0.0
+
+    @pytest.mark.parametrize("pivot", [0.0, -1.0, np.nan])
+    def test_one_unknown_bad_pivot_raises(self, pivot):
+        with pytest.raises(NumericalBreakdown):
+            solver._solve_spd_tridiag(np.array([pivot]), np.array([]), np.array([1.0]))
