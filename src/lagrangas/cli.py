@@ -227,6 +227,7 @@ class RunSummary:
     n_steps: int
     n_rejected: int
     wall_time: float
+    phase_s: dict
 
 
 def build_initial_state(cfg: RunConfig, grid: Grid) -> State:
@@ -256,7 +257,7 @@ def _csv_text(traj: solver.Trajectory) -> str:
 
 
 def _summarize(cfg: RunConfig, traj: solver.Trajectory, wall_time,
-               failed: bool) -> RunSummary:
+               failed: bool, phase_s: dict) -> RunSummary:
     records = traj.records
     first = records[0]
     mass0, energy0 = first.mass, first.total_energy
@@ -304,6 +305,7 @@ def _summarize(cfg: RunConfig, traj: solver.Trajectory, wall_time,
         n_steps=traj.n_steps,
         n_rejected=traj.n_rejected,
         wall_time=wall_time,
+        phase_s=phase_s,
     )
 
 
@@ -344,12 +346,15 @@ def _run_with_outputs(cfg: RunConfig, out_dir=None):
         failure = exc
     wall = time.perf_counter() - started
 
+    output_started = time.perf_counter()
     (out / "timeseries.csv").write_text(_csv_text(traj), encoding="utf-8")
     grid = traj.grid
     write_snapshot(out / f"snap_{traj.records[0].t:g}.txt", traj.initial_state, grid)
     if len(traj.records) > 1:
         write_snapshot(out / f"snap_{traj.records[-1].t:g}.txt", traj.final_state, grid)
-    summary = _summarize(cfg, traj, wall, failure is not None)
+    # the output phase is the time spent on the outputs before summary.json
+    phase_s = dict(traj.phase_s, output=time.perf_counter() - output_started)
+    summary = _summarize(cfg, traj, wall, failure is not None, phase_s)
     (out / "summary.json").write_text(
         json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
@@ -517,6 +522,8 @@ def _cmd_run(args) -> int:
     summary = run_scenario(cfg, args.out)
     print(f"steps {summary.n_steps} (rejected {summary.n_rejected}), "
           f"wall {summary.wall_time:.1f}s")
+    print("phases " + ", ".join(f"{name} {seconds:.2f}s"
+                                for name, seconds in summary.phase_s.items()))
     print(f"mass drift {summary.mass_drift:.3e}, "
           f"energy drift {summary.energy_drift_rel:.3e}, "
           f"budget defect {summary.entropy_budget_defect:.3e}")

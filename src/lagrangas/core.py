@@ -129,49 +129,105 @@ class State:
         return self.v.shape[0]
 
 
-class _Fields:
-    """One IMEX kernel output: the fields (v, u, theta) of a new state, its
-    cell velocity gradient ``ux`` and the face means ``vf`` of its volume."""
+def block_length(n_cells: int) -> int:
+    """Accepted steps that a run on ``n_cells`` cells folds into its
+    diagnostics at once: about 4096 floats a field, from 1 to 64 rows."""
+    return max(1, min(64, 4096 // n_cells))
 
-    __slots__ = ("v", "u", "theta", "ux", "vf")
 
-    def __init__(self, n: int):
-        self.v = np.empty(n)
-        self.u = np.zeros(n + 1)  # the kernel never writes the wall values
-        self.theta = np.empty(n)
-        self.ux = np.empty(n)
-        self.vf = np.empty(n - 1)
+class _Rows:
+    """Views of one row (an int ``index``) or of a run of rows (a slice) of a
+    Workspace: the fields (v, u, theta) of a state, its cell velocity
+    gradient ``ux``, the face means ``vf`` of its volume and ``thf`` of its
+    temperature, and ``knum`` = kappa_tilde * thf**beta."""
+
+    __slots__ = ("index", "v", "u", "theta", "ux", "vf", "thf", "knum")
+
+    def __init__(self, ws, index):
+        self.index = index
+        self.v, self.u, self.theta = ws.v[index], ws.u[index], ws.theta[index]
+        self.ux, self.vf = ws.ux[index], ws.vf[index]
+        self.thf, self.knum = ws.thf[index], ws.knum[index]
 
 
 class Workspace:
     """Preallocated arrays for stepping one run on an n-cell grid, so that an
-    accepted IMEX step and its per-step diagnostics allocate no array.
+    accepted IMEX step and the folding of its diagnostics allocate no array.
 
-    The IMEX kernel writes the new state into ``nxt``, and ``swap`` makes it
-    ``cur`` once the step is accepted, so a rejected attempt overwrites
-    neither the accepted state nor the values carried from it. Two values of
-    the accepted state are carried to the next kernel instead of being
-    recomputed there: ``cur.ux``, its cell velocity gradient, and ``knum``,
-    kappa_tilde * theta**beta at its temperature face means, which the
-    dissipation update leaves behind. ``base`` holds the reconstruction's base
-    profile of the accepted state. ``cells``, ``faces`` and ``nodes`` are
-    scratch arrays of n, n - 1 and n + 1 floats that any per-step function
-    may overwrite.
+    The fields are 2-D, one row per state: ``block`` + 1 rows. ``cur`` views
+    the row of the last accepted state and ``nxt`` the row the next kernel
+    writes, so a rejected attempt overwrites neither the accepted state nor
+    the values carried from it: its cell velocity gradient ``ux`` and
+    ``knum``, which the next kernel reads instead of recomputing them.
+    ``accept`` moves ``cur`` onto ``nxt``. The rows accepted since the last
+    ``fold`` form the block that the diagnostics fold in at once; ``fold``
+    then leaves the last of them where it is and makes it the anchor of the
+    next block, which fills the rows on its longer side. No row is copied.
+
+    ``base`` takes the reconstruction's base profiles of a block, one row
+    each. ``cells``, ``faces`` and ``nodes`` are scratch blocks of n, n - 1
+    and n + 1 floats a row, and ``step_cells`` and ``step_faces`` single rows
+    of them for a kernel; any function may overwrite them.
     """
 
-    def __init__(self, n_cells: int):
+    def __init__(self, n_cells: int, block: int | None = None):
         n = n_cells
-        self.cur = _Fields(n)
-        self.nxt = _Fields(n)
-        self.knum = np.empty(n - 1)
-        self.base = np.empty(n)
-        self.cells = tuple(np.empty(n) for _ in range(3))
-        self.faces = tuple(np.empty(n - 1) for _ in range(3))
-        self.nodes = np.empty(n + 1)
+        self.block = block_length(n) if block is None else block
+        rows = self.block + 1
+        self.v = np.empty((rows, n))
+        self.u = np.zeros((rows, n + 1))  # the kernels never write the wall values
+        self.theta = np.empty((rows, n))
+        self.ux = np.empty((rows, n))
+        self.vf = np.empty((rows, n - 1))
+        self.thf = np.empty((rows, n - 1))
+        self.knum = np.empty((rows, n - 1))
+        self.base = np.empty((rows, n))
+        self.cells = (np.empty((rows, n)), np.empty((rows, n)))
+        self.faces = (np.empty((rows, n - 1)), np.empty((rows, n - 1)))
+        self.nodes = np.empty((rows, n + 1))
+        self.step_cells = (self.cells[0][0], self.cells[0][1], self.cells[1][0])
+        self.step_faces = (self.faces[0][0], self.faces[0][1], self.faces[1][0])
+        self._rows = [_Rows(self, i) for i in range(rows)]
+        self._full_blocks = {}
+        self.cur = self._rows[0]
+        self.filled = 0
+        self.fold()
 
-    def swap(self) -> None:
-        """Make the kernel's last output the accepted state."""
-        self.cur, self.nxt = self.nxt, self.cur
+    def accept(self) -> _Rows:
+        """Make the kernel's last output the accepted state; returns its row."""
+        self.cur = self.nxt
+        self.filled += 1
+        if self.filled < self.room:
+            self.nxt = self._rows[self.cur.index + self._dir]
+        return self.cur
+
+    @property
+    def full(self) -> bool:
+        """True when the block has no row left for another step."""
+        return self.filled == self.room
+
+    def pending(self) -> _Rows:
+        """The rows accepted since the last fold, in the order of time."""
+        a, k = self._anchor, self.filled
+        # a full block from a given anchor is always the same rows
+        full = k == self.room
+        if full and a in self._full_blocks:
+            return self._full_blocks[a]
+        if self._dir > 0:
+            block = _Rows(self, slice(a + 1, a + k + 1))
+        else:
+            block = _Rows(self, slice(a - 1, a - k - 1 if a > k else None, -1))
+        if full:
+            self._full_blocks[a] = block
+        return block
+
+    def fold(self) -> None:
+        """Start a new block after the accepted state."""
+        a = self._anchor = self.cur.index
+        self._dir = 1 if self.block - a >= a else -1
+        self.room = self.block - a if self._dir > 0 else a
+        self.filled = 0
+        self.nxt = self._rows[a + self._dir]
 
 
 def validate_state(s: State, grid: Grid) -> None:

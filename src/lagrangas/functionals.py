@@ -79,52 +79,59 @@ def dissipation(s: State, g: Grid, p: PhysParams, ws: Workspace | None = None) -
 
     Face values of theta and v are arithmetic means, matching the solver's
     heat flux. Zero exactly iff u has no differences and theta is constant.
-    With a run's workspace ``ws``, the state's cell velocity gradient and
-    volume face means are left in ``ws.cur`` and its face conductivities in
-    ``ws.knum``, which readies ``ws`` for a first IMEX step from ``s``.
+    With a run's workspace ``ws``, the state's cell velocity gradient, face
+    means and kappa_tilde * thf**beta are left in its row ``ws.cur``, which
+    readies ``ws`` for a first IMEX step from ``s``.
     """
     if ws is None:
-        ws = Workspace(g.n_cells)
-    ux = np.subtract(s.u[1:], s.u[:-1], out=ws.cur.ux)
+        ws = Workspace(g.n_cells, 1)
+    row = ws.cur
+    ux = np.subtract(s.u[1:], s.u[:-1], out=row.ux)
     ux /= g.dx
-    vf = np.add(s.v[:-1], s.v[1:], out=ws.cur.vf)
+    vf = np.add(s.v[:-1], s.v[1:], out=row.vf)
     vf *= 0.5
-    return dissipation_from(ux, vf, s.v, s.theta, g, p, ws)
+    knum = conductivity_numerator(s.theta, p, row.thf, row.knum)
+    return dissipation_from(ux[None], vf[None], s.v[None], s.theta[None], row.thf[None],
+                            knum[None], g, p, ws)[0]
+
+
+def conductivity_numerator(theta: np.ndarray, p: PhysParams, thf: np.ndarray,
+                           out: np.ndarray) -> np.ndarray:
+    """kappa_tilde * thf**beta, written into ``out``, at the face means of
+    ``theta``, written into ``thf``: the numerator of the IMEX step's face
+    conductivities, and a factor of the thermal dissipation."""
+    np.add(theta[:-1], theta[1:], out=thf)
+    thf *= 0.5
+    return np.multiply(_pow(thf, p.beta, out), p.kappa_tilde, out=out)
 
 
 def dissipation_from(ux: np.ndarray, vf: np.ndarray, v: np.ndarray, theta: np.ndarray,
-                     g: Grid, p: PhysParams, ws: Workspace | None = None) -> float:
-    """``dissipation`` from the cell velocity gradient ``ux`` and the face
-    means ``vf`` of ``v``, which the time steppers have already computed.
-
-    Works in the scratch of ``ws`` and leaves kappa_tilde * theta**beta at
-    the temperature face means in ``ws.knum``: the numerator of the next
-    IMEX step's face conductivities.
+                     thf: np.ndarray, knum: np.ndarray, g: Grid, p: PhysParams,
+                     ws: Workspace | None = None) -> list:
+    """``dissipation`` of each row of a block of states, from its cell
+    velocity gradient ``ux``, the face means ``vf`` of ``v`` and ``thf`` of
+    ``theta``, and ``knum`` from ``conductivity_numerator``, all of which the
+    time stepping has already computed; one value per row.
     """
+    rows = ux.shape[0]
     if ws is None:
-        ws = Workspace(g.n_cells)
+        ws = Workspace(g.n_cells, rows)
     dx = g.dx
-    shear, vth, _ = ws.cells
-    np.multiply(ux, p.mu_tilde, out=shear)
+    shear = np.multiply(ux, p.mu_tilde, out=ws.cells[0][:rows])
     shear *= ux
-    shear /= np.multiply(v, theta, out=vth)
-    shear = float(shear.sum() * dx)
+    shear /= np.multiply(v, theta, out=ws.cells[1][:rows])
+    shears = np.add.reduce(shear, axis=1).tolist()
     if g.n_cells < 2:
-        return shear
-    thf, dth, thermal = ws.faces
-    np.add(theta[:-1], theta[1:], out=thf)
-    thf *= 0.5
-    np.subtract(theta[1:], theta[:-1], out=dth)
+        return [s * dx for s in shears]
+    dth = np.subtract(theta[:, 1:], theta[:, :-1], out=ws.faces[0][:rows])
     dth /= dx
-    knum = np.multiply(_pow(thf, p.beta, ws.knum), p.kappa_tilde, out=ws.knum)
-    np.multiply(knum, dth, out=thermal)
+    thermal = np.multiply(knum, dth, out=ws.faces[1][:rows])
     thermal *= dth
     # dth is spent: it takes the denominator vf * thf * thf
     np.multiply(vf, thf, out=dth)
     dth *= thf
     thermal /= dth
-    thermal = float(thermal.sum() * dx)
-    return thermal + shear
+    return [t * dx + s * dx for t, s in zip(np.add.reduce(thermal, axis=1).tolist(), shears)]
 
 
 def mean_theta(s: State, g: Grid) -> float:
@@ -178,11 +185,14 @@ def extrema(s: State) -> tuple[float, float, float, float]:
 def record(s: State, g: Grid, p: PhysParams, *, int_v_dt: float = 0.0,
            repr_err: float = 0.0, log_damping: float = 0.0,
            lp_exponents=None, v_star: float = 1.0,
-           theta_star: float = 1.0) -> DiagnosticsRecord:
+           theta_star: float = 1.0, dissipation_V: float | None = None) -> DiagnosticsRecord:
     """Aggregate every monitored functional into one deterministic row;
-    the time-accumulated values come from the caller's running totals."""
+    the time-accumulated values come from the caller's running totals, and
+    so may ``dissipation_V``, the state's dissipation, when it has it."""
     if lp_exponents is None:
         lp_exponents = default_lp_exponents(p)
+    if dissipation_V is None:
+        dissipation_V = dissipation(s, g, p)
     mass, energy = check_normalization(s, g, p)
     min_v, max_v, min_th, max_th = extrema(s)
     return DiagnosticsRecord(
@@ -190,7 +200,7 @@ def record(s: State, g: Grid, p: PhysParams, *, int_v_dt: float = 0.0,
         mass=mass,
         total_energy=energy,
         entropy_E=entropy(s, g, p),
-        dissipation_V=dissipation(s, g, p),
+        dissipation_V=float(dissipation_V),
         int_V_dt=float(int_v_dt),
         mean_theta=mean_theta(s, g),
         min_v=min_v,

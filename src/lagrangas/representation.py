@@ -24,51 +24,63 @@ from .core import Grid, State, Workspace
 
 def velocity_integral(u: np.ndarray, g: Grid, out: np.ndarray | None = None,
                       ws: Workspace | None = None) -> np.ndarray:
-    """Cumulative trapezoid of a node field up to each cell center, written
-    into ``out`` (one float per cell) when given; ``ws`` lends scratch."""
+    """Cumulative trapezoid of each row of a block of node fields up to each
+    cell center, written into the rows of ``out`` (one float per cell) when
+    given; ``ws`` lends scratch."""
     dx = g.dx
+    rows = u.shape[0]
     if ws is None:
-        ws = Workspace(g.n_cells)
+        ws = Workspace(g.n_cells, rows)
     if out is None:
-        out = np.empty(g.n_cells)
-    half_faces, quarter_cells = ws.faces[0], ws.cells[0]
+        out = np.empty((rows, g.n_cells))
+    half_faces, quarter_cells = ws.faces[0][:rows], ws.cells[0][:rows]
     # out takes the integral up to each cell's left node, then up to its
     # center. cumsum adds in sequence, so its sums over the first N - 1
     # faces are those it gives over all N.
-    out[0] = 0.0
-    np.add(u[:-2], u[1:-1], out=half_faces)
+    out[:, 0] = 0.0
+    np.add(u[:, :-2], u[:, 1:-1], out=half_faces)
     half_faces *= 0.5 * dx
-    half_faces.cumsum(out=out[1:])
-    np.multiply(u[:-1], 3.0, out=quarter_cells)
-    quarter_cells += u[1:]
+    half_faces.cumsum(axis=1, out=out[:, 1:])
+    np.multiply(u[:, :-1], 3.0, out=quarter_cells)
+    quarter_cells += u[:, 1:]
     quarter_cells *= dx / 8.0
     out += quarter_cells
     return out
 
 
 def damping_integrand(u: np.ndarray, theta: np.ndarray, g: Grid,
-                      ws: Workspace | None = None) -> float:
-    """Mass total of u^2 + theta (trapezoid nodes + cell sum)."""
+                      ws: Workspace | None = None) -> list:
+    """Mass total of u^2 + theta (trapezoid nodes + cell sum) of each row of
+    a block of states."""
+    rows = u.shape[0]
     if ws is None:
-        ws = Workspace(g.n_cells)
-    kinetic = np.multiply(g.node_weights, u, out=ws.nodes)
+        ws = Workspace(g.n_cells, rows)
+    kinetic = np.multiply(g.node_weights, u, out=ws.nodes[:rows])
     kinetic *= u
-    return float(kinetic.sum() * g.dx) + float(theta.sum() * g.dx)
+    dx = g.dx
+    return [k * dx + t * dx for k, t in zip(np.add.reduce(kinetic, axis=1).tolist(),
+                                            np.add.reduce(theta, axis=1).tolist())]
 
 
 @dataclass
 class ReprAccumulators:
     """Running state of the reconstruction along one trajectory: the scaled
-    history a = Y * A, the last step's Y_new / Y_old and its theta / B."""
+    history a = Y * A, and the last folded step's theta / B and ratios
+    Y_new / Y_old, one per step of the last folded block."""
 
     s0: State
     u0_integral: np.ndarray
     g0: float
     log_damping: float
-    damping_ratio: float
+    damping_ratios: list
     scaled_history: np.ndarray
     last_integrand: np.ndarray
     last_damping_integrand: float
+
+    @property
+    def damping_ratio(self) -> float:
+        """Y_new / Y_old of the last folded step."""
+        return self.damping_ratios[-1]
 
     @property
     def damping(self) -> float:
@@ -84,8 +96,8 @@ class ReprAccumulators:
 def init_accumulators(s0: State, g: Grid, ws: Workspace | None = None) -> ReprAccumulators:
     """Fresh accumulators at the trajectory's initial state."""
     if ws is None:
-        ws = Workspace(g.n_cells)
-    u0_int = velocity_integral(s0.u, g, ws=ws)
+        ws = Workspace(g.n_cells, 1)
+    u0_int = velocity_integral(s0.u[None], g, ws=ws)[0]
     g0 = float(s0.v.dot(u0_int) * g.dx)
     # the base profile at t = 0 is exactly v0, so the first history integrand
     # is theta0 / v0
@@ -94,65 +106,80 @@ def init_accumulators(s0: State, g: Grid, ws: Workspace | None = None) -> ReprAc
         u0_integral=u0_int,
         g0=g0,
         log_damping=0.0,
-        damping_ratio=1.0,
+        damping_ratios=[1.0],
         scaled_history=np.zeros(g.n_cells),
         last_integrand=s0.theta / s0.v,
-        last_damping_integrand=damping_integrand(s0.u, s0.theta, g, ws),
+        last_damping_integrand=damping_integrand(s0.u[None], s0.theta[None], g, ws)[0],
     )
 
 
 def base_factor(s: State, s0: State, g: Grid) -> np.ndarray:
     """Per-cell base profile: v0 * exp(velocity potential difference) times
     the mass-weighted normalization that removes the potential's drift."""
-    return _base_factor_cached(init_accumulators(s0, g), s.v, s.u, g)
+    return _base_factor_cached(init_accumulators(s0, g), s.v[None], s.u[None], g)[0]
 
 
 def _base_factor_cached(acc: ReprAccumulators, v: np.ndarray, u: np.ndarray, g: Grid,
                         ws: Workspace | None = None) -> np.ndarray:
-    """Base profile of the fields (v, u), with the initial velocity potential
-    taken from ``acc``; it is written into ``ws.base``."""
+    """Base profile of each row of a block of fields (v, u), with the
+    initial velocity potential taken from ``acc``; the block of profiles is
+    written into ``ws.base``."""
+    rows = v.shape[0]
     if ws is None:
-        ws = Workspace(g.n_cells)
+        ws = Workspace(g.n_cells, rows)
     # the exponent vanishes identically at the initial state, so the base
     # profile is v0 there bit for bit
-    exponent = velocity_integral(u, g, ws.base, ws)
-    g_now = float(v.dot(exponent) * g.dx)
+    exponent = velocity_integral(u, g, ws.base[:rows], ws)
+    # g_now - g0 of each row, from one BLAS dot a row
+    dx, g0 = g.dx, acc.g0
+    shifts = np.array([vj.dot(ej) * dx - g0 for vj, ej in zip(v, exponent)])
     exponent -= acc.u0_integral
-    exponent -= g_now - acc.g0
+    exponent -= shifts[:, None]
     base = np.exp(exponent, out=exponent)
     base *= acc.s0.v
     return base
 
 
 def update_damping(acc: ReprAccumulators, u: np.ndarray, theta: np.ndarray, g: Grid,
-                   dt: float, ws: Workspace | None = None) -> None:
-    """Fold one accepted step of size dt, ending at the fields (u, theta),
-    into log Y (trapezoid in time) and keep the step's ratio Y_new / Y_old."""
-    integrand = damping_integrand(u, theta, g, ws)
-    decrement = 0.5 * dt * (acc.last_damping_integrand + integrand)
-    acc.log_damping -= decrement
-    acc.damping_ratio = math.exp(-decrement)
-    acc.last_damping_integrand = integrand
+                   dts, ws: Workspace | None = None) -> None:
+    """Fold a block of accepted steps of sizes ``dts``, ending at the rows of
+    (u, theta), into log Y (trapezoid in time), and keep each step's ratio
+    Y_new / Y_old."""
+    log_damping, last = acc.log_damping, acc.last_damping_integrand
+    ratios = []
+    for dt, integrand in zip(dts, damping_integrand(u, theta, g, ws)):
+        decrement = 0.5 * dt * (last + integrand)
+        log_damping -= decrement
+        ratios.append(math.exp(-decrement))
+        last = integrand
+    acc.log_damping, acc.last_damping_integrand = log_damping, last
+    acc.damping_ratios = ratios
 
 
 def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
-                   dt: float, ws: Workspace | None = None) -> None:
-    """Fold one accepted step, ending at the temperature ``theta``, into the
-    scaled history a = Y * A, in place.
+                   dts, ws: Workspace | None = None) -> None:
+    """Fold a block of accepted steps of sizes ``dts``, ending at the rows
+    of ``theta``, into the scaled history a = Y * A, in place.
 
-    ``base`` must be the base profile B of the step's new state, and
-    ``update_damping`` must already have folded the step. This is the
-    trapezoid rule for A in theta / (B * Y), multiplied through by Y_new:
-    a <- r * (a + dt/2 * f_prev) + dt/2 * f_new, with f = theta / B.
+    ``base`` must hold the base profiles B of the steps' new states, and
+    ``update_damping`` must already have folded the block. This is the
+    trapezoid rule for A in theta / (B * Y), multiplied through by Y_new,
+    one step after the other: a <- r * (a + dt/2 * f_prev) + dt/2 * f_new,
+    with f = theta / B.
     """
+    rows = theta.shape[0]
     if ws is None:
-        ws = Workspace(theta.shape[0])
-    half_dt = 0.5 * dt
-    history, integrand, term = acc.scaled_history, acc.last_integrand, ws.cells[0]
-    history += np.multiply(integrand, half_dt, out=term)
-    history *= acc.damping_ratio
-    np.divide(theta, base, out=integrand)
-    history += np.multiply(integrand, half_dt, out=term)
+        ws = Workspace(theta.shape[1], rows)
+    integrands = np.divide(theta, base, out=ws.cells[1][:rows])
+    history, term = acc.scaled_history, ws.cells[0][0]
+    integrand = acc.last_integrand
+    for dt, ratio, new in zip(dts, acc.damping_ratios, integrands):
+        half_dt = 0.5 * dt
+        history += np.multiply(integrand, half_dt, out=term)
+        history *= ratio
+        integrand = new
+        history += np.multiply(integrand, half_dt, out=term)
+    acc.last_integrand[...] = integrand
 
 
 def reconstruct_volume(acc: ReprAccumulators, base: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ state with non-positive volume or temperature.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,9 +96,13 @@ def _solve_spd_tridiag(diag, off, rhs):
             raise NumericalBreakdown("tridiagonal solve hit a non-positive pivot")
         rhs /= diag
         return rhs
-    _, _, x, info = _ptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    d, _, x, info = _ptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info != 0:
         raise NumericalBreakdown(f"tridiagonal solve hit a non-positive pivot (row {info})")
+    # ptsv stops only at a pivot <= 0, so a NaN pivot passes; it spoils every
+    # pivot after it, and the last one shows it
+    if not d[-1] > 0.0:
+        raise NumericalBreakdown("tridiagonal solve hit a NaN pivot")
     if x is not rhs:
         # LAPACK got a copy of an array it could not use as it is
         rhs[...] = x
@@ -148,22 +153,21 @@ def stability_limit(v: np.ndarray, theta: np.ndarray, p: PhysParams, g: Grid) ->
     return min(dt_thermal, dt_viscous)
 
 
-# Both kernels return (v, u, theta, ux, vf): the new state, its cell velocity
-# gradient and the face means of its volume, which ``advance`` reads for the
-# dissipation update instead of recomputing them. Both take the run's
-# Workspace ``ws``, or None for a fresh one.
+# Both kernels write (v, u, theta, ux, vf) into the row ws.nxt of the run's
+# Workspace ``ws``, or of a fresh one for None, and return those views: the
+# new state, its cell velocity gradient and the face means of its volume,
+# which the dissipation reads instead of recomputing them.
 
 def _imex_kernel(v, u, theta, t, dt, p, g, src, ws=None):
-    # writes its result into ws.nxt, and reads ws.cur.ux and ws.knum as the
-    # values carried from (v, u, theta)
+    # reads ws.cur.ux and ws.cur.knum as the values carried from (v, u, theta)
     if ws is None:
-        ws = Workspace(g.n_cells)
+        ws = Workspace(g.n_cells, 1)
         functionals.dissipation(State(t=t, v=v, u=u, theta=theta), g, p, ws)
     dx = g.dx
     s = _sources_at(src, t + dt)
     out = ws.nxt
-    inv_v, work, work2 = ws.cells
-    work_f, work_f2, kf = ws.faces
+    inv_v, work, work2 = ws.step_cells
+    work_f, work_f2, kf = ws.step_faces
 
     # volume first, explicitly, so both solves see the new geometry
     v_new = np.multiply(ws.cur.ux, dt, out=out.v)
@@ -182,8 +186,8 @@ def _imex_kernel(v, u, theta, t, dt, p, g, src, ws=None):
     diag *= coef
     diag += 1.0
     off = np.multiply(inv_v[1:-1], -coef, out=work_f2[:-1])
-    pressure = np.multiply(theta, p.R, out=work)
-    pressure *= inv_v
+    theta_r = np.multiply(theta, p.R, out=work2)
+    pressure = np.multiply(theta_r, inv_v, out=work)
     rhs = np.subtract(pressure[1:], pressure[:-1], out=out.u[1:-1])
     rhs *= dt / dx
     np.subtract(u[1:-1], rhs, out=rhs)
@@ -197,10 +201,10 @@ def _imex_kernel(v, u, theta, t, dt, p, g, src, ws=None):
     # viscous heating explicit but evaluated with the new velocity
     vf = np.add(v_new[:-1], v_new[1:], out=out.vf)
     vf *= 0.5
-    np.divide(ws.knum, vf, out=kf)
+    np.divide(ws.cur.knum, vf, out=kf)
     lam = dt / (p.c_v * dx * dx)
     heating = np.multiply(ux_new, p.mu_tilde, out=work)
-    heating -= np.multiply(theta, p.R, out=work2)
+    heating -= theta_r
     heating *= ux_new
     heating *= inv_v
     heating *= dt / p.c_v
@@ -222,7 +226,7 @@ def _imex_kernel(v, u, theta, t, dt, p, g, src, ws=None):
 
 
 def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws=None):
-    # allocates its own arrays and leaves ws alone
+    # computes in fresh arrays, and copies the result into ws.nxt
     dt_stab = CFL_SAFETY * stability_limit(v, theta, p, g)
     if dt > dt_stab:
         raise StepRejected(f"dt = {dt} exceeds the explicit stability bound {dt_stab}")
@@ -244,9 +248,15 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws=None):
     theta_new = theta + dt * dtheta
     if not (v_new.min() > POSITIVITY_FLOOR and theta_new.min() > POSITIVITY_FLOOR):
         raise StepRejected("state violated positivity after the step")
-    ux_new = (u_new[1:] - u_new[:-1]) / g.dx
-    vf = 0.5 * (v_new[:-1] + v_new[1:])
-    return v_new, u_new, theta_new, ux_new, vf
+    if ws is None:
+        ws = Workspace(g.n_cells, 1)
+    out = ws.nxt
+    out.v[...] = v_new
+    out.u[...] = u_new
+    out.theta[...] = theta_new
+    out.ux[...] = (u_new[1:] - u_new[:-1]) / g.dx
+    out.vf[...] = 0.5 * (v_new[:-1] + v_new[1:])
+    return out.v, out.u, out.theta, out.ux, out.vf
 
 
 _KERNELS = {IMEX_BE: _imex_kernel, EXPLICIT_RK2: _rk2_kernel}
@@ -275,7 +285,7 @@ def step(s: State, p: PhysParams, g: Grid, c: StepControls,
 @dataclass
 class Trajectory:
     """Sampled records of ``advance``, its first and last sampled states,
-    and the running accumulators."""
+    the running accumulators, and the seconds ``advance`` spent per phase."""
 
     grid: Grid
     params: PhysParams
@@ -287,6 +297,7 @@ class Trajectory:
     n_steps: int = 0
     n_rejected: int = 0
     accumulators: representation.ReprAccumulators | None = None
+    phase_s: dict = field(default_factory=dict)
 
     def column(self, name: str) -> np.ndarray:
         """One scalar DiagnosticsRecord field across all samples."""
@@ -295,6 +306,61 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.column("t")
+
+
+class _RunningTotals:
+    """The running time integral of the dissipation and the reconstruction
+    accumulators of one run, folded in once per block of accepted steps.
+
+    ``accept`` takes a step the kernel has written into ``ws.nxt``. It
+    computes only what the next kernel reads, and folds the block in when
+    the block is full; ``fold`` folds in a partial block. After a fold,
+    ``dissipation`` and ``base`` hold the dissipation and the base profile
+    of the last accepted state. ``seconds`` is the time spent folding.
+    """
+
+    def __init__(self, s0: State, g: Grid, p: PhysParams, ws: Workspace):
+        self.g, self.p, self.ws = g, p, ws
+        row = ws.cur
+        row.v[...] = s0.v
+        row.u[...] = s0.u
+        row.theta[...] = s0.theta
+        self.acc = representation.init_accumulators(s0, g, ws)
+        self.dissipation = functionals.dissipation(s0, g, p, ws)
+        self.int_v_dt = 0.0
+        self.base = None
+        self.dts = []
+        self.seconds = 0.0
+
+    def accept(self, dt: float) -> None:
+        row = self.ws.accept()
+        functionals.conductivity_numerator(row.theta, self.p, row.thf, row.knum)
+        self.dts.append(dt)
+        if self.ws.full:
+            self.fold()
+
+    def fold(self) -> None:
+        if not self.dts:
+            return
+        started = time.perf_counter()
+        g, p, ws, acc, dts = self.g, self.p, self.ws, self.acc, self.dts
+        block = ws.pending()
+        rates = functionals.dissipation_from(block.ux, block.vf, block.v, block.theta,
+                                             block.thf, block.knum, g, p, ws)
+        # the scalar recurrences run one step after the other, as they would
+        # step by step
+        prev, total = self.dissipation, self.int_v_dt
+        for dt, rate in zip(dts, rates):
+            total += 0.5 * dt * (prev + rate)
+            prev = rate
+        self.dissipation, self.int_v_dt = prev, total
+        representation.update_damping(acc, block.u, block.theta, g, dts, ws)
+        base = representation._base_factor_cached(acc, block.v, block.u, g, ws)
+        representation.update_history(acc, block.theta, base, dts, ws)
+        self.base = base[-1]
+        ws.fold()
+        dts.clear()
+        self.seconds += time.perf_counter() - started
 
 
 def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
@@ -308,12 +374,17 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     Steps are shortened to land exactly on every sample time and on t_end.
     A rejected step halves dt and retries, up to c.max_retries times in a
     row; the nominal dt is restored after RECOVERY_STEPS accepted steps.
-    The running time integral of the dissipation and the volume
-    reconstruction accumulators are updated once per accepted step, with the
-    step's actual dt, from the kernel's own intermediates. The IMEX kernel
-    and the per-step updates work in one Workspace for the run, which holds
-    the fields of the last accepted step; a State, which copies them, is
+    The kernels write each step into the next row of the run's Workspace,
+    a block of ``core.block_length`` rows. The running time integral of the
+    dissipation and the volume reconstruction accumulators take each
+    accepted step, with its actual dt, from the kernel's own arrays, but
+    only once per block: when the block is full, before every sample and
+    before a failure is raised. The result is the same, bit for bit, as
+    folding every step on its own. A State, which copies its fields, is
     built only to sample and to report a failure.
+
+    ``phase_s`` of the trajectory splits the seconds spent here into
+    ``diagnostics`` (the folds), ``sampling`` and ``kernel`` (the rest).
 
     Raises SimulationFailure, carrying the last accepted state and the
     partial trajectory, when the retry budget is exhausted or a linear solve
@@ -327,27 +398,48 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     if g.n_cells < 2:
         raise ValueError("time stepping requires at least 2 cells")
 
+    started = time.perf_counter()
+    sampling_s = 0.0
     v_star, energy0 = check_normalization(s0, g, p)
     theta_star = energy0 / p.c_v
 
     ws = Workspace(g.n_cells)
-    acc = representation.init_accumulators(s0, g, ws)
-    int_v_dt = 0.0
-    diss_prev = functionals.dissipation(s0, g, p, ws)
-
+    totals = _RunningTotals(s0, g, p, ws)
     traj = Trajectory(grid=g, params=p, v_star=v_star, theta_star=theta_star,
-                      initial_state=s0, final_state=s0, accumulators=acc)
+                      initial_state=s0, final_state=s0, accumulators=totals.acc)
 
-    def sample(state, repr_err):
+    def sample(state, base):
+        # base is the state's base profile; None at s0, which the
+        # reconstruction gives exactly
+        nonlocal sampling_s
+        sampling_started = time.perf_counter()
+        repr_err = 0.0
+        if base is not None:
+            v_rec = representation.reconstruct_volume(totals.acc, base)
+            repr_err = float(np.max(np.abs(v_rec - state.v) / state.v))
         traj.records.append(functionals.record(
-            state, g, p, int_v_dt=int_v_dt, repr_err=repr_err,
-            log_damping=acc.log_damping, lp_exponents=lp_exponents,
-            v_star=v_star, theta_star=theta_star))
+            state, g, p, int_v_dt=totals.int_v_dt, repr_err=repr_err,
+            log_damping=totals.acc.log_damping, lp_exponents=lp_exponents,
+            v_star=v_star, theta_star=theta_star, dissipation_V=totals.dissipation))
         traj.final_state = state
+        sampling_s += time.perf_counter() - sampling_started
 
-    sample(s0, 0.0)
+    def finish():
+        diagnostics_s = totals.seconds
+        traj.phase_s = {"kernel": time.perf_counter() - started - diagnostics_s - sampling_s,
+                        "diagnostics": diagnostics_s, "sampling": sampling_s}
 
-    t, v, u, theta = s0.t, s0.v, s0.u, s0.theta
+    def failure(message):
+        totals.fold()
+        row = ws.cur
+        finish()
+        return SimulationFailure(message,
+                                 last_state=State(t=t, v=row.v, u=row.u, theta=row.theta),
+                                 trajectory=traj)
+
+    sample(s0, None)
+
+    t = s0.t
     t0 = s0.t
     cur_dt = c.dt
     rejected_in_row = 0
@@ -366,29 +458,23 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
             else:
                 dt_try, t_new = cur_dt, t + cur_dt
 
+            row = ws.cur
             try:
-                v_new, u_new, theta_new, ux, vf = _take_step(
-                    v, u, theta, t, p, g, c.scheme, dt_try, src, ws)
+                _take_step(row.v, row.u, row.theta, t, p, g, c.scheme, dt_try, src, ws)
             except StepRejected:
                 traj.n_rejected += 1
                 rejected_in_row += 1
                 if rejected_in_row > c.max_retries:
-                    raise SimulationFailure(
-                        f"step at t = {t} rejected {rejected_in_row} times "
-                        f"(dt down to {cur_dt})",
-                        last_state=State(t=t, v=v, u=u, theta=theta),
-                        trajectory=traj)
+                    raise failure(f"step at t = {t} rejected {rejected_in_row} times "
+                                  f"(dt down to {cur_dt})")
                 cur_dt *= 0.5
                 accepted_at_reduced = 0
                 continue
             except NumericalBreakdown as exc:
-                raise SimulationFailure(
-                    f"step at t = {t} broke down: {exc}",
-                    last_state=State(t=t, v=v, u=u, theta=theta),
-                    trajectory=traj) from exc
+                raise failure(f"step at t = {t} broke down: {exc}") from exc
 
-            ws.swap()
-            t, v, u, theta = t_new, v_new, u_new, theta_new
+            totals.accept(dt_try)
+            t = t_new
             traj.n_steps += 1
             rejected_in_row = 0
             if cur_dt < c.dt:
@@ -397,21 +483,13 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
                     cur_dt = c.dt
                     accepted_at_reduced = 0
 
-            diss_new = functionals.dissipation_from(ux, vf, v, theta, g, p, ws)
-            int_v_dt += 0.5 * dt_try * (diss_prev + diss_new)
-            diss_prev = diss_new
-
-            representation.update_damping(acc, u, theta, g, dt_try, ws)
-            base = representation._base_factor_cached(acc, v, u, g, ws)
-            representation.update_history(acc, theta, base, dt_try, ws)
-
-        state = State(t=t, v=v, u=u, theta=theta)
-        v_rec = representation.reconstruct_volume(acc, base)
-        repr_err = float(np.max(np.abs(v_rec - state.v) / state.v))
-        sample(state, repr_err)
+        totals.fold()
+        row = ws.cur
+        sample(State(t=t, v=row.v, u=row.u, theta=row.theta), totals.base)
         while t0 + sample_idx * sample_every <= target + tiny:
             sample_idx += 1
 
+    finish()
     return traj
 
 

@@ -266,6 +266,12 @@ class TestRunScenario:
         blob = json.loads((out / "summary.json").read_text())
         assert blob["failed"] is False
         assert blob["n_steps"] == summary.n_steps
+        # the phases split the run's time; output is timed after the run
+        phases = blob["phase_s"]
+        assert sorted(phases) == ["diagnostics", "kernel", "output", "sampling"]
+        assert all(seconds > 0.0 for seconds in phases.values())
+        run_s = phases["kernel"] + phases["diagnostics"] + phases["sampling"]
+        assert run_s <= summary.wall_time
 
     def test_byte_determinism(self, tmp_path):
         cfg = cli.parse_config(QUICK)
@@ -451,7 +457,9 @@ class TestMainExitCodes:
         path.write_text(EQUILIBRIUM_QUICK)
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 0
-        assert "already-at-equilibrium" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "already-at-equilibrium" in out
+        assert "phases kernel " in out
 
     def test_missing_config_file(self, tmp_path):
         code = cli.main(["run", "--config", str(tmp_path / "nope.txt")])
@@ -479,6 +487,7 @@ class TestMainExitCodes:
         assert "non-positive pivot" in capsys.readouterr().err
         blob = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert blob["failed"] is True
+        assert blob["phase_s"]["diagnostics"] > 0.0
 
     def test_verify_missing_dir(self, tmp_path):
         assert cli.main(["verify", "--dir", str(tmp_path / "absent")]) == 2

@@ -77,7 +77,7 @@ class TestDampingUpdate:
         state = equilibrium64
         for k in range(1, 1001):
             state = lg.State(t=k * dt, v=state.v, u=state.u, theta=state.theta)
-            lg.update_damping(acc, state.u, state.theta, grid64, dt)
+            lg.update_damping(acc, state.u[None], state.theta[None], grid64, [dt])
         assert acc.log_damping == pytest.approx(-1.0, abs=1e-12)
 
     def test_strictly_decreasing(self, grid64, cosine64, unit_params):
@@ -114,9 +114,9 @@ class TestHistoryUpdate:
         acc = lg.init_accumulators(equilibrium64, grid64)
         s1 = lg.State(t=dt, v=equilibrium64.v, u=equilibrium64.u,
                       theta=equilibrium64.theta)
-        lg.update_damping(acc, s1.u, s1.theta, grid64, dt)
+        lg.update_damping(acc, s1.u[None], s1.theta[None], grid64, [dt])
         base = lg.base_factor(s1, equilibrium64, grid64)
-        lg.update_history(acc, s1.theta, base, dt)
+        lg.update_history(acc, s1.theta[None], base[None], [dt])
         expected = dt * (1.0 + np.exp(dt)) / 2.0
         assert acc.history == pytest.approx(expected, rel=1e-13)
 
@@ -138,9 +138,9 @@ class TestHistoryUpdate:
         prev = acc.history.copy()
         for _ in range(20):
             state = lg.step(state, unit_params, grid64, controls)
-            lg.update_damping(acc, state.u, state.theta, grid64, controls.dt)
+            lg.update_damping(acc, state.u[None], state.theta[None], grid64, [controls.dt])
             base = lg.base_factor(state, cosine64, grid64)
-            lg.update_history(acc, state.theta, base, controls.dt)
+            lg.update_history(acc, state.theta[None], base[None], [controls.dt])
             assert np.all(acc.history >= prev)
             prev = acc.history.copy()
 
@@ -156,8 +156,8 @@ class TestHistoryUpdate:
         for _ in range(200):
             state = lg.step(state, unit_params, grid64, controls)
             base = lg.base_factor(state, cosine64, grid64)
-            lg.update_damping(acc, state.u, state.theta, grid64, dt)
-            lg.update_history(acc, state.theta, base, dt)
+            lg.update_damping(acc, state.u[None], state.theta[None], grid64, [dt])
+            lg.update_history(acc, state.theta[None], base[None], [dt])
             f_new = state.theta / (base * np.exp(acc.log_damping))
             direct += 0.5 * dt * (f_prev + f_new)
             f_prev = f_new

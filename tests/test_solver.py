@@ -205,12 +205,16 @@ class TestStepImex:
         with pytest.raises(StepRejected):
             lg.step(s, unit_params, grid64, lg.StepControls(dt=0.5))
 
-    @pytest.mark.parametrize("kernel", [solver._imex_kernel, solver._rk2_kernel])
-    def test_nan_temperature_rejected(self, kernel, grid64, unit_params):
+    # the NaN reaches the IMEX temperature matrix as a NaN pivot, which no
+    # smaller dt cures; the explicit scheme fails its positivity check
+    @pytest.mark.parametrize("kernel, error", [(solver._imex_kernel, NumericalBreakdown),
+                                               (solver._rk2_kernel, StepRejected)],
+                             ids=["_imex_kernel", "_rk2_kernel"])
+    def test_nan_temperature_rejected(self, kernel, error, grid64, unit_params):
         n = grid64.n_cells
         theta = np.ones(n)
         theta[n // 2] = np.nan
-        with pytest.raises(StepRejected):
+        with pytest.raises(error):
             kernel(np.ones(n), np.zeros(n + 1), theta, 0.0, 1e-5, unit_params,
                    grid64, None)
 
@@ -439,9 +443,9 @@ class TestAdvance:
         assert (traj.n_steps, traj.n_rejected) == (5, 4)
 
     def test_breakdown_becomes_failure(self, monkeypatch, grid64, cosine64, unit_params):
-        # two solves per step: the 21st step breaks down
-        want = lg.advance(cosine64, unit_params, grid64, lg.StepControls(dt=DT_EXACT),
-                          20 * DT_EXACT, 20 * DT_EXACT).final_state
+        # two solves per step: the 21st step breaks down, in the middle of a
+        # 64-step block, which is folded in before the failure is raised
+        want, acc, _ = replay(cosine64, unit_params, grid64, [DT_EXACT] * 20)
         monkeypatch.setattr(solver, "_solve_spd_tridiag", tridiag_breaking_after(40))
         with pytest.raises(SimulationFailure) as exc:
             lg.advance(cosine64, unit_params, grid64, lg.StepControls(dt=DT_EXACT),
@@ -450,11 +454,11 @@ class TestAdvance:
         last = exc.value.last_state
         assert last.t == exc.value.t == 20 * DT_EXACT
         for name in ("v", "u", "theta"):
-            assert np.array_equal(getattr(last, name), getattr(want, name))
             assert not getattr(last, name).flags.writeable
         traj = exc.value.trajectory
         assert traj.n_steps == 20
         assert [r.t for r in traj.records] == [0.0]
+        assert_same_totals(traj, last, want, acc)
 
     def test_rejection_recovery_counts(self, grid64, unit_params):
         # explicit scheme with dt above the stability limit must halve its
@@ -520,34 +524,61 @@ class TestAdvanceProperty:
         assert np.max(np.abs(masses - masses[0])) <= 1e-12
 
 
+def replay(s0, p, g, dts, src=None):
+    """Take steps of sizes ``dts`` from ``s0`` with ``step``, folding each one
+    on its own into fresh totals with the State-level dissipation and the
+    accumulator updates; returns the last state, the accumulators, and
+    (int_V_dt, dissipation, log Y) after each step by its end time."""
+    acc = representation.init_accumulators(s0, g)
+    diss_prev = functionals.dissipation(s0, g, p)
+    int_v = 0.0
+    s = s0
+    totals = {}
+    for dt in dts:
+        s = lg.step(s, p, g, lg.StepControls(dt=dt), src)
+        diss = functionals.dissipation(s, g, p)
+        int_v += 0.5 * dt * (diss_prev + diss)
+        diss_prev = diss
+        # one step is a block of one row
+        representation.update_damping(acc, s.u[None], s.theta[None], g, [dt])
+        base = representation._base_factor_cached(acc, s.v[None], s.u[None], g)
+        representation.update_history(acc, s.theta[None], base, [dt])
+        totals[s.t] = (int_v, diss, acc.log_damping)
+    return s, acc, totals
+
+
+def assert_same_totals(traj, last, s, acc, totals=None):
+    """The run's last accepted state ``last`` and its accumulators equal the
+    replay's bit for bit, and so do its records at every sample."""
+    for name in ("v", "u", "theta"):
+        assert np.array_equal(getattr(last, name), getattr(s, name))
+    got = traj.accumulators
+    assert got.log_damping == acc.log_damping
+    assert got.last_damping_integrand == acc.last_damping_integrand
+    assert got.damping_ratio == acc.damping_ratio
+    assert np.array_equal(got.scaled_history, acc.scaled_history)
+    assert np.array_equal(got.last_integrand, acc.last_integrand)
+    for rec in traj.records[1:] if totals is not None else ():
+        assert (rec.int_V_dt, rec.dissipation_V, rec.log_damping) == totals[rec.t]
+
+
 class TestAdvanceMatchesAdapters:
-    """``advance`` folds each accepted step into its running totals from the
-    kernel's own arrays. Stepping by hand with ``step``, the State-level
-    dissipation and the per-step accumulator updates must give the same
-    totals, bit for bit."""
+    """``advance`` folds its accepted steps into its running totals a block
+    at a time, from the kernel's own arrays. Stepping by hand and folding
+    each step on its own must give the same totals, bit for bit: blocks of
+    one step at 4097 cells, of up to 64 at 48 cells, full ones (64 steps),
+    one step past them (65) and blocks that a sample ends early."""
 
-    STEPS = 50
-
-    def by_hand(self, s0, p, g, src):
-        dt = DT_EXACT
-        acc = representation.init_accumulators(s0, g)
-        diss_prev = functionals.dissipation(s0, g, p)
-        int_v = 0.0
-        s = s0
-        for _ in range(self.STEPS):
-            s = lg.step(s, p, g, lg.StepControls(dt=dt), src)
-            diss = functionals.dissipation(s, g, p)
-            int_v += 0.5 * dt * (diss_prev + diss)
-            diss_prev = diss
-            representation.update_damping(acc, s.u, s.theta, g, dt)
-            base = representation._base_factor_cached(acc, s.v, s.u, g)
-            representation.update_history(acc, s.theta, base, dt)
-        return s, int_v, acc
-
-    @pytest.mark.parametrize("beta, forced", [(1.0, False), (1.5, False), (1.0, True)])
-    def test_final_totals_identical(self, beta, forced):
+    @pytest.mark.parametrize("beta, forced, n, steps, samples", [
+        pytest.param(beta, forced, n, steps, samples,
+                     id=f"{beta}-{forced}" + ("" if (n, steps, samples) == (48, 50, 1)
+                                              else f"-{n}-{steps}-{samples}"))
+        for n, steps, samples in [(48, 50, 1), (48, 64, 1), (48, 65, 1), (48, 50, 5),
+                                  (48, 130, 2), (4097, 6, 3)]
+        for beta, forced in [(1.0, False), (1.5, False), (1.0, True)]])
+    def test_final_totals_identical(self, beta, forced, n, steps, samples):
         p = lg.PhysParams(beta=beta)
-        g = lg.build_grid(48)
+        g = lg.build_grid(n)
         if forced:
             s0, _ = solver.manufactured_solution(0.0, g, p)
             src = solver.manufactured_sources_at(g, p)
@@ -556,31 +587,32 @@ class TestAdvanceMatchesAdapters:
                 lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3,
                                a_theta=0.2, seed=9), g)
             src = None
-        t_end = self.STEPS * DT_EXACT
-        traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), t_end, t_end, src)
-        s, int_v, ref = self.by_hand(s0, p, g, src)
+        t_end = steps * DT_EXACT
+        traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), t_end, t_end / samples, src)
+        s, acc, totals = replay(s0, p, g, [DT_EXACT] * steps, src)
 
-        acc = traj.accumulators
-        last = traj.records[-1]
-        assert traj.n_steps == self.STEPS
-        assert last.t == s.t == t_end
-        assert last.int_V_dt == int_v
-        assert last.log_damping == acc.log_damping == ref.log_damping
-        assert acc.last_damping_integrand == ref.last_damping_integrand
-        assert acc.damping_ratio == ref.damping_ratio
-        assert np.array_equal(acc.scaled_history, ref.scaled_history)
-        assert np.array_equal(acc.last_integrand, ref.last_integrand)
-        for name in ("v", "u", "theta"):
-            assert np.array_equal(getattr(traj.final_state, name), getattr(s, name))
+        assert traj.n_steps == steps
+        assert traj.times.tolist() == [k * t_end / samples for k in range(samples + 1)]
+        assert traj.final_state.t == s.t == t_end
+        assert_same_totals(traj, traj.final_state, s, acc, totals)
 
 
 class TestRejectionReplay:
-    """A rejected attempt writes only into the workspace's spare output set:
-    replaying the accepted steps by hand gives the same run, bit for bit."""
+    """A rejected attempt writes only into the workspace's spare row:
+    replaying the accepted steps by hand gives the same run, bit for bit,
+    whether the rejection falls inside a block or just after one was
+    folded in."""
 
     def test_rejected_attempt_changes_nothing(self, monkeypatch):
+        # inside a block of 64 steps, just after a full one was folded in,
+        # and in blocks of one step
+        for n, steps, refused in [(48, 30, 7), (48, 160, 65), (4097, 8, 3)]:
+            with monkeypatch.context() as patch:
+                self.check(patch, n, steps, refused)
+
+    def check(self, patch, n, steps, refused):
         p = lg.PhysParams(beta=1.5)
-        g = lg.build_grid(48)
+        g = lg.build_grid(n)
         s0 = lg.make_initial_data(
             lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.2,
                            seed=4), g)
@@ -588,73 +620,53 @@ class TestRejectionReplay:
         attempts, accepted = [], []
 
         def rejecting_after_kernel(*args):
-            # the kernel runs in full, then the seventh attempt is refused
+            # the kernel runs in full, then one attempt is refused
             result = take(*args)
             attempts.append(None)
-            if len(attempts) == 7:
+            if len(attempts) == refused:
                 raise StepRejected("refused after the kernel ran")
             accepted.append(args[7])
             return result
 
-        monkeypatch.setattr(solver, "_take_step", rejecting_after_kernel)
-        t_end = 30 * DT_EXACT
+        patch.setattr(solver, "_take_step", rejecting_after_kernel)
+        t_end = steps * DT_EXACT
         traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), t_end, t_end / 2)
         assert traj.n_rejected == 1
-        assert traj.n_steps == len(accepted) > 30
+        assert traj.n_steps == len(accepted) > steps
 
-        monkeypatch.setattr(solver, "_take_step", take)
-        acc = representation.init_accumulators(s0, g)
-        diss_prev = functionals.dissipation(s0, g, p)
-        int_v = 0.0
-        s = s0
-        for dt in accepted:
-            s = lg.step(s, p, g, lg.StepControls(dt=dt))
-            diss = functionals.dissipation(s, g, p)
-            int_v += 0.5 * dt * (diss_prev + diss)
-            diss_prev = diss
-            representation.update_damping(acc, s.u, s.theta, g, dt)
-            base = representation._base_factor_cached(acc, s.v, s.u, g)
-            representation.update_history(acc, s.theta, base, dt)
-
-        for name in ("v", "u", "theta"):
-            assert np.array_equal(getattr(traj.final_state, name), getattr(s, name))
-        assert traj.records[-1].int_V_dt == int_v
-        assert traj.records[-1].log_damping == acc.log_damping
-        assert traj.accumulators.log_damping == acc.log_damping
-        assert np.array_equal(traj.accumulators.scaled_history, acc.scaled_history)
-        assert np.array_equal(traj.accumulators.last_integrand, acc.last_integrand)
+        patch.setattr(solver, "_take_step", take)
+        s, acc, totals = replay(s0, p, g, accepted)
+        assert_same_totals(traj, traj.final_state, s, acc, totals)
 
 
 class TestWorkspace:
     def test_warm_step_allocates_no_array(self):
-        # an accepted IMEX step with its accumulator updates, as advance
-        # takes it, allocates less than one 4096-float array
+        # an accepted IMEX step with the fold of its block, as advance takes
+        # them, allocates less than one 4096-float array; at 4096 cells a
+        # block is one step, so every step is folded in at once
         n, dt = 4096, 1e-4
         p = lg.PhysParams(beta=1.5)
         g = lg.build_grid(n)
         s0 = lg.make_initial_data(
             lg.InitialSpec(kind="cosine", a_v=0.1, a_u=0.1, a_theta=0.1), g)
         ws = Workspace(n)
-        acc = representation.init_accumulators(s0, g, ws)
-        functionals.dissipation(s0, g, p, ws)
+        assert ws.block == 1
+        totals = solver._RunningTotals(s0, g, p, ws)
 
-        def accepted_step(v, u, theta):
-            v, u, theta, ux, vf = solver._take_step(v, u, theta, 0.0, p, g,
-                                                    lg.IMEX_BE, dt, None, ws)
-            ws.swap()
-            functionals.dissipation_from(ux, vf, v, theta, g, p, ws)
-            representation.update_damping(acc, u, theta, g, dt, ws)
-            base = representation._base_factor_cached(acc, v, u, g, ws)
-            representation.update_history(acc, theta, base, dt, ws)
-            return v, u, theta
+        def accepted_step():
+            row = ws.cur
+            solver._take_step(row.v, row.u, row.theta, 0.0, p, g, lg.IMEX_BE, dt, None, ws)
+            totals.accept(dt)
 
-        fields = accepted_step(*accepted_step(s0.v, s0.u, s0.theta))
+        accepted_step()
+        accepted_step()
         tracemalloc.start()
         try:
-            accepted_step(*fields)
+            accepted_step()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert totals.dts == [] and totals.base is not None
         assert peak < 8 * n
 
     def test_trajectory_owns_its_arrays(self, grid64, cosine64, unit_params):
@@ -708,6 +720,12 @@ class TestTridiagonalBreakdown:
         assert x is rhs
         assert np.allclose(buffer[1:-1], want, rtol=1e-14, atol=0.0)
         assert buffer[0] == buffer[-1] == 0.0
+
+    def test_nan_pivot_raises(self):
+        # ptsv's own check (pivot <= 0) lets a NaN pivot through
+        with pytest.raises(NumericalBreakdown):
+            solver._solve_spd_tridiag(np.array([2.0, np.nan, 2.0]),
+                                      np.array([-1.0, -1.0]), np.ones(3))
 
     @pytest.mark.parametrize("pivot", [0.0, -1.0, np.nan])
     def test_one_unknown_bad_pivot_raises(self, pivot):
