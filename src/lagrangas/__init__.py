@@ -15,7 +15,7 @@ from .core import (Grid, InitialSpec, PhysParams, State, build_grid,
                    parse_table, validate_params, validate_state)
 from .functionals import (DiagnosticsRecord, dissipation, entropy, extrema,
                           h1_deviation, inverse_temperature_moment,
-                          mean_theta, record, stress_field)
+                          mean_theta, record)
 from .representation import (ReprAccumulators, base_factor, init_accumulators,
                              reconstruct_volume, update_damping, update_history)
 from .solver import (EXPLICIT_RK2, IMEX_BE, Sources, StepControls, Trajectory,
@@ -34,6 +34,6 @@ __all__ = [
     "init_accumulators", "inverse_temperature_moment", "load_table",
     "make_initial_data", "manufactured_solution", "mean_theta", "parse_table",
     "reconstruct_volume", "record", "spatial_rhs",
-    "stability_limit", "step", "stress_field",
+    "stability_limit", "step",
     "update_damping", "update_history", "validate_params", "validate_state",
 ]

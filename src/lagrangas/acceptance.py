@@ -55,6 +55,12 @@ MOMENT_ENVELOPE = 10.0
 FIRST_ORDER_RATIO_MIN = 1.6
 RATIO_WINDOW_END = 10.0
 SWEEP_BETAS = (0.5, 1.5, 2.5)
+# Wall seconds of each job of the reference config, measured with 2
+# workers. The jobs are submitted longest first (LPT scheduling), so that
+# no long job starts last; the results are keyed by tag, so the order
+# changes no outcome.
+JOB_SECONDS = {"n512": 63, "beta_1.5": 48, "beta_0.5": 47, "ref": 41, "beta_2.5": 41,
+               "rerun": 39, "refined": 26, "dt_half": 16, "repr512": 5}
 
 
 @dataclass
@@ -135,6 +141,7 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
         ]
         jobs += [(f"beta_{beta:g}", replace(cfg, params=replace(cfg.params, beta=beta)), None)
                  for beta in SWEEP_BETAS]
+        jobs.sort(key=lambda job: -JOB_SECONDS.get(job[0], 0))
         runs = dict(cli._fan_out(_acceptance_worker, jobs, workers))
         csv_a = (out / "ref" / "timeseries.csv").read_bytes()
         csv_b = (out / "rerun" / "timeseries.csv").read_bytes()

@@ -139,9 +139,11 @@ class _Rows:
     """Views of one row (an int ``index``) or of a run of rows (a slice) of a
     Workspace: the fields (v, u, theta) of a state, its cell velocity
     gradient ``ux``, the face means ``vf`` of its volume and ``thf`` of its
-    temperature, and ``knum`` = kappa_tilde * thf**beta."""
+    temperature, and ``knum`` = kappa_tilde * thf**beta. A block from
+    ``Workspace.pending`` also has ``integrand``, which views the rows of
+    ``Workspace.integrand`` from the block's anchor on."""
 
-    __slots__ = ("index", "v", "u", "theta", "ux", "vf", "thf", "knum")
+    __slots__ = ("index", "v", "u", "theta", "ux", "vf", "thf", "knum", "integrand")
 
     def __init__(self, ws, index):
         self.index = index
@@ -164,10 +166,13 @@ class Workspace:
     then leaves the last of them where it is and makes it the anchor of the
     next block, which fills the rows on its longer side. No row is copied.
 
-    ``base`` takes the reconstruction's base profiles of a block, one row
-    each. ``cells``, ``faces`` and ``nodes`` are scratch blocks of n, n - 1
-    and n + 1 floats a row, and ``step_cells`` and ``step_faces`` single rows
-    of them for a kernel; any function may overwrite them.
+    ``integrand`` holds theta / B of each state row, where B is the
+    reconstruction's base profile: the history writes it for the rows of a
+    block, and reads it at the block's anchor. ``base`` takes the base
+    profiles of a block, one row each. ``cells``, ``faces`` and ``nodes``
+    are scratch blocks of n, n - 1 and n + 1 floats a row, and
+    ``step_cells`` and ``step_faces`` single rows of them for a kernel; any
+    function may overwrite them.
     """
 
     def __init__(self, n_cells: int, block: int | None = None):
@@ -181,6 +186,7 @@ class Workspace:
         self.vf = np.empty((rows, n - 1))
         self.thf = np.empty((rows, n - 1))
         self.knum = np.empty((rows, n - 1))
+        self.integrand = np.empty((rows, n))
         self.base = np.empty((rows, n))
         self.cells = (np.empty((rows, n)), np.empty((rows, n)))
         self.faces = (np.empty((rows, n - 1)), np.empty((rows, n - 1)))
@@ -207,7 +213,8 @@ class Workspace:
         return self.filled == self.room
 
     def pending(self) -> _Rows:
-        """The rows accepted since the last fold, in the order of time."""
+        """The rows accepted since the last fold, in the order of time; its
+        ``integrand`` starts one row earlier, at the anchor."""
         a, k = self._anchor, self.filled
         # a full block from a given anchor is always the same rows
         full = k == self.room
@@ -215,8 +222,11 @@ class Workspace:
             return self._full_blocks[a]
         if self._dir > 0:
             block = _Rows(self, slice(a + 1, a + k + 1))
+            block.integrand = self.integrand[a:a + k + 1]
         else:
-            block = _Rows(self, slice(a - 1, a - k - 1 if a > k else None, -1))
+            stop = a - k - 1 if a > k else None
+            block = _Rows(self, slice(a - 1, stop, -1))
+            block.integrand = self.integrand[a:stop:-1]
         if full:
             self._full_blocks[a] = block
         return block

@@ -170,12 +170,6 @@ def h1_deviation(s: State, g: Grid, v_star: float, theta_star: float) -> float:
     return float(np.sqrt(total))
 
 
-def stress_field(s: State, g: Grid, p: PhysParams) -> np.ndarray:
-    """Per-cell stress (mu_tilde*u_x - R*theta)/v, as used by the momentum flux."""
-    ux = np.diff(s.u) / g.dx
-    return (p.mu_tilde * ux - p.R * s.theta) / s.v
-
-
 def extrema(s: State) -> tuple[float, float, float, float]:
     """(min v, max v, min theta, max theta) over the cells."""
     return (float(s.v.min()), float(s.v.max()),

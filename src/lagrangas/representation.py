@@ -66,7 +66,8 @@ def damping_integrand(u: np.ndarray, theta: np.ndarray, g: Grid,
 class ReprAccumulators:
     """Running state of the reconstruction along one trajectory: the scaled
     history a = Y * A, and the last folded step's theta / B and ratios
-    Y_new / Y_old, one per step of the last folded block."""
+    Y_new / Y_old, one per step of the last folded block. ``last_integrand``
+    may view a row of the run's Workspace."""
 
     s0: State
     u0_integral: np.ndarray
@@ -100,7 +101,8 @@ def init_accumulators(s0: State, g: Grid, ws: Workspace | None = None) -> ReprAc
     u0_int = velocity_integral(s0.u[None], g, ws=ws)[0]
     g0 = float(s0.v.dot(u0_int) * g.dx)
     # the base profile at t = 0 is exactly v0, so the first history integrand
-    # is theta0 / v0
+    # is theta0 / v0, which goes in the integrand row of the workspace's
+    # current state, the anchor of the first block
     return ReprAccumulators(
         s0=s0,
         u0_integral=u0_int,
@@ -108,7 +110,7 @@ def init_accumulators(s0: State, g: Grid, ws: Workspace | None = None) -> ReprAc
         log_damping=0.0,
         damping_ratios=[1.0],
         scaled_history=np.zeros(g.n_cells),
-        last_integrand=s0.theta / s0.v,
+        last_integrand=np.divide(s0.theta, s0.v, out=ws.integrand[ws.cur.index]),
         last_damping_integrand=damping_integrand(s0.u[None], s0.theta[None], g, ws)[0],
     )
 
@@ -157,7 +159,7 @@ def update_damping(acc: ReprAccumulators, u: np.ndarray, theta: np.ndarray, g: G
 
 
 def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
-                   dts, ws: Workspace | None = None) -> None:
+                   dts, ws: Workspace | None = None, integrand: np.ndarray | None = None) -> None:
     """Fold a block of accepted steps of sizes ``dts``, ending at the rows
     of ``theta``, into the scaled history a = Y * A, in place.
 
@@ -165,21 +167,28 @@ def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
     ``update_damping`` must already have folded the block. This is the
     trapezoid rule for A in theta / (B * Y), multiplied through by Y_new,
     one step after the other: a <- r * (a + dt/2 * f_prev) + dt/2 * f_new,
-    with f = theta / B.
+    with f = theta / B. ``integrand`` takes f of the block's rows after
+    its first row, which must hold ``acc.last_integrand``, as
+    ``Workspace.pending`` gives it; a fresh array when None.
+    ``acc.last_integrand`` then views its last row.
     """
-    rows = theta.shape[0]
+    rows, n = theta.shape
     if ws is None:
-        ws = Workspace(theta.shape[1], rows)
-    integrands = np.divide(theta, base, out=ws.cells[1][:rows])
-    history, term = acc.scaled_history, ws.cells[0][0]
-    integrand = acc.last_integrand
-    for dt, ratio, new in zip(dts, acc.damping_ratios, integrands):
-        half_dt = 0.5 * dt
-        history += np.multiply(integrand, half_dt, out=term)
+        ws = Workspace(n, rows)
+    if integrand is None:
+        integrand = np.empty((rows + 1, n))
+        integrand[0] = acc.last_integrand
+    np.divide(theta, base, out=integrand[1:])
+    # both half-dt products of every step, each from one multiply
+    half_dts = np.multiply(dts, 0.5)[:, None]
+    prev_terms = np.multiply(integrand[:-1], half_dts, out=ws.cells[0][:rows])
+    new_terms = np.multiply(integrand[1:], half_dts, out=ws.cells[1][:rows])
+    history = acc.scaled_history
+    for ratio, prev, new in zip(acc.damping_ratios, prev_terms, new_terms):
+        history += prev
         history *= ratio
-        integrand = new
-        history += np.multiply(integrand, half_dt, out=term)
-    acc.last_integrand[...] = integrand
+        history += new
+    acc.last_integrand = integrand[-1]
 
 
 def reconstruct_volume(acc: ReprAccumulators, base: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ state with non-positive volume or temperature.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -80,6 +81,36 @@ def _sources_at(src, t):
     if src is None or isinstance(src, Sources):
         return src
     return src(t)
+
+
+class _PlannedSources:
+    """A run's manufactured sources, evaluated a block of planned step times
+    at a time.
+
+    ``plan`` names the times of the next steps. The first lookup of any of
+    them evaluates the whole block; later ones return its stored row. Any
+    other time is evaluated on its own, as a one-row block.
+    """
+
+    def __init__(self, sources: ManufacturedSources):
+        self.sources = sources
+        self.times = ()
+        self.index = {}
+        self.block = None
+
+    def plan(self, times) -> None:
+        self.times = times
+        self.index = {t: i for i, t in enumerate(times)}
+        self.block = None
+
+    def __call__(self, t: float) -> Sources:
+        i = self.index.get(t)
+        if i is None:
+            return self.sources(t)
+        if self.block is None:
+            self.block = self.sources.rows(self.times)
+        s_v, s_u, s_theta = self.block
+        return Sources(s_v=s_v[i], s_u=s_u[i], s_theta=s_theta[i])
 
 
 def _solve_spd_tridiag(diag, off, rhs):
@@ -151,6 +182,35 @@ def stability_limit(v: np.ndarray, theta: np.ndarray, p: PhysParams, g: Grid) ->
     dt_thermal = dx2 * vmin * p.c_v / (2.0 * p.kappa_tilde * th_max ** p.beta)
     dt_viscous = dx2 * vmin / (2.0 * p.mu_tilde)
     return min(dt_thermal, dt_viscous)
+
+
+def _dt_bound(scheme, v, theta, p, g) -> float:
+    """Largest dt that ``scheme`` accepts from the fields (v, theta)."""
+    if scheme == EXPLICIT_RK2:
+        return CFL_SAFETY * stability_limit(v, theta, p, g)
+    return math.inf
+
+
+def _step_size(t, dt, target):
+    """(dt_try, t_new) of the step from t with the nominal size dt: the step
+    that remains to ``target`` when it is at most dt (clamped onto target),
+    else one of size dt."""
+    remaining = target - t
+    if remaining <= dt * (1.0 + 1e-9):
+        return remaining, target
+    return dt, t + dt
+
+
+def _step_times(t, dt, target, count):
+    """The times t + dt_try at which the next ``count`` steps from t, or
+    fewer, look up their sources when none is rejected; none passes
+    target."""
+    times = []
+    while t < target and len(times) < count:
+        dt_try, t_new = _step_size(t, dt, target)
+        times.append(t + dt_try)
+        t = t_new
+    return times
 
 
 # Both kernels write (v, u, theta, ux, vf) into the row ws.nxt of the run's
@@ -227,7 +287,7 @@ def _imex_kernel(v, u, theta, t, dt, p, g, src, ws=None):
 
 def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws=None):
     # computes in fresh arrays, and copies the result into ws.nxt
-    dt_stab = CFL_SAFETY * stability_limit(v, theta, p, g)
+    dt_stab = _dt_bound(EXPLICIT_RK2, v, theta, p, g)
     if dt > dt_stab:
         raise StepRejected(f"dt = {dt} exceeds the explicit stability bound {dt_stab}")
 
@@ -356,7 +416,7 @@ class _RunningTotals:
         self.dissipation, self.int_v_dt = prev, total
         representation.update_damping(acc, block.u, block.theta, g, dts, ws)
         base = representation._base_factor_cached(acc, block.v, block.u, g, ws)
-        representation.update_history(acc, block.theta, base, dts, ws)
+        representation.update_history(acc, block.theta, base, dts, ws, block.integrand)
         self.base = base[-1]
         ws.fold()
         dts.clear()
@@ -373,7 +433,12 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
 
     Steps are shortened to land exactly on every sample time and on t_end.
     A rejected step halves dt and retries, up to c.max_retries times in a
-    row; the nominal dt is restored after RECOVERY_STEPS accepted steps.
+    row; the nominal dt is restored after RECOVERY_STEPS accepted steps,
+    capped for the explicit scheme at its stability bound at that state.
+    Manufactured sources (``manufactured_sources_at``) are evaluated for
+    the planned times of the next ``core.block_length`` steps at once; a
+    step whose time was not planned, after a rejection or a change of dt,
+    plans again.
     The kernels write each step into the next row of the run's Workspace,
     a block of ``core.block_length`` rows. The running time integral of the
     dissipation and the volume reconstruction accumulators take each
@@ -405,6 +470,9 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
 
     ws = Workspace(g.n_cells)
     totals = _RunningTotals(s0, g, p, ws)
+    planned = None
+    if isinstance(src, ManufacturedSources):
+        src = planned = _PlannedSources(src)
     traj = Trajectory(grid=g, params=p, v_star=v_star, theta_star=theta_star,
                       initial_state=s0, final_state=s0, accumulators=totals.acc)
 
@@ -452,11 +520,9 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
 
         # integrate to the target exactly, clamping the last step onto it
         while t < target:
-            remaining = target - t
-            if remaining <= cur_dt * (1.0 + 1e-9):
-                dt_try, t_new = remaining, target
-            else:
-                dt_try, t_new = cur_dt, t + cur_dt
+            dt_try, t_new = _step_size(t, cur_dt, target)
+            if planned is not None and t + dt_try not in planned.index:
+                planned.plan(_step_times(t, cur_dt, target, ws.block))
 
             row = ws.cur
             try:
@@ -480,7 +546,8 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
             if cur_dt < c.dt:
                 accepted_at_reduced += 1
                 if accepted_at_reduced >= RECOVERY_STEPS:
-                    cur_dt = c.dt
+                    row = ws.cur
+                    cur_dt = min(c.dt, _dt_bound(c.scheme, row.v, row.theta, p, g))
                     accepted_at_reduced = 0
 
         totals.fold()
@@ -527,17 +594,31 @@ def manufactured_rates(t: float, g: Grid):
     return dv, du, dv.copy()
 
 
-def manufactured_sources_at(g: Grid, p: PhysParams):
-    """Time-dependent source callable for driving MMS runs."""
-    omega = _MMS_OMEGA
-    cos_c = np.cos(omega * g.cell_centers)
-    sin_c = np.sin(omega * g.cell_centers)
-    cos_n = np.cos(omega * g.nodes)
-    sin_n = np.sin(omega * g.nodes)
-    kappa, mu, R, beta = p.kappa_tilde, p.mu_tilde, p.R, p.beta
+class ManufacturedSources:
+    """The sources of the manufactured solution as a function of time.
 
-    def src(t: float) -> Sources:
-        phi = _mms_phi(t)
+    ``rows`` evaluates them at a sequence of times, one row per time;
+    calling the object with one time evaluates the one-row block. Each row
+    equals the one-row evaluation at its time bit for bit: phi comes from
+    ``_mms_phi`` for each time, and every other expression is elementwise,
+    broadcast over the rows.
+    """
+
+    def __init__(self, g: Grid, p: PhysParams):
+        omega = _MMS_OMEGA
+        self.cos_c = np.cos(omega * g.cell_centers)
+        self.sin_c = np.sin(omega * g.cell_centers)
+        self.cos_n = np.cos(omega * g.nodes)
+        self.sin_n = np.sin(omega * g.nodes)
+        self.p = p
+
+    def rows(self, times):
+        """(s_v, s_u, s_theta) at each of ``times``, one row per time."""
+        omega = _MMS_OMEGA
+        cos_c, sin_c, cos_n, sin_n = self.cos_c, self.sin_c, self.cos_n, self.sin_n
+        p = self.p
+        kappa, mu, R, beta = p.kappa_tilde, p.mu_tilde, p.R, p.beta
+        phi = np.array([_mms_phi(t) for t in times])[:, None]
 
         # cells, where v = theta: volume equation v_t - u_x, and temperature
         # equation theta_t - (heat flux divergence + work terms)/c_v
@@ -561,7 +642,14 @@ def manufactured_sources_at(g: Grid, p: PhysParams):
         sigma_x = ((mu * u_xx - R * th_x) / th
                    - (mu * u_x - R * th) * th_x / th ** 2)
         s_u = -phi * sin_n - sigma_x
-        s_u[0] = s_u[-1] = 0.0
-        return Sources(s_v=s_v, s_u=s_u, s_theta=s_theta)
+        s_u[:, 0] = s_u[:, -1] = 0.0
+        return s_v, s_u, s_theta
 
-    return src
+    def __call__(self, t: float) -> Sources:
+        s_v, s_u, s_theta = self.rows((t,))
+        return Sources(s_v=s_v[0], s_u=s_u[0], s_theta=s_theta[0])
+
+
+def manufactured_sources_at(g: Grid, p: PhysParams) -> ManufacturedSources:
+    """Time-dependent source callable for driving MMS runs."""
+    return ManufacturedSources(g, p)

@@ -130,34 +130,6 @@ class TestH1Deviation:
             lg.h1_deviation(equilibrium64, grid64, 0.0, 1.0)
 
 
-class TestStressField:
-    def test_equilibrium_minus_one(self, grid64, equilibrium64, unit_params):
-        sigma = lg.stress_field(equilibrium64, grid64, unit_params)
-        assert np.allclose(sigma, -1.0, atol=1e-15)
-
-    def test_cancellation(self, unit_params):
-        # u_x = R*theta/mu cellwise makes the stress vanish identically
-        g = lg.build_grid(4)
-        u = np.array([0.0, 0.5, 1.0, 0.5, 0.0])
-        th = np.diff(u) / g.dx * unit_params.mu_tilde / unit_params.R
-        th = np.abs(th)
-        u = np.abs(np.cumsum(np.concatenate(([0.0], th * g.dx))))
-        s = make_state(np.full(4, 0.7), u, th)
-        sigma = lg.stress_field(s, g, unit_params)
-        assert np.allclose(sigma, 0.0, atol=1e-15)
-
-    def test_duplicate_formula_oracle(self, grid64):
-        p = lg.PhysParams(beta=0.7, mu_tilde=1.3, kappa_tilde=0.8, R=1.1, c_v=0.9)
-        s = lg.make_initial_data(
-            lg.InitialSpec(kind="random_smooth", a_v=0.3, a_u=0.4, a_theta=0.2,
-                           seed=11), grid64)
-        got = lg.stress_field(s, grid64, p)
-        expect = np.array([
-            (p.mu_tilde * (s.u[j + 1] - s.u[j]) / grid64.dx - p.R * s.theta[j]) / s.v[j]
-            for j in range(64)])
-        assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
-
-
 class TestExtrema:
     def test_equilibrium(self, equilibrium64):
         assert lg.extrema(equilibrium64) == (1.0, 1.0, 1.0, 1.0)

@@ -100,6 +100,32 @@ class TestSpatialRhs:
         dv, _, _ = lg.spatial_rhs(s.v, s.u, s.theta, p, g)
         assert abs(np.sum(dv) * g.dx) <= 1e-13
 
+    def test_stress_cancellation(self, unit_params):
+        # u_x = R*theta/mu cellwise makes the stress (mu*u_x - R*theta)/v
+        # vanish identically, whatever v, and with it the momentum rate at
+        # every node
+        p = lg.PhysParams(beta=1.0, mu_tilde=1.3, R=0.8)
+        g = lg.build_grid(4)
+        th = np.array([1.0, 2.0, 3.0, 1.5])
+        u = np.cumsum(np.concatenate(([0.0], th * p.R / p.mu_tilde * g.dx)))
+        s = make_state(np.array([0.7, 1.1, 0.9, 1.3]), u, th)
+        _, du, _ = lg.spatial_rhs(s.v, s.u, s.theta, p, g)
+        assert np.allclose(du, 0.0, atol=1e-13)
+
+    def test_momentum_rate_from_stress_formula(self, grid64):
+        # du is the node difference quotient of the cell stress
+        # (mu*u_x - R*theta)/v, evaluated here cell by cell
+        p = lg.PhysParams(beta=0.7, mu_tilde=1.3, kappa_tilde=0.8, R=1.1, c_v=0.9)
+        s = lg.make_initial_data(
+            lg.InitialSpec(kind="random_smooth", a_v=0.3, a_u=0.4, a_theta=0.2,
+                           seed=11), grid64)
+        sigma = np.array([
+            (p.mu_tilde * (s.u[j + 1] - s.u[j]) / grid64.dx - p.R * s.theta[j]) / s.v[j]
+            for j in range(64)])
+        _, du, _ = lg.spatial_rhs(s.v, s.u, s.theta, p, grid64)
+        assert du[0] == du[-1] == 0.0
+        assert np.allclose(du[1:-1], np.diff(sigma) / grid64.dx, rtol=1e-12, atol=1e-11)
+
     def test_sources_require_zero_boundary(self, grid64):
         n = grid64.n_cells
         bad = np.zeros(n + 1)
@@ -137,6 +163,26 @@ class TestManufacturedSolution:
             residuals[n] = max(np.max(np.abs(a - b)) for a, b in zip(got, want))
         assert 3.4 <= residuals[64] / residuals[128] <= 4.6
         assert 3.4 <= residuals[128] / residuals[256] <= 4.6
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 2.5, 6.0])
+    def test_block_rows_equal_single_times(self, beta, n):
+        # every row of a block of step times is the one-row evaluation at
+        # its time, bit for bit, for the exponents numpy's power takes fast
+        # paths for and for a block of one row
+        p = lg.PhysParams(beta=beta, mu_tilde=1.3, kappa_tilde=0.8, R=1.1, c_v=0.9)
+        g = lg.build_grid(n)
+        src = solver.manufactured_sources_at(g, p)
+        times = np.cumsum(np.random.default_rng(3).uniform(1e-5, 3e-2, 64)).tolist()
+        for block in (times[:1], times[:7], times):
+            s_v, s_u, s_theta = src.rows(block)
+            assert s_v.shape == s_theta.shape == (len(block), n)
+            assert s_u.shape == (len(block), n + 1)
+            for i, t in enumerate(block):
+                one = src(t)
+                assert np.array_equal(s_v[i], one.s_v)
+                assert np.array_equal(s_u[i], one.s_u)
+                assert np.array_equal(s_theta[i], one.s_theta)
 
     def test_sources_from_finite_differences(self, unit_params):
         # independent derivation: forward-difference the analytic fields in
@@ -462,14 +508,34 @@ class TestAdvance:
 
     def test_rejection_recovery_counts(self, grid64, unit_params):
         # explicit scheme with dt above the stability limit must halve its
-        # way down and then integrate
+        # way down (3.9, 1.95 and 0.975 times the limit are refused) and
+        # then integrate; the dt it restores is capped at the bound, so no
+        # later step is refused
         s0 = lg.make_initial_data(lg.InitialSpec(kind="cosine", a_v=0.05), grid64)
         dt_stab = lg.stability_limit(s0.v, s0.theta, unit_params, grid64)
         controls = lg.StepControls(dt=3.9 * dt_stab, scheme=lg.EXPLICIT_RK2,
                                    max_retries=12)
-        traj = lg.advance(s0, unit_params, grid64, controls, 0.01, 0.01)
-        assert traj.n_rejected > 0
-        assert traj.records[-1].t == 0.01
+        traj = lg.advance(s0, unit_params, grid64, controls, 0.05, 0.01)
+        assert traj.n_rejected == 3
+        assert traj.n_steps > 4 * solver.RECOVERY_STEPS
+        assert traj.records[-1].t == 0.05
+
+    def test_forced_explicit_run_matches_steps(self):
+        # the explicit scheme looks its sources up at t, which the plan
+        # holds after the first step, and at t + dt/2, which it never holds
+        p = lg.PhysParams(beta=1.5)
+        g = lg.build_grid(32)
+        s0, _ = solver.manufactured_solution(0.0, g, p)
+        src = solver.manufactured_sources_at(g, p)
+        controls = lg.StepControls(dt=DT_EXACT / 16, scheme=lg.EXPLICIT_RK2)
+        traj = lg.advance(s0, p, g, controls, 40 * controls.dt, 20 * controls.dt, src)
+        s = s0
+        for _ in range(40):
+            s = lg.step(s, p, g, controls, src)
+        assert traj.n_rejected == 0
+        assert traj.final_state.t == s.t
+        for name in ("v", "u", "theta"):
+            assert np.array_equal(getattr(traj.final_state, name), getattr(s, name))
 
     def test_energy_drift_first_order_in_dt(self, unit_params):
         g = lg.build_grid(64)
@@ -562,6 +628,20 @@ def assert_same_totals(traj, last, s, acc, totals=None):
         assert (rec.int_V_dt, rec.dissipation_V, rec.log_damping) == totals[rec.t]
 
 
+def counting_source_blocks(monkeypatch):
+    """Record the length of every block of times that manufactured sources
+    are evaluated at, from now until the monkeypatch is undone."""
+    blocks = []
+    rows = solver.ManufacturedSources.rows
+
+    def counted(self, times):
+        blocks.append(len(times))
+        return rows(self, times)
+
+    monkeypatch.setattr(solver.ManufacturedSources, "rows", counted)
+    return blocks
+
+
 class TestAdvanceMatchesAdapters:
     """``advance`` folds its accepted steps into its running totals a block
     at a time, from the kernel's own arrays. Stepping by hand and folding
@@ -576,7 +656,7 @@ class TestAdvanceMatchesAdapters:
         for n, steps, samples in [(48, 50, 1), (48, 64, 1), (48, 65, 1), (48, 50, 5),
                                   (48, 130, 2), (4097, 6, 3)]
         for beta, forced in [(1.0, False), (1.5, False), (1.0, True)]])
-    def test_final_totals_identical(self, beta, forced, n, steps, samples):
+    def test_final_totals_identical(self, monkeypatch, beta, forced, n, steps, samples):
         p = lg.PhysParams(beta=beta)
         g = lg.build_grid(n)
         if forced:
@@ -588,8 +668,17 @@ class TestAdvanceMatchesAdapters:
                                a_theta=0.2, seed=9), g)
             src = None
         t_end = steps * DT_EXACT
+        blocks = counting_source_blocks(monkeypatch)
         traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), t_end, t_end / samples, src)
+        monkeypatch.undo()
         s, acc, totals = replay(s0, p, g, [DT_EXACT] * steps, src)
+
+        if forced:
+            # the planned blocks take every step's sources once: K steps or
+            # fewer at a time, up to each sample
+            k = Workspace(n).block
+            per_sample = np.diff(traj.times / DT_EXACT).round().astype(int)
+            assert blocks == [min(k, left) for m in per_sample for left in range(m, 0, -k)]
 
         assert traj.n_steps == steps
         assert traj.times.tolist() == [k * t_end / samples for k in range(samples + 1)]
@@ -610,12 +699,33 @@ class TestRejectionReplay:
             with monkeypatch.context() as patch:
                 self.check(patch, n, steps, refused)
 
-    def check(self, patch, n, steps, refused):
+    def test_forced_rejection_plans_again(self, monkeypatch):
+        # the retry after a rejection looks its sources up at a time the
+        # plan does not hold, so the driver plans again from there; the run
+        # is still the step-by-step one
+        with monkeypatch.context() as patch:
+            blocks = self.check(patch, 48, 30, 7, forced=True)
+        # 15 steps to the first sample, the seventh refused; 18 half steps
+        # from there; the restored dt lands on times that plan holds; then
+        # 15 steps to the end
+        assert blocks == [15, 18, 15]
+        with monkeypatch.context() as patch:
+            blocks = self.check(patch, 4097, 8, 3, forced=True)
+        # blocks of one step: two steps, the refused third, ten half steps
+        # and one step
+        assert blocks == [1] * 14
+
+    def check(self, patch, n, steps, refused, forced=False):
         p = lg.PhysParams(beta=1.5)
         g = lg.build_grid(n)
-        s0 = lg.make_initial_data(
-            lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.2,
-                           seed=4), g)
+        if forced:
+            s0, _ = solver.manufactured_solution(0.0, g, p)
+            src = solver.manufactured_sources_at(g, p)
+        else:
+            s0 = lg.make_initial_data(
+                lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.2,
+                               seed=4), g)
+            src = None
         take = solver._take_step
         attempts, accepted = [], []
 
@@ -629,14 +739,17 @@ class TestRejectionReplay:
             return result
 
         patch.setattr(solver, "_take_step", rejecting_after_kernel)
+        blocks = counting_source_blocks(patch)
         t_end = steps * DT_EXACT
-        traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), t_end, t_end / 2)
+        traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), t_end, t_end / 2, src)
+        planned = list(blocks)
         assert traj.n_rejected == 1
         assert traj.n_steps == len(accepted) > steps
 
         patch.setattr(solver, "_take_step", take)
-        s, acc, totals = replay(s0, p, g, accepted)
+        s, acc, totals = replay(s0, p, g, accepted, src)
         assert_same_totals(traj, traj.final_state, s, acc, totals)
+        return planned
 
 
 class TestWorkspace:
