@@ -261,10 +261,7 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
         f"margins {margin_lo:.3f} / {margin_hi:.3f}")
 
     # 8: forced-problem spatial order, and an exactly stationary equilibrium
-    orders = {}
-    for i, field_name in enumerate(("v", "u", "theta")):
-        pairs = [(1.0 / n, mms_errors[n][i]) for n in MMS_LEVELS]
-        orders[field_name] = analysis.convergence_order(pairs)
+    orders = cli.mms_orders(mms_errors)
     grid_eq = build_grid(64)
     eq = make_initial_data(InitialSpec(kind="equilibrium"), grid_eq, c_v=cfg.params.c_v)
     rates = solver.spatial_rhs(eq.v, eq.u, eq.theta, cfg.params, grid_eq)

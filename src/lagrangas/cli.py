@@ -428,11 +428,15 @@ def sweep(cfg: RunConfig, beta_list, out_dir=None, workers: int | None = None):
     betas = list(beta_list)
     if not betas:
         raise ValueError("sweep needs at least one beta value")
+    names = [f"beta_{beta:g}" for beta in betas]
+    if len(set(names)) < len(names):
+        raise ValueError(f"betas must have distinct output directories beta_<beta>, "
+                         f"got {betas}")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [replace(cfg, params=replace(cfg.params, beta=float(beta)),
-                    out_dir=str(out / f"beta_{beta:g}")) for beta in betas]
+    jobs = [replace(cfg, params=replace(cfg.params, beta=float(beta)), out_dir=str(out / name))
+            for beta, name in zip(betas, names)]
 
     if workers is None:
         import os
@@ -472,13 +476,20 @@ def mms_error(cfg: RunConfig, n_cells: int, t_end: float = 0.5):
     dt = cfg.dt * (cfg.n_cells / n_cells) ** 2
     s0, _ = solver.manufactured_solution(0.0, grid, params)
     controls = solver.StepControls(dt=dt, scheme=cfg.scheme)
-    src = solver.manufactured_sources_at(grid, params)
+    src = solver.ManufacturedSources(grid, params)
     traj = solver.advance(s0, params, grid, controls, t_end, t_end, src)
     final = traj.final_state
     exact, _ = solver.manufactured_solution(final.t, grid, params)
     return (float(np.max(np.abs(final.v - exact.v))),
             float(np.max(np.abs(final.u - exact.u))),
             float(np.max(np.abs(final.theta - exact.theta))))
+
+
+def mms_orders(errors: dict) -> dict:
+    """Fitted order of each field (v, u, theta) from ``mms_error`` results
+    by cell count, in the order of the levels."""
+    return {name: analysis.convergence_order([(1.0 / n, e[i]) for n, e in errors.items()])
+            for i, name in enumerate(("v", "u", "theta"))}
 
 
 def reconstruction_refinement(cfg: RunConfig, n_cells: int, t_end: float = 1.0) -> float:
@@ -505,11 +516,7 @@ def convergence_study(cfg: RunConfig, levels) -> dict:
         raise ValueError("levels must be strictly increasing")
 
     errors = {n: mms_error(cfg, n) for n in ns}
-    orders = {}
-    for i, field_name in enumerate(("v", "u", "theta")):
-        pairs = [(1.0 / n, errors[n][i]) for n in ns]
-        orders[field_name] = analysis.convergence_order(pairs)
-
+    orders = mms_orders(errors)
     repr_errs = {n: reconstruction_refinement(cfg, n) for n in ns}
     ratios = [repr_errs[a] / repr_errs[b] for a, b in zip(ns, ns[1:])]
     return {"levels": ns, "mms_errors": errors, "orders": orders,

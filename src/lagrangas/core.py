@@ -139,9 +139,8 @@ class _Rows:
     """Views of one row (an int ``index``) or of a run of rows (a slice) of a
     Workspace: the fields (v, u, theta) of a state, its cell velocity
     gradient ``ux``, the face means ``vf`` of its volume and ``thf`` of its
-    temperature, and ``knum`` = kappa_tilde * thf**beta. A block from
-    ``Workspace.pending`` also has ``integrand``, which views the rows of
-    ``Workspace.integrand`` from the block's anchor on."""
+    temperature, ``knum`` = kappa_tilde * thf**beta, and the reconstruction's
+    history ``integrand``."""
 
     __slots__ = ("index", "v", "u", "theta", "ux", "vf", "thf", "knum", "integrand")
 
@@ -150,6 +149,7 @@ class _Rows:
         self.v, self.u, self.theta = ws.v[index], ws.u[index], ws.theta[index]
         self.ux, self.vf = ws.ux[index], ws.vf[index]
         self.thf, self.knum = ws.thf[index], ws.knum[index]
+        self.integrand = ws.integrand[index]
 
 
 class Workspace:
@@ -166,13 +166,11 @@ class Workspace:
     then leaves the last of them where it is and makes it the anchor of the
     next block, which fills the rows on its longer side. No row is copied.
 
-    ``integrand`` holds theta / B of each state row, where B is the
-    reconstruction's base profile: the history writes it for the rows of a
-    block, and reads it at the block's anchor. ``base`` takes the base
-    profiles of a block, one row each. ``cells``, ``faces`` and ``nodes``
-    are scratch blocks of n, n - 1 and n + 1 floats a row, and
-    ``step_cells`` and ``step_faces`` single rows of them for a kernel; any
-    function may overwrite them.
+    ``integrand`` takes theta / B of each state row of a block, where B is
+    the reconstruction's base profile, and ``base`` the base profiles.
+    ``cells``, ``faces`` and ``nodes`` are scratch blocks of n, n - 1 and
+    n + 1 floats a row, and ``step_cells`` and ``step_faces`` single rows
+    of them for a kernel; any function may overwrite them.
     """
 
     def __init__(self, n_cells: int, block: int | None = None):
@@ -213,8 +211,7 @@ class Workspace:
         return self.filled == self.room
 
     def pending(self) -> _Rows:
-        """The rows accepted since the last fold, in the order of time; its
-        ``integrand`` starts one row earlier, at the anchor."""
+        """The rows accepted since the last fold, in the order of time."""
         a, k = self._anchor, self.filled
         # a full block from a given anchor is always the same rows
         full = k == self.room
@@ -222,11 +219,8 @@ class Workspace:
             return self._full_blocks[a]
         if self._dir > 0:
             block = _Rows(self, slice(a + 1, a + k + 1))
-            block.integrand = self.integrand[a:a + k + 1]
         else:
-            stop = a - k - 1 if a > k else None
-            block = _Rows(self, slice(a - 1, stop, -1))
-            block.integrand = self.integrand[a:stop:-1]
+            block = _Rows(self, slice(a - 1, a - k - 1 if a > k else None, -1))
         if full:
             self._full_blocks[a] = block
         return block

@@ -107,15 +107,14 @@ def conductivity_numerator(theta: np.ndarray, p: PhysParams, thf: np.ndarray,
 
 def dissipation_from(ux: np.ndarray, vf: np.ndarray, v: np.ndarray, theta: np.ndarray,
                      thf: np.ndarray, knum: np.ndarray, g: Grid, p: PhysParams,
-                     ws: Workspace | None = None) -> list:
+                     ws: Workspace) -> list:
     """``dissipation`` of each row of a block of states, from its cell
     velocity gradient ``ux``, the face means ``vf`` of ``v`` and ``thf`` of
     ``theta``, and ``knum`` from ``conductivity_numerator``, all of which the
-    time stepping has already computed; one value per row.
+    time stepping has already computed; one value per row. ``ws`` lends
+    scratch.
     """
     rows = ux.shape[0]
-    if ws is None:
-        ws = Workspace(g.n_cells, rows)
     dx = g.dx
     shear = np.multiply(ux, p.mu_tilde, out=ws.cells[0][:rows])
     shear *= ux

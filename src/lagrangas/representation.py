@@ -22,17 +22,12 @@ import numpy as np
 from .core import Grid, State, Workspace
 
 
-def velocity_integral(u: np.ndarray, g: Grid, out: np.ndarray | None = None,
-                      ws: Workspace | None = None) -> np.ndarray:
+def velocity_integral(u: np.ndarray, g: Grid, out: np.ndarray, ws: Workspace) -> np.ndarray:
     """Cumulative trapezoid of each row of a block of node fields up to each
-    cell center, written into the rows of ``out`` (one float per cell) when
-    given; ``ws`` lends scratch."""
+    cell center, written into the rows of ``out`` (one float per cell);
+    ``ws`` lends scratch."""
     dx = g.dx
     rows = u.shape[0]
-    if ws is None:
-        ws = Workspace(g.n_cells, rows)
-    if out is None:
-        out = np.empty((rows, g.n_cells))
     half_faces, quarter_cells = ws.faces[0][:rows], ws.cells[0][:rows]
     # out takes the integral up to each cell's left node, then up to its
     # center. cumsum adds in sequence, so its sums over the first N - 1
@@ -67,7 +62,7 @@ class ReprAccumulators:
     """Running state of the reconstruction along one trajectory: the scaled
     history a = Y * A, and the last folded step's theta / B and ratios
     Y_new / Y_old, one per step of the last folded block. ``last_integrand``
-    may view a row of the run's Workspace."""
+    may view a row of the run's Workspace, which no later block writes."""
 
     s0: State
     u0_integral: np.ndarray
@@ -98,11 +93,10 @@ def init_accumulators(s0: State, g: Grid, ws: Workspace | None = None) -> ReprAc
     """Fresh accumulators at the trajectory's initial state."""
     if ws is None:
         ws = Workspace(g.n_cells, 1)
-    u0_int = velocity_integral(s0.u[None], g, ws=ws)[0]
+    u0_int = velocity_integral(s0.u[None], g, np.empty((1, g.n_cells)), ws)[0]
     g0 = float(s0.v.dot(u0_int) * g.dx)
     # the base profile at t = 0 is exactly v0, so the first history integrand
-    # is theta0 / v0, which goes in the integrand row of the workspace's
-    # current state, the anchor of the first block
+    # is theta0 / v0
     return ReprAccumulators(
         s0=s0,
         u0_integral=u0_int,
@@ -110,7 +104,7 @@ def init_accumulators(s0: State, g: Grid, ws: Workspace | None = None) -> ReprAc
         log_damping=0.0,
         damping_ratios=[1.0],
         scaled_history=np.zeros(g.n_cells),
-        last_integrand=np.divide(s0.theta, s0.v, out=ws.integrand[ws.cur.index]),
+        last_integrand=s0.theta / s0.v,
         last_damping_integrand=damping_integrand(s0.u[None], s0.theta[None], g, ws)[0],
     )
 
@@ -167,22 +161,23 @@ def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
     ``update_damping`` must already have folded the block. This is the
     trapezoid rule for A in theta / (B * Y), multiplied through by Y_new,
     one step after the other: a <- r * (a + dt/2 * f_prev) + dt/2 * f_new,
-    with f = theta / B. ``integrand`` takes f of the block's rows after
-    its first row, which must hold ``acc.last_integrand``, as
-    ``Workspace.pending`` gives it; a fresh array when None.
-    ``acc.last_integrand`` then views its last row.
+    with f = theta / B. ``integrand`` takes f of the block's rows, a fresh
+    array when None; ``acc.last_integrand``, the first step's f_prev, then
+    views its last row.
     """
     rows, n = theta.shape
     if ws is None:
         ws = Workspace(n, rows)
     if integrand is None:
-        integrand = np.empty((rows + 1, n))
-        integrand[0] = acc.last_integrand
-    np.divide(theta, base, out=integrand[1:])
-    # both half-dt products of every step, each from one multiply
+        integrand = np.empty((rows, n))
+    np.divide(theta, base, out=integrand)
+    # the half-dt products of every step; the first step's f_prev is the
+    # previous block's last f
     half_dts = np.multiply(dts, 0.5)[:, None]
-    prev_terms = np.multiply(integrand[:-1], half_dts, out=ws.cells[0][:rows])
-    new_terms = np.multiply(integrand[1:], half_dts, out=ws.cells[1][:rows])
+    prev_terms = ws.cells[0][:rows]
+    np.multiply(acc.last_integrand, half_dts[0], out=prev_terms[0])
+    np.multiply(integrand[:-1], half_dts[1:], out=prev_terms[1:])
+    new_terms = np.multiply(integrand, half_dts, out=ws.cells[1][:rows])
     history = acc.scaled_history
     for ratio, prev, new in zip(acc.damping_ratios, prev_terms, new_terms):
         history += prev

@@ -51,8 +51,8 @@ class StepControls:
     max_retries: int = 12
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
 
@@ -81,36 +81,6 @@ def _sources_at(src, t):
     if src is None or isinstance(src, Sources):
         return src
     return src(t)
-
-
-class _PlannedSources:
-    """A run's manufactured sources, evaluated a block of planned step times
-    at a time.
-
-    ``plan`` names the times of the next steps. The first lookup of any of
-    them evaluates the whole block; later ones return its stored row. Any
-    other time is evaluated on its own, as a one-row block.
-    """
-
-    def __init__(self, sources: ManufacturedSources):
-        self.sources = sources
-        self.times = ()
-        self.index = {}
-        self.block = None
-
-    def plan(self, times) -> None:
-        self.times = times
-        self.index = {t: i for i, t in enumerate(times)}
-        self.block = None
-
-    def __call__(self, t: float) -> Sources:
-        i = self.index.get(t)
-        if i is None:
-            return self.sources(t)
-        if self.block is None:
-            self.block = self.sources.rows(self.times)
-        s_v, s_u, s_theta = self.block
-        return Sources(s_v=s_v[i], s_u=s_u[i], s_theta=s_theta[i])
 
 
 def _solve_spd_tridiag(diag, off, rhs):
@@ -214,15 +184,12 @@ def _step_times(t, dt, target, count):
 
 
 # Both kernels write (v, u, theta, ux, vf) into the row ws.nxt of the run's
-# Workspace ``ws``, or of a fresh one for None, and return those views: the
-# new state, its cell velocity gradient and the face means of its volume,
-# which the dissipation reads instead of recomputing them.
+# Workspace ``ws`` and return those views: the new state, its cell velocity
+# gradient and the face means of its volume, which the dissipation reads
+# instead of recomputing them.
 
-def _imex_kernel(v, u, theta, t, dt, p, g, src, ws=None):
+def _imex_kernel(v, u, theta, t, dt, p, g, src, ws):
     # reads ws.cur.ux and ws.cur.knum as the values carried from (v, u, theta)
-    if ws is None:
-        ws = Workspace(g.n_cells, 1)
-        functionals.dissipation(State(t=t, v=v, u=u, theta=theta), g, p, ws)
     dx = g.dx
     s = _sources_at(src, t + dt)
     out = ws.nxt
@@ -285,7 +252,7 @@ def _imex_kernel(v, u, theta, t, dt, p, g, src, ws=None):
     return out.v, out.u, theta_new, ux_new, vf
 
 
-def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws=None):
+def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws):
     # computes in fresh arrays, and copies the result into ws.nxt
     dt_stab = _dt_bound(EXPLICIT_RK2, v, theta, p, g)
     if dt > dt_stab:
@@ -308,8 +275,6 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws=None):
     theta_new = theta + dt * dtheta
     if not (v_new.min() > POSITIVITY_FLOOR and theta_new.min() > POSITIVITY_FLOOR):
         raise StepRejected("state violated positivity after the step")
-    if ws is None:
-        ws = Workspace(g.n_cells, 1)
     out = ws.nxt
     out.v[...] = v_new
     out.u[...] = u_new
@@ -322,7 +287,7 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws=None):
 _KERNELS = {IMEX_BE: _imex_kernel, EXPLICIT_RK2: _rk2_kernel}
 
 
-def _take_step(v, u, theta, t, p, g, scheme, dt, src, ws=None):
+def _take_step(v, u, theta, t, p, g, scheme, dt, src, ws):
     """One attempt at a step of size dt from (v, u, theta) at time t; returns
     the kernel's (v, u, theta, ux, vf) or raises StepRejected."""
     return _KERNELS[scheme](v, u, theta, t, dt, p, g, src, ws)
@@ -338,7 +303,9 @@ def step(s: State, p: PhysParams, g: Grid, c: StepControls,
     """
     if g.n_cells < 2:
         raise ValueError("time stepping requires at least 2 cells")
-    v, u, theta, _, _ = _take_step(s.v, s.u, s.theta, s.t, p, g, c.scheme, c.dt, src)
+    ws = Workspace(g.n_cells, 1)
+    functionals.dissipation(s, g, p, ws)
+    v, u, theta, _, _ = _take_step(s.v, s.u, s.theta, s.t, p, g, c.scheme, c.dt, src, ws)
     return State(t=s.t + c.dt, v=v, u=u, theta=theta)
 
 
@@ -435,10 +402,9 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     A rejected step halves dt and retries, up to c.max_retries times in a
     row; the nominal dt is restored after RECOVERY_STEPS accepted steps,
     capped for the explicit scheme at its stability bound at that state.
-    Manufactured sources (``manufactured_sources_at``) are evaluated for
-    the planned times of the next ``core.block_length`` steps at once; a
-    step whose time was not planned, after a rejection or a change of dt,
-    plans again.
+    ManufacturedSources are planned for the times of the next
+    ``core.block_length`` steps, which they evaluate at once; a step whose
+    time was not planned, after a rejection or a change of dt, plans again.
     The kernels write each step into the next row of the run's Workspace,
     a block of ``core.block_length`` rows. The running time integral of the
     dissipation and the volume reconstruction accumulators take each
@@ -456,10 +422,10 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     breaks down.
     """
     validate_state(s0, g)
-    if not t_end > s0.t:
-        raise ValueError(f"t_end = {t_end} must exceed the initial time {s0.t}")
-    if sample_every <= 0.0:
-        raise ValueError(f"sample_every must be positive, got {sample_every}")
+    if not (math.isfinite(t_end) and t_end > s0.t):
+        raise ValueError(f"t_end = {t_end} must be finite and exceed the initial time {s0.t}")
+    if not (math.isfinite(sample_every) and sample_every > 0.0):
+        raise ValueError(f"sample_every must be positive and finite, got {sample_every}")
     if g.n_cells < 2:
         raise ValueError("time stepping requires at least 2 cells")
 
@@ -470,9 +436,6 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
 
     ws = Workspace(g.n_cells)
     totals = _RunningTotals(s0, g, p, ws)
-    planned = None
-    if isinstance(src, ManufacturedSources):
-        src = planned = _PlannedSources(src)
     traj = Trajectory(grid=g, params=p, v_star=v_star, theta_star=theta_star,
                       initial_state=s0, final_state=s0, accumulators=totals.acc)
 
@@ -521,8 +484,8 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
         # integrate to the target exactly, clamping the last step onto it
         while t < target:
             dt_try, t_new = _step_size(t, cur_dt, target)
-            if planned is not None and t + dt_try not in planned.index:
-                planned.plan(_step_times(t, cur_dt, target, ws.block))
+            if isinstance(src, ManufacturedSources) and t + dt_try not in src.index:
+                src.plan(_step_times(t, cur_dt, target, ws.block))
 
             row = ws.cur
             try:
@@ -581,7 +544,7 @@ def manufactured_solution(t: float, g: Grid, p: PhysParams) -> tuple[State, Sour
     u = phi * np.sin(_MMS_OMEGA * g.nodes)
     u[0] = u[-1] = 0.0
     exact = State(t=t, v=v, u=u, theta=theta)
-    return exact, manufactured_sources_at(g, p)(t)
+    return exact, ManufacturedSources(g, p)(t)
 
 
 def manufactured_rates(t: float, g: Grid):
@@ -597,11 +560,16 @@ def manufactured_rates(t: float, g: Grid):
 class ManufacturedSources:
     """The sources of the manufactured solution as a function of time.
 
-    ``rows`` evaluates them at a sequence of times, one row per time;
-    calling the object with one time evaluates the one-row block. Each row
-    equals the one-row evaluation at its time bit for bit: phi comes from
-    ``_mms_phi`` for each time, and every other expression is elementwise,
-    broadcast over the rows.
+    ``rows`` evaluates them at a sequence of times, one row per time. Each
+    row equals the one-row evaluation at its time bit for bit: phi comes
+    from ``_mms_phi`` for each time, and every other expression is
+    elementwise, broadcast over the rows.
+
+    ``plan`` names the times of the next steps. Calling the object with one
+    of them evaluates the whole ``block`` at the first lookup and returns
+    its stored row; any other time is evaluated as a one-row block. A
+    stored row depends only on its time, so a plan left from an earlier
+    run is never wrong.
     """
 
     def __init__(self, g: Grid, p: PhysParams):
@@ -611,6 +579,12 @@ class ManufacturedSources:
         self.cos_n = np.cos(omega * g.nodes)
         self.sin_n = np.sin(omega * g.nodes)
         self.p = p
+        self.plan(())
+
+    def plan(self, times) -> None:
+        self.times = times
+        self.index = {t: i for i, t in enumerate(times)}
+        self.block = None
 
     def rows(self, times):
         """(s_v, s_u, s_theta) at each of ``times``, one row per time."""
@@ -646,10 +620,12 @@ class ManufacturedSources:
         return s_v, s_u, s_theta
 
     def __call__(self, t: float) -> Sources:
-        s_v, s_u, s_theta = self.rows((t,))
-        return Sources(s_v=s_v[0], s_u=s_u[0], s_theta=s_theta[0])
-
-
-def manufactured_sources_at(g: Grid, p: PhysParams) -> ManufacturedSources:
-    """Time-dependent source callable for driving MMS runs."""
-    return ManufacturedSources(g, p)
+        i = self.index.get(t)
+        if i is None:
+            s_v, s_u, s_theta = self.rows((t,))
+            i = 0
+        else:
+            if self.block is None:
+                self.block = self.rows(self.times)
+            s_v, s_u, s_theta = self.block
+        return Sources(s_v=s_v[i], s_u=s_u[i], s_theta=s_theta[i])

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import string
 import tempfile
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import lagrangas as lg
 from lagrangas import cli, solver
@@ -65,6 +66,10 @@ def _worker_dying_after_beta_half(cfg):
     return _sweep_worker(cfg)
 
 
+class _Started(Exception):
+    pass
+
+
 class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = cli.parse_config(MINIMAL)
@@ -120,6 +125,39 @@ class TestParseConfig:
                 with pytest.raises(ConfigError) as exc:
                     cli.parse_config(f"{key} = {value}\n")
                 assert exc.value.key == key
+
+    @given(key=st.sampled_from(("dt", "t_end", "sample_every")), value=st.floats())
+    @example(key="sample_every", value=math.nan)
+    @example(key="t_end", value=math.inf)
+    @example(key="dt", value=math.nan)
+    @example(key="dt", value=math.inf)
+    def test_solver_rejects_the_same_times(self, key, value):
+        # StepControls and advance refuse, before the first step, exactly the
+        # values the config refuses; a run that passes the checks stops at
+        # the first call after them
+        try:
+            cli.parse_config(f"{key} = {value!r}\n")
+            accepted = True
+        except ConfigError:
+            accepted = False
+        g = lg.build_grid(2)
+        s0 = lg.make_initial_data(lg.InitialSpec(kind="equilibrium"), g)
+        times = {"dt": 1e-3, "t_end": 1.0, "sample_every": 0.5}
+        times[key] = value
+
+        def started(*args):
+            raise _Started
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "check_normalization", started)
+            try:
+                controls = solver.StepControls(dt=times["dt"])
+                solver.advance(s0, lg.PhysParams(beta=1.0), g, controls, times["t_end"],
+                               times["sample_every"])
+            except ValueError:
+                assert not accepted
+            except _Started:
+                assert accepted
 
     def test_bad_scheme(self):
         with pytest.raises(ConfigError):
@@ -376,6 +414,18 @@ class TestSweep:
         cfg = cli.parse_config(QUICK)
         with pytest.raises(ValueError):
             cli.sweep(cfg, [], tmp_path / "sweep")
+
+    def test_betas_sharing_a_directory_rejected(self, tmp_path):
+        # both betas print as 1, so both runs would write into beta_1/
+        cfg = cli.parse_config(QUICK)
+        with pytest.raises(ValueError, match="distinct output directories"):
+            cli.sweep(cfg, [1.0000001, 1.0000002], tmp_path / "sweep", workers=1)
+        assert not (tmp_path / "sweep").exists()
+        path = tmp_path / "cfg.txt"
+        path.write_text(QUICK)
+        assert cli.main(["sweep", "--config", str(path), "--betas", "0.5,1.0000001,1",
+                         "--out", str(tmp_path / "main")]) == 2
+        assert not (tmp_path / "main").exists()
 
     def test_failed_row_recorded(self, tmp_path):
         text = QUICK.replace("dt = 1e-3", "dt = 100.0")

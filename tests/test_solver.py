@@ -169,20 +169,38 @@ class TestManufacturedSolution:
     def test_block_rows_equal_single_times(self, beta, n):
         # every row of a block of step times is the one-row evaluation at
         # its time, bit for bit, for the exponents numpy's power takes fast
-        # paths for and for a block of one row
+        # paths for and for a block of one row; a lookup returns that row
+        # whether its time is planned, outside the plan, or in a plan that
+        # an earlier run left on the object
         p = lg.PhysParams(beta=beta, mu_tilde=1.3, kappa_tilde=0.8, R=1.1, c_v=0.9)
         g = lg.build_grid(n)
-        src = solver.manufactured_sources_at(g, p)
+        src = solver.ManufacturedSources(g, p)
+        one_row = solver.ManufacturedSources(g, p)
+
+        def assert_lookups_equal_rows(times):
+            s_v, s_u, s_theta = src.rows(times)
+            assert s_v.shape == s_theta.shape == (len(times), n)
+            assert s_u.shape == (len(times), n + 1)
+            for i, t in enumerate(times):
+                for one in (src(t), one_row(t)):
+                    assert np.array_equal(s_v[i], one.s_v)
+                    assert np.array_equal(s_u[i], one.s_u)
+                    assert np.array_equal(s_theta[i], one.s_theta)
+
         times = np.cumsum(np.random.default_rng(3).uniform(1e-5, 3e-2, 64)).tolist()
         for block in (times[:1], times[:7], times):
-            s_v, s_u, s_theta = src.rows(block)
-            assert s_v.shape == s_theta.shape == (len(block), n)
-            assert s_u.shape == (len(block), n + 1)
-            for i, t in enumerate(block):
-                one = src(t)
-                assert np.array_equal(s_v[i], one.s_v)
-                assert np.array_equal(s_u[i], one.s_u)
-                assert np.array_equal(s_theta[i], one.s_theta)
+            assert_lookups_equal_rows(block)
+            src.plan(block)
+            assert_lookups_equal_rows(block)
+            outside = [t + 1e-6 for t in block]
+            assert not set(outside) & set(src.index)
+            assert_lookups_equal_rows(outside)
+
+        s0, _ = solver.manufactured_solution(0.0, g, p)
+        controls = lg.StepControls(dt=DT_EXACT / 16)
+        lg.advance(s0, p, g, controls, 10 * controls.dt, 10 * controls.dt, src)
+        assert len(src.index) == 10
+        assert_lookups_equal_rows(list(src.index))
 
     def test_sources_from_finite_differences(self, unit_params):
         # independent derivation: forward-difference the analytic fields in
@@ -253,16 +271,16 @@ class TestStepImex:
 
     # the NaN reaches the IMEX temperature matrix as a NaN pivot, which no
     # smaller dt cures; the explicit scheme fails its positivity check
-    @pytest.mark.parametrize("kernel, error", [(solver._imex_kernel, NumericalBreakdown),
-                                               (solver._rk2_kernel, StepRejected)],
+    @pytest.mark.parametrize("scheme, error", [(lg.IMEX_BE, NumericalBreakdown),
+                                               (lg.EXPLICIT_RK2, StepRejected)],
                              ids=["_imex_kernel", "_rk2_kernel"])
-    def test_nan_temperature_rejected(self, kernel, error, grid64, unit_params):
+    def test_nan_temperature_rejected(self, scheme, error, grid64, unit_params):
         n = grid64.n_cells
         theta = np.ones(n)
         theta[n // 2] = np.nan
+        s = make_state(np.ones(n), np.zeros(n + 1), theta)
         with pytest.raises(error):
-            kernel(np.ones(n), np.zeros(n + 1), theta, 0.0, 1e-5, unit_params,
-                   grid64, None)
+            lg.step(s, unit_params, grid64, lg.StepControls(dt=1e-5, scheme=scheme))
 
     def test_single_cell_grid_rejected(self, unit_params):
         g = lg.build_grid(1)
@@ -343,7 +361,7 @@ class TestImexStepOracle:
                            seed=n), g, p.c_v)
         s = replace(s, t=0.25)
         dt = 1e-3
-        src = solver.manufactured_sources_at(g, p) if forced else None
+        src = solver.ManufacturedSources(g, p) if forced else None
         s1 = lg.step(s, p, g, lg.StepControls(dt=dt), src)
 
         sources = src(s.t + dt) if forced else None
@@ -526,7 +544,7 @@ class TestAdvance:
         p = lg.PhysParams(beta=1.5)
         g = lg.build_grid(32)
         s0, _ = solver.manufactured_solution(0.0, g, p)
-        src = solver.manufactured_sources_at(g, p)
+        src = solver.ManufacturedSources(g, p)
         controls = lg.StepControls(dt=DT_EXACT / 16, scheme=lg.EXPLICIT_RK2)
         traj = lg.advance(s0, p, g, controls, 40 * controls.dt, 20 * controls.dt, src)
         s = s0
@@ -661,7 +679,7 @@ class TestAdvanceMatchesAdapters:
         g = lg.build_grid(n)
         if forced:
             s0, _ = solver.manufactured_solution(0.0, g, p)
-            src = solver.manufactured_sources_at(g, p)
+            src = solver.ManufacturedSources(g, p)
         else:
             s0 = lg.make_initial_data(
                 lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3,
@@ -720,7 +738,7 @@ class TestRejectionReplay:
         g = lg.build_grid(n)
         if forced:
             s0, _ = solver.manufactured_solution(0.0, g, p)
-            src = solver.manufactured_sources_at(g, p)
+            src = solver.ManufacturedSources(g, p)
         else:
             s0 = lg.make_initial_data(
                 lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.2,
