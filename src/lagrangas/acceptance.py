@@ -81,10 +81,7 @@ def _reduce(traj: solver.Trajectory) -> dict:
 
 def _acceptance_worker(args):
     tag, cfg, out_dir = args
-    if out_dir is not None:
-        _, traj = cli._run_with_outputs(cfg, out_dir)
-    else:
-        traj = cli._execute(cfg)
+    traj = cli._execute(cfg) if out_dir is None else cli._run_with_outputs(cfg, out_dir)[1]
     return tag, _reduce(traj)
 
 
@@ -100,10 +97,8 @@ def _pin_ok(observed: float, pin: float) -> bool:
 
 
 def _load_reference(config_dir):
-    if config_dir is None:
-        base = resources.files("lagrangas").joinpath("configs")
-    else:
-        base = Path(config_dir)
+    base = (resources.files("lagrangas").joinpath("configs") if config_dir is None
+            else Path(config_dir))
     ref = base.joinpath("reference.cfg")
     if not ref.is_file():
         raise FileNotFoundError(f"reference config not found: {ref}")

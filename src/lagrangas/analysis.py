@@ -128,13 +128,11 @@ def bounds_certificate(trajectory, e0: float, upper: float = 1.0,
     x - ln x = e0 and upper is the normalized ceiling (1 for runs with unit
     mass and energy). Order-insensitive in the samples.
     """
-    records = getattr(trajectory, "records", trajectory)
-    records = list(records)
+    records = list(getattr(trajectory, "records", trajectory))
     if not records:
         raise ValueError("trajectory has no records")
     alpha1, _ = entropy_roots(e0)
-    lo = alpha1 - tol
-    hi = upper + tol
+    lo, hi = alpha1 - tol, upper + tol
     corridor_ok = all(lo <= r.mean_theta <= hi for r in records)
     times = [r.t for r in records]
     return BoundsCertificate(

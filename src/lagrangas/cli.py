@@ -163,9 +163,13 @@ def parse_config(text: str) -> RunConfig:
         bad("init.k", f"wavenumber must be a positive integer, got {values['init.k']}")
     if values["n_cells"] < 2:
         bad("n_cells", f"runs need at least 2 cells, got {values['n_cells']}")
-    for key in ("dt", "t_end", "sample_every"):
+    for key in ("dt", "t_end"):
         if not (math.isfinite(values[key]) and values[key] > 0.0):
             bad(key, f"{key} must be positive and finite, got {values[key]}")
+    try:
+        solver.check_sample_every(values["sample_every"])
+    except ValueError as exc:
+        bad("sample_every", str(exc))
     if values["seed"] < 0:
         bad("seed", f"seed must be a non-negative integer, got {values['seed']}")
     if values["scheme"] not in solver.SCHEMES:
@@ -268,12 +272,9 @@ def _summarize(cfg: RunConfig, traj: solver.Trajectory, wall_time,
     e0 = first.entropy_E
     defect = max(abs(r.entropy_E + r.int_V_dt - e0) for r in records)
 
-    bounds = None
-    if len(records) > 0 and e0 >= 1.0:
-        bounds = analysis.bounds_certificate(records, e0)
+    bounds = analysis.bounds_certificate(records, e0) if e0 >= 1.0 else None
 
-    decay_fit = None
-    note = None
+    decay_fit = note = None
     window = cfg.fit_window
     if window is None and records[-1].t > first.t:
         t0, t1 = first.t, records[-1].t
@@ -553,10 +554,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    if args.betas is None:
-        betas = list(DEFAULT_SWEEP_BETAS)
-    else:
-        betas = [float(b) for b in args.betas.split(",") if b.strip()]
+    betas = (list(DEFAULT_SWEEP_BETAS) if args.betas is None
+             else [float(b) for b in args.betas.split(",") if b.strip()])
     rows = sweep(cfg, betas, args.out, workers=args.workers)
     print("beta    eta0      inf_v    inf_theta  repr_err   status")
     for row in rows:
@@ -623,14 +622,10 @@ def main(argv=None) -> int:
     p_verify.add_argument("--workers", type=int, default=None)
 
     args = parser.parse_args(argv)
+    commands = {"run": _cmd_run, "sweep": _cmd_sweep, "convergence": _cmd_convergence,
+                "verify": _cmd_verify}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "convergence":
-            return _cmd_convergence(args)
-        return _cmd_verify(args)
+        return commands[args.command](args)
     except (ConfigError, ConstructionError, FormatError, ParamError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -139,44 +139,44 @@ class _Rows:
     """Views of one row (an int ``index``) or of a run of rows (a slice) of a
     Workspace: the fields (v, u, theta) of a state, its cell velocity
     gradient ``ux``, the face means ``vf`` of its volume and ``thf`` of its
-    temperature, ``knum`` = kappa_tilde * thf**beta, and the reconstruction's
-    history ``integrand``."""
+    temperature, ``knum`` = kappa_tilde * thf**beta, the reconstruction's
+    history ``integrand``, and, of a run of rows, the sizes ``dt`` of the
+    steps that accepted them."""
 
-    __slots__ = ("index", "v", "u", "theta", "ux", "vf", "thf", "knum", "integrand")
+    __slots__ = ("index", "v", "u", "theta", "ux", "vf", "thf", "knum", "integrand", "dt")
 
     def __init__(self, ws, index):
         self.index = index
         self.v, self.u, self.theta = ws.v[index], ws.u[index], ws.theta[index]
         self.ux, self.vf = ws.ux[index], ws.vf[index]
         self.thf, self.knum = ws.thf[index], ws.knum[index]
-        self.integrand = ws.integrand[index]
+        self.integrand, self.dt = ws.integrand[index], ws.dt[index]
 
 
 class Workspace:
     """Preallocated arrays for stepping one run on an n-cell grid, so that an
     accepted IMEX step and the folding of its diagnostics allocate no array.
 
-    The fields are 2-D, one row per state: ``block`` + 1 rows. ``cur`` views
-    the row of the last accepted state and ``nxt`` the row the next kernel
-    writes, so a rejected attempt overwrites neither the accepted state nor
-    the values carried from it: its cell velocity gradient ``ux`` and
-    ``knum``, which the next kernel reads instead of recomputing them.
-    ``accept`` moves ``cur`` onto ``nxt``. The rows accepted since the last
-    ``fold`` form the block that the diagnostics fold in at once; ``fold``
-    then leaves the last of them where it is and makes it the anchor of the
-    next block, which fills the rows on its longer side. No row is copied.
+    The fields are 2-D, one row per state, in two banks of ``block`` rows.
+    ``nxt`` views the row the next kernel writes and ``cur`` that of the
+    last accepted state, whose ``ux`` and ``knum`` the kernel reads instead
+    of recomputing them; a rejected attempt overwrites neither.
+    ``accept(dt)`` moves ``cur`` onto ``nxt`` and keeps the step's size in
+    ``dt``. A block, the steps accepted since the last ``fold``, fills one
+    bank forward from its first row while the other bank holds the state it
+    started from; ``fold`` switches banks, and no row is copied.
 
-    ``integrand`` takes theta / B of each state row of a block, where B is
-    the reconstruction's base profile, and ``base`` the base profiles.
-    ``cells``, ``faces`` and ``nodes`` are scratch blocks of n, n - 1 and
-    n + 1 floats a row, and ``step_cells`` and ``step_faces`` single rows
-    of them for a kernel; any function may overwrite them.
+    ``integrand`` takes theta / B of each state row, B being the
+    reconstruction's base profile. ``base``, ``cells``, ``faces``, ``nodes``
+    and ``steps`` are scratch of ``block`` + 1 rows (a kernel takes two) of
+    n, n, n - 1, n + 1 and 1 floats, and ``step_cells`` and ``step_faces``
+    rows of them for a kernel; any function may overwrite them.
     """
 
     def __init__(self, n_cells: int, block: int | None = None):
         n = n_cells
-        self.block = block_length(n) if block is None else block
-        rows = self.block + 1
+        k = self.block = block_length(n) if block is None else block
+        rows = 2 * k
         self.v = np.empty((rows, n))
         self.u = np.zeros((rows, n + 1))  # the kernels never write the wall values
         self.theta = np.empty((rows, n))
@@ -185,53 +185,50 @@ class Workspace:
         self.thf = np.empty((rows, n - 1))
         self.knum = np.empty((rows, n - 1))
         self.integrand = np.empty((rows, n))
-        self.base = np.empty((rows, n))
-        self.cells = (np.empty((rows, n)), np.empty((rows, n)))
-        self.faces = (np.empty((rows, n - 1)), np.empty((rows, n - 1)))
-        self.nodes = np.empty((rows, n + 1))
+        self.dt = np.empty(rows)
+        scratch = k + 1
+        self.base = np.empty((scratch, n))
+        self.cells = (np.empty((scratch, n)), np.empty((scratch, n)))
+        self.faces = (np.empty((scratch, n - 1)), np.empty((scratch, n - 1)))
+        self.nodes = np.empty((scratch, n + 1))
+        self.steps = np.empty(scratch)
         self.step_cells = (self.cells[0][0], self.cells[0][1], self.cells[1][0])
         self.step_faces = (self.faces[0][0], self.faces[0][1], self.faces[1][0])
         self._rows = [_Rows(self, i) for i in range(rows)]
-        self._full_blocks = {}
-        self.cur = self._rows[0]
-        self.filled = 0
+        self._banks = (_Rows(self, slice(0, k)), _Rows(self, slice(k, rows)))
+        # the first block fills bank 0 from the last row of bank 1
+        self.cur = self._rows[-1]
+        self._bank = 1
         self.fold()
 
-    def accept(self) -> _Rows:
-        """Make the kernel's last output the accepted state; returns its row."""
-        self.cur = self.nxt
+    def accept(self, dt: float) -> _Rows:
+        """Make the kernel's last output, a step of size ``dt``, the
+        accepted state; returns its row."""
+        cur = self.cur = self.nxt
+        self.dt[cur.index] = dt
         self.filled += 1
-        if self.filled < self.room:
-            self.nxt = self._rows[self.cur.index + self._dir]
-        return self.cur
+        if self.filled < self.block:
+            self.nxt = self._rows[cur.index + 1]
+        return cur
 
     @property
     def full(self) -> bool:
         """True when the block has no row left for another step."""
-        return self.filled == self.room
+        return self.filled == self.block
 
     def pending(self) -> _Rows:
         """The rows accepted since the last fold, in the order of time."""
-        a, k = self._anchor, self.filled
-        # a full block from a given anchor is always the same rows
-        full = k == self.room
-        if full and a in self._full_blocks:
-            return self._full_blocks[a]
-        if self._dir > 0:
-            block = _Rows(self, slice(a + 1, a + k + 1))
-        else:
-            block = _Rows(self, slice(a - 1, a - k - 1 if a > k else None, -1))
-        if full:
-            self._full_blocks[a] = block
-        return block
+        if self.full:
+            return self._banks[self._bank]
+        first = self._bank * self.block
+        return _Rows(self, slice(first, first + self.filled))
 
     def fold(self) -> None:
-        """Start a new block after the accepted state."""
-        a = self._anchor = self.cur.index
-        self._dir = 1 if self.block - a >= a else -1
-        self.room = self.block - a if self._dir > 0 else a
+        """Start a new block in the other bank; the pending block must not be
+        empty, since its last row is the state the new block starts from."""
+        self._bank = 1 - self._bank
         self.filled = 0
-        self.nxt = self._rows[a + self._dir]
+        self.nxt = self._rows[self._bank * self.block]
 
 
 def validate_state(s: State, grid: Grid) -> None:

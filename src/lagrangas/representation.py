@@ -62,7 +62,8 @@ class ReprAccumulators:
     """Running state of the reconstruction along one trajectory: the scaled
     history a = Y * A, and the last folded step's theta / B and ratios
     Y_new / Y_old, one per step of the last folded block. ``last_integrand``
-    may view a row of the run's Workspace, which no later block writes."""
+    may view a row of the run's Workspace, which the next block does not
+    write."""
 
     s0: State
     u0_integral: np.ndarray
@@ -173,7 +174,7 @@ def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
     np.divide(theta, base, out=integrand)
     # the half-dt products of every step; the first step's f_prev is the
     # previous block's last f
-    half_dts = np.multiply(dts, 0.5)[:, None]
+    half_dts = np.multiply(dts, 0.5, out=ws.steps[:rows])[:, None]
     prev_terms = ws.cells[0][:rows]
     np.multiply(acc.last_integrand, half_dts[0], out=prev_terms[0])
     np.multiply(integrand[:-1], half_dts[1:], out=prev_terms[1:])

@@ -40,6 +40,9 @@ SCHEMES = (IMEX_BE, EXPLICIT_RK2)
 CFL_SAFETY = 0.9
 # No step may bring a volume or a temperature down to this value.
 POSITIVITY_FLOOR = 1e-10
+# A time within TIME_TOLERANCE * max(1, |t_end|) of t_end or of a sample
+# time counts as on it.
+TIME_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,15 @@ def _dt_bound(scheme, v, theta, p, g) -> float:
     if scheme == EXPLICIT_RK2:
         return CFL_SAFETY * stability_limit(v, theta, p, g)
     return math.inf
+
+
+def check_sample_every(sample_every: float) -> None:
+    """Raise ValueError unless ``sample_every`` is finite and at least
+    TIME_TOLERANCE; below it, the driver's count past the sample times
+    within its tolerance after each sample can run on without end."""
+    if not (math.isfinite(sample_every) and sample_every >= TIME_TOLERANCE):
+        raise ValueError(f"sample_every must be finite and at least {TIME_TOLERANCE:g}, "
+                         f"got {sample_every}")
 
 
 def _step_size(t, dt, target):
@@ -356,22 +368,21 @@ class _RunningTotals:
         self.dissipation = functionals.dissipation(s0, g, p, ws)
         self.int_v_dt = 0.0
         self.base = None
-        self.dts = []
         self.seconds = 0.0
 
     def accept(self, dt: float) -> None:
-        row = self.ws.accept()
+        row = self.ws.accept(dt)
         functionals.conductivity_numerator(row.theta, self.p, row.thf, row.knum)
-        self.dts.append(dt)
         if self.ws.full:
             self.fold()
 
     def fold(self) -> None:
-        if not self.dts:
+        if not self.ws.filled:
             return
         started = time.perf_counter()
-        g, p, ws, acc, dts = self.g, self.p, self.ws, self.acc, self.dts
+        g, p, ws, acc = self.g, self.p, self.ws, self.acc
         block = ws.pending()
+        dts = block.dt.tolist()  # Python floats for the scalar recurrences
         rates = functionals.dissipation_from(block.ux, block.vf, block.v, block.theta,
                                              block.thf, block.knum, g, p, ws)
         # the scalar recurrences run one step after the other, as they would
@@ -383,10 +394,9 @@ class _RunningTotals:
         self.dissipation, self.int_v_dt = prev, total
         representation.update_damping(acc, block.u, block.theta, g, dts, ws)
         base = representation._base_factor_cached(acc, block.v, block.u, g, ws)
-        representation.update_history(acc, block.theta, base, dts, ws, block.integrand)
+        representation.update_history(acc, block.theta, base, block.dt, ws, block.integrand)
         self.base = base[-1]
         ws.fold()
-        dts.clear()
         self.seconds += time.perf_counter() - started
 
 
@@ -405,14 +415,12 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     ManufacturedSources are planned for the times of the next
     ``core.block_length`` steps, which they evaluate at once; a step whose
     time was not planned, after a rejection or a change of dt, plans again.
-    The kernels write each step into the next row of the run's Workspace,
-    a block of ``core.block_length`` rows. The running time integral of the
-    dissipation and the volume reconstruction accumulators take each
-    accepted step, with its actual dt, from the kernel's own arrays, but
-    only once per block: when the block is full, before every sample and
-    before a failure is raised. The result is the same, bit for bit, as
-    folding every step on its own. A State, which copies its fields, is
-    built only to sample and to report a failure.
+    The kernels write each step into the next row of a block of the run's
+    Workspace. The running time integral of the dissipation and the volume
+    reconstruction accumulators fold in a block of accepted steps at once:
+    when it is full, before every sample and before a failure is raised,
+    bit for bit as if they took every step on its own. A State, which
+    copies its fields, is built only to sample and to report a failure.
 
     ``phase_s`` of the trajectory splits the seconds spent here into
     ``diagnostics`` (the folds), ``sampling`` and ``kernel`` (the rest).
@@ -424,8 +432,7 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     validate_state(s0, g)
     if not (math.isfinite(t_end) and t_end > s0.t):
         raise ValueError(f"t_end = {t_end} must be finite and exceed the initial time {s0.t}")
-    if not (math.isfinite(sample_every) and sample_every > 0.0):
-        raise ValueError(f"sample_every must be positive and finite, got {sample_every}")
+    check_sample_every(sample_every)
     if g.n_cells < 2:
         raise ValueError("time stepping requires at least 2 cells")
 
@@ -470,13 +477,11 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
 
     sample(s0, None)
 
-    t = s0.t
-    t0 = s0.t
+    t = t0 = s0.t
     cur_dt = c.dt
-    rejected_in_row = 0
-    accepted_at_reduced = 0
+    rejected_in_row = accepted_at_reduced = 0
     sample_idx = 1
-    tiny = 1e-12 * max(1.0, abs(t_end))
+    tiny = TIME_TOLERANCE * max(1.0, abs(t_end))
 
     while t < t_end - tiny:
         target = min(t0 + sample_idx * sample_every, t_end)

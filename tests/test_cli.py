@@ -159,6 +159,19 @@ class TestParseConfig:
             except _Started:
                 assert accepted
 
+    def test_sample_every_below_time_tolerance(self, tmp_path):
+        # 1e-300 was accepted, and the run never returned: after each sample
+        # the driver passed the sample times near its landing one at a time
+        for value in ("1e-300", "9e-13", "-1e-12"):
+            with pytest.raises(ConfigError) as exc:
+                cli.parse_config(f"sample_every = {value}\n")
+            assert exc.value.key == "sample_every"
+        assert cli.parse_config("sample_every = 1e-12\n").sample_every == 1e-12
+        path = tmp_path / "cfg.txt"
+        path.write_text("n_cells = 8\nt_end = 0.01\nsample_every = 1e-300\n")
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_bad_scheme(self):
         with pytest.raises(ConfigError):
             cli.parse_config("scheme = leapfrog\n")

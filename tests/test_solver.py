@@ -451,6 +451,19 @@ class TestAdvance:
             lg.advance(equilibrium64, unit_params, grid64,
                        lg.StepControls(dt=1e-3), 1.0, 0.0)
 
+    def test_cadence_below_time_tolerance(self, grid64, equilibrium64, unit_params,
+                                          monkeypatch):
+        # refused before the first step; 1e-300 used to keep the driver
+        # counting past the sample times near each landing
+        def started(*args):
+            raise AssertionError("advance started")
+
+        monkeypatch.setattr(solver, "check_normalization", started)
+        for cadence in (1e-300, 9e-13):
+            with pytest.raises(ValueError, match="sample_every"):
+                lg.advance(equilibrium64, unit_params, grid64, lg.StepControls(dt=1e-3),
+                           0.01, cadence)
+
     def test_final_step_shortened(self, grid64, equilibrium64, unit_params):
         traj = lg.advance(equilibrium64, unit_params, grid64,
                           lg.StepControls(dt=3e-3), 0.01, 0.01)
@@ -797,8 +810,57 @@ class TestWorkspace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert totals.dts == [] and totals.base is not None
+        assert ws.filled == 0 and totals.base is not None
         assert peak < 8 * n
+
+    @pytest.mark.parametrize("k", [1, 4, 64])
+    def test_blocks_fill_forward_from_their_start(self, k):
+        # accept and fold as advance does: half the blocks are folded when
+        # full, the others at a random fill level; every row a kernel writes
+        # is tagged with its step number
+        rng = np.random.default_rng(k)
+        ws = Workspace(3, k)
+        fields = ("v", "u", "theta", "ux", "vf", "thf", "knum")
+
+        def write(row, tag):
+            for name in fields:
+                getattr(row, name)[...] = tag
+
+        def untouched(start):
+            row, tag = start
+            return all(np.all(getattr(row, name) == tag) for name in fields + ("integrand",))
+
+        def fill_level():
+            return k if rng.random() < 0.5 else rng.integers(1, k + 1)
+
+        write(ws.cur, 0.0)
+        ws.cur.integrand[...] = 0.0
+        start, tags, fold_at, full_blocks = (ws.cur, 0), [], fill_level(), 0
+        for step in range(1, 12 * k + 40):
+            # the next kernel writes neither the accepted state nor a
+            # pending step
+            assert not np.shares_memory(ws.nxt.v, ws.cur.v)
+            assert not np.shares_memory(ws.nxt.v, ws.pending().v)
+            write(ws.nxt, -1.0)  # a rejected attempt
+            write(ws.nxt, step)
+            ws.accept(0.5 * step)
+            tags.append(step)
+            # every block, also one after a partial fold, takes k rows
+            assert ws.full == (len(tags) == k)
+            block = ws.pending()
+            assert block.v.strides[0] > 0 and block.dt.strides[0] > 0
+            assert block.v[:, 0].tolist() == tags
+            assert block.dt.tolist() == [0.5 * tag for tag in tags]
+            if len(tags) == fold_at:
+                full_blocks += ws.full
+                # the fold writes theta / B of its rows, then reads the
+                # previous block's last one
+                block.integrand[...] = block.v
+                assert untouched(start)
+                start, tags, fold_at = (ws.cur, step), [], fill_level()
+                ws.fold()
+            assert untouched(start)
+        assert full_blocks >= 2
 
     def test_trajectory_owns_its_arrays(self, grid64, cosine64, unit_params):
         first = lg.advance(cosine64, unit_params, grid64, lg.StepControls(dt=DT_EXACT),
