@@ -140,9 +140,12 @@ def parse_config(text: str) -> RunConfig:
         # beta = 0 is reachable from configs on purpose: it is the classical
         # constant-conductivity comparison case
         validate_params(params, allow_beta_zero=True)
+        # the run controls get the solver's own checks
+        solver.StepControls(values["dt"], values["scheme"])
+        solver.check_run(values["n_cells"], 0.0, values["t_end"], values["sample_every"])
     except ParamError as exc:
         bad(next(key for key, (attr, _, _) in _KEYS.items()
-                 if attr == f"params.{exc.field}"), str(exc))
+                 if attr in (exc.field, f"params.{exc.field}")), str(exc))
 
     kind = values["init.kind"]
     table_path = None
@@ -161,19 +164,8 @@ def parse_config(text: str) -> RunConfig:
             "volume vanish")
     if values["init.k"] < 1:
         bad("init.k", f"wavenumber must be a positive integer, got {values['init.k']}")
-    if values["n_cells"] < 2:
-        bad("n_cells", f"runs need at least 2 cells, got {values['n_cells']}")
-    for key in ("dt", "t_end"):
-        if not (math.isfinite(values[key]) and values[key] > 0.0):
-            bad(key, f"{key} must be positive and finite, got {values[key]}")
-    try:
-        solver.check_sample_every(values["sample_every"])
-    except ValueError as exc:
-        bad("sample_every", str(exc))
     if values["seed"] < 0:
         bad("seed", f"seed must be a non-negative integer, got {values['seed']}")
-    if values["scheme"] not in solver.SCHEMES:
-        bad("scheme", f"scheme must be one of {solver.SCHEMES}, got {values['scheme']!r}")
     lp = values["lp"]
     if lp is not None:
         if not all(math.isfinite(q) and q > 0.0 for q in lp):

@@ -55,14 +55,10 @@ def validate_params(p: PhysParams, allow_beta_zero: bool = False) -> None:
 
 
 def _pow(base: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np.ndarray:
-    # theta**beta dominates the step cost at small N; shortcut the common cases.
+    # theta**beta dominates the step cost at small N; shortcut beta = 1.
     # The power goes into ``out`` when given, unless it is ``base`` itself.
     if exponent == 1.0:
         return base
-    if exponent == 0.0:
-        out = np.empty_like(base) if out is None else out
-        out.fill(1.0)
-        return out
     return np.power(base, exponent, out=out)
 
 
@@ -139,18 +135,17 @@ class _Rows:
     """Views of one row (an int ``index``) or of a run of rows (a slice) of a
     Workspace: the fields (v, u, theta) of a state, its cell velocity
     gradient ``ux``, the face means ``vf`` of its volume and ``thf`` of its
-    temperature, ``knum`` = kappa_tilde * thf**beta, the reconstruction's
-    history ``integrand``, and, of a run of rows, the sizes ``dt`` of the
-    steps that accepted them."""
+    temperature, ``knum`` = kappa_tilde * thf**beta, and, of a run of rows,
+    the sizes ``dt`` of the steps that accepted them."""
 
-    __slots__ = ("index", "v", "u", "theta", "ux", "vf", "thf", "knum", "integrand", "dt")
+    __slots__ = ("index", "v", "u", "theta", "ux", "vf", "thf", "knum", "dt")
 
     def __init__(self, ws, index):
         self.index = index
         self.v, self.u, self.theta = ws.v[index], ws.u[index], ws.theta[index]
         self.ux, self.vf = ws.ux[index], ws.vf[index]
         self.thf, self.knum = ws.thf[index], ws.knum[index]
-        self.integrand, self.dt = ws.integrand[index], ws.dt[index]
+        self.dt = ws.dt[index]
 
 
 class Workspace:
@@ -166,11 +161,10 @@ class Workspace:
     bank forward from its first row while the other bank holds the state it
     started from; ``fold`` switches banks, and no row is copied.
 
-    ``integrand`` takes theta / B of each state row, B being the
-    reconstruction's base profile. ``base``, ``cells``, ``faces``, ``nodes``
-    and ``steps`` are scratch of ``block`` + 1 rows (a kernel takes two) of
-    n, n, n - 1, n + 1 and 1 floats, and ``step_cells`` and ``step_faces``
-    rows of them for a kernel; any function may overwrite them.
+    ``base``, ``cells``, ``faces``, ``nodes`` and ``steps`` are scratch for
+    a fold, ``block`` rows of n, n, n - 1, n + 1 and 1 floats, and
+    ``step_cells`` and ``step_faces`` three rows of n and n - 1 floats for
+    a kernel; any function may overwrite them.
     """
 
     def __init__(self, n_cells: int, block: int | None = None):
@@ -184,16 +178,14 @@ class Workspace:
         self.vf = np.empty((rows, n - 1))
         self.thf = np.empty((rows, n - 1))
         self.knum = np.empty((rows, n - 1))
-        self.integrand = np.empty((rows, n))
         self.dt = np.empty(rows)
-        scratch = k + 1
-        self.base = np.empty((scratch, n))
-        self.cells = (np.empty((scratch, n)), np.empty((scratch, n)))
-        self.faces = (np.empty((scratch, n - 1)), np.empty((scratch, n - 1)))
-        self.nodes = np.empty((scratch, n + 1))
-        self.steps = np.empty(scratch)
-        self.step_cells = (self.cells[0][0], self.cells[0][1], self.cells[1][0])
-        self.step_faces = (self.faces[0][0], self.faces[0][1], self.faces[1][0])
+        self.base = np.empty((k, n))
+        self.cells = (np.empty((k, n)), np.empty((k, n)))
+        self.faces = (np.empty((k, n - 1)), np.empty((k, n - 1)))
+        self.nodes = np.empty((k, n + 1))
+        self.steps = np.empty(k)
+        self.step_cells = tuple(np.empty((3, n)))
+        self.step_faces = tuple(np.empty((3, n - 1)))
         self._rows = [_Rows(self, i) for i in range(rows)]
         self._banks = (_Rows(self, slice(0, k)), _Rows(self, slice(k, rows)))
         # the first block fills bank 0 from the last row of bank 1

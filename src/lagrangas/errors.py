@@ -6,7 +6,8 @@ class LagrangasError(Exception):
 
 
 class ParamError(LagrangasError, ValueError):
-    """A physical parameter violates its positivity constraint."""
+    """A physical parameter or a run control (n_cells, dt, scheme, t_end,
+    sample_every) is out of range; ``field`` names it."""
 
     def __init__(self, field, message):
         super().__init__(message)

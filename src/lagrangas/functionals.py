@@ -120,8 +120,6 @@ def dissipation_from(ux: np.ndarray, vf: np.ndarray, v: np.ndarray, theta: np.nd
     shear *= ux
     shear /= np.multiply(v, theta, out=ws.cells[1][:rows])
     shears = np.add.reduce(shear, axis=1).tolist()
-    if g.n_cells < 2:
-        return [s * dx for s in shears]
     dth = np.subtract(theta[:, 1:], theta[:, :-1], out=ws.faces[0][:rows])
     dth /= dx
     thermal = np.multiply(knum, dth, out=ws.faces[1][:rows])

@@ -61,9 +61,8 @@ def damping_integrand(u: np.ndarray, theta: np.ndarray, g: Grid,
 class ReprAccumulators:
     """Running state of the reconstruction along one trajectory: the scaled
     history a = Y * A, and the last folded step's theta / B and ratios
-    Y_new / Y_old, one per step of the last folded block. ``last_integrand``
-    may view a row of the run's Workspace, which the next block does not
-    write."""
+    Y_new / Y_old, one per step of the last folded block. ``update_history``
+    overwrites ``last_integrand`` in place."""
 
     s0: State
     u0_integral: np.ndarray
@@ -154,7 +153,7 @@ def update_damping(acc: ReprAccumulators, u: np.ndarray, theta: np.ndarray, g: G
 
 
 def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
-                   dts, ws: Workspace | None = None, integrand: np.ndarray | None = None) -> None:
+                   dts, ws: Workspace | None = None) -> None:
     """Fold a block of accepted steps of sizes ``dts``, ending at the rows
     of ``theta``, into the scaled history a = Y * A, in place.
 
@@ -162,29 +161,26 @@ def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
     ``update_damping`` must already have folded the block. This is the
     trapezoid rule for A in theta / (B * Y), multiplied through by Y_new,
     one step after the other: a <- r * (a + dt/2 * f_prev) + dt/2 * f_new,
-    with f = theta / B. ``integrand`` takes f of the block's rows, a fresh
-    array when None; ``acc.last_integrand``, the first step's f_prev, then
-    views its last row.
+    with f = theta / B. ``acc.last_integrand``, the first step's f_prev,
+    then takes a copy of the block's last f.
     """
     rows, n = theta.shape
     if ws is None:
         ws = Workspace(n, rows)
-    if integrand is None:
-        integrand = np.empty((rows, n))
-    np.divide(theta, base, out=integrand)
+    f = np.divide(theta, base, out=ws.cells[1][:rows])
     # the half-dt products of every step; the first step's f_prev is the
     # previous block's last f
     half_dts = np.multiply(dts, 0.5, out=ws.steps[:rows])[:, None]
     prev_terms = ws.cells[0][:rows]
     np.multiply(acc.last_integrand, half_dts[0], out=prev_terms[0])
-    np.multiply(integrand[:-1], half_dts[1:], out=prev_terms[1:])
-    new_terms = np.multiply(integrand, half_dts, out=ws.cells[1][:rows])
+    np.multiply(f[:-1], half_dts[1:], out=prev_terms[1:])
+    acc.last_integrand[...] = f[-1]
+    new_terms = np.multiply(f, half_dts, out=f)
     history = acc.scaled_history
     for ratio, prev, new in zip(acc.damping_ratios, prev_terms, new_terms):
         history += prev
         history *= ratio
         history += new
-    acc.last_integrand = integrand[-1]
 
 
 def reconstruct_volume(acc: ReprAccumulators, base: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from scipy.linalg import get_lapack_funcs
 from . import functionals, representation
 from .core import (Grid, PhysParams, State, Workspace, _pow, check_normalization,
                    validate_state)
-from .errors import NumericalBreakdown, SimulationFailure, StepRejected
+from .errors import NumericalBreakdown, ParamError, SimulationFailure, StepRejected
 
 _ptsv, = get_lapack_funcs(("ptsv",), (np.array([1.0]),))
 
@@ -47,7 +47,7 @@ TIME_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class StepControls:
-    """Time-stepping knobs."""
+    """Time-stepping knobs; raises ParamError naming ``dt`` or ``scheme``."""
 
     dt: float
     scheme: str = IMEX_BE
@@ -55,9 +55,26 @@ class StepControls:
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+            raise ParamError("dt", f"dt must be positive and finite, got {self.dt}")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+            raise ParamError("scheme", f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+
+
+def check_run(n_cells: int, t0: float, t_end: float, sample_every: float) -> float:
+    """Check the run controls of ``advance`` and return its time tolerance,
+    TIME_TOLERANCE * max(1, |t_end|). Raises ParamError naming ``n_cells``,
+    ``t_end`` or ``sample_every``: a cadence below the tolerance would keep
+    the driver counting past the sample times near each landing."""
+    if n_cells < 2:
+        raise ParamError("n_cells", f"time stepping requires at least 2 cells, got {n_cells}")
+    if not (math.isfinite(t_end) and t_end > t0):
+        raise ParamError("t_end", f"t_end = {t_end} must be finite and exceed the "
+                         f"initial time {t0}")
+    tiny = TIME_TOLERANCE * max(1.0, abs(t_end))
+    if not (math.isfinite(sample_every) and sample_every >= tiny):
+        raise ParamError("sample_every", f"sample_every must be finite and at least "
+                         f"{tiny:g}, got {sample_every}")
+    return tiny
 
 
 @dataclass(frozen=True)
@@ -132,10 +149,9 @@ def spatial_rhs(v: np.ndarray, u: np.ndarray, theta: np.ndarray, p: PhysParams,
     du[1:-1] = (sigma[1:] - sigma[:-1]) / dx
 
     flux = np.zeros(g.n_cells + 1)
-    if g.n_cells > 1:
-        thf = 0.5 * (theta[:-1] + theta[1:])
-        vf = 0.5 * (v[:-1] + v[1:])
-        flux[1:-1] = p.kappa_tilde * _pow(thf, p.beta) / vf * ((theta[1:] - theta[:-1]) / dx)
+    thf = 0.5 * (theta[:-1] + theta[1:])
+    vf = 0.5 * (v[:-1] + v[1:])
+    flux[1:-1] = p.kappa_tilde * _pow(thf, p.beta) / vf * ((theta[1:] - theta[:-1]) / dx)
     dtheta = (sigma * ux + (flux[1:] - flux[:-1]) / dx) / p.c_v
 
     dv = ux
@@ -162,15 +178,6 @@ def _dt_bound(scheme, v, theta, p, g) -> float:
     if scheme == EXPLICIT_RK2:
         return CFL_SAFETY * stability_limit(v, theta, p, g)
     return math.inf
-
-
-def check_sample_every(sample_every: float) -> None:
-    """Raise ValueError unless ``sample_every`` is finite and at least
-    TIME_TOLERANCE; below it, the driver's count past the sample times
-    within its tolerance after each sample can run on without end."""
-    if not (math.isfinite(sample_every) and sample_every >= TIME_TOLERANCE):
-        raise ValueError(f"sample_every must be finite and at least {TIME_TOLERANCE:g}, "
-                         f"got {sample_every}")
 
 
 def _step_size(t, dt, target):
@@ -394,7 +401,7 @@ class _RunningTotals:
         self.dissipation, self.int_v_dt = prev, total
         representation.update_damping(acc, block.u, block.theta, g, dts, ws)
         base = representation._base_factor_cached(acc, block.v, block.u, g, ws)
-        representation.update_history(acc, block.theta, base, block.dt, ws, block.integrand)
+        representation.update_history(acc, block.theta, base, block.dt, ws)
         self.base = base[-1]
         ws.fold()
         self.seconds += time.perf_counter() - started
@@ -430,11 +437,7 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     breaks down.
     """
     validate_state(s0, g)
-    if not (math.isfinite(t_end) and t_end > s0.t):
-        raise ValueError(f"t_end = {t_end} must be finite and exceed the initial time {s0.t}")
-    check_sample_every(sample_every)
-    if g.n_cells < 2:
-        raise ValueError("time stepping requires at least 2 cells")
+    tiny = check_run(g.n_cells, s0.t, t_end, sample_every)
 
     started = time.perf_counter()
     sampling_s = 0.0
@@ -481,7 +484,6 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     cur_dt = c.dt
     rejected_in_row = accepted_at_reduced = 0
     sample_idx = 1
-    tiny = TIME_TOLERANCE * max(1.0, abs(t_end))
 
     while t < t_end - tiny:
         target = min(t0 + sample_idx * sample_every, t_end)
@@ -570,11 +572,10 @@ class ManufacturedSources:
     from ``_mms_phi`` for each time, and every other expression is
     elementwise, broadcast over the rows.
 
-    ``plan`` names the times of the next steps. Calling the object with one
-    of them evaluates the whole ``block`` at the first lookup and returns
-    its stored row; any other time is evaluated as a one-row block. A
-    stored row depends only on its time, so a plan left from an earlier
-    run is never wrong.
+    ``plan`` names the times of the next steps and evaluates them as one
+    ``block``. Calling the object with one of them returns its stored row;
+    any other time is evaluated as a one-row block. A stored row depends
+    only on its time, so a plan left from an earlier run is never wrong.
     """
 
     def __init__(self, g: Grid, p: PhysParams):
@@ -587,9 +588,8 @@ class ManufacturedSources:
         self.plan(())
 
     def plan(self, times) -> None:
-        self.times = times
         self.index = {t: i for i, t in enumerate(times)}
-        self.block = None
+        self.block = self.rows(times)
 
     def rows(self, times):
         """(s_v, s_u, s_theta) at each of ``times``, one row per time."""
@@ -630,7 +630,5 @@ class ManufacturedSources:
             s_v, s_u, s_theta = self.rows((t,))
             i = 0
         else:
-            if self.block is None:
-                self.block = self.rows(self.times)
             s_v, s_u, s_theta = self.block
         return Sources(s_v=s_v[i], s_u=s_u[i], s_theta=s_theta[i])

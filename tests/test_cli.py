@@ -134,16 +134,17 @@ class TestParseConfig:
     def test_solver_rejects_the_same_times(self, key, value):
         # StepControls and advance refuse, before the first step, exactly the
         # values the config refuses; a run that passes the checks stops at
-        # the first call after them
+        # the first call after them. Both sides get the same three times,
+        # since the cadence's floor scales with t_end.
+        times = {"dt": 1e-3, "t_end": 1.0, "sample_every": 0.5}
+        times[key] = value
         try:
-            cli.parse_config(f"{key} = {value!r}\n")
+            cli.parse_config("".join(f"{k} = {v!r}\n" for k, v in times.items()))
             accepted = True
         except ConfigError:
             accepted = False
         g = lg.build_grid(2)
         s0 = lg.make_initial_data(lg.InitialSpec(kind="equilibrium"), g)
-        times = {"dt": 1e-3, "t_end": 1.0, "sample_every": 0.5}
-        times[key] = value
 
         def started(*args):
             raise _Started
@@ -166,11 +167,19 @@ class TestParseConfig:
             with pytest.raises(ConfigError) as exc:
                 cli.parse_config(f"sample_every = {value}\n")
             assert exc.value.key == "sample_every"
-        assert cli.parse_config("sample_every = 1e-12\n").sample_every == 1e-12
+        assert cli.parse_config("t_end = 1\nsample_every = 1e-12\n").sample_every == 1e-12
         path = tmp_path / "cfg.txt"
         path.write_text("n_cells = 8\nt_end = 0.01\nsample_every = 1e-300\n")
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    def test_sample_every_floor_scales_with_t_end(self):
+        # the floor is the driver's time tolerance, 5e-11 at the default
+        # t_end = 50
+        with pytest.raises(ConfigError) as exc:
+            cli.parse_config("sample_every = 1e-11\n")
+        assert exc.value.key == "sample_every"
+        assert cli.parse_config("sample_every = 5e-11\n").sample_every == 5e-11
 
     def test_bad_scheme(self):
         with pytest.raises(ConfigError):

@@ -68,6 +68,19 @@ class TestDissipation:
         s = make_state(np.ones(64), np.zeros(65), th)
         assert lg.dissipation(s, grid64, unit_params) > 0.0
 
+    def test_single_cell(self):
+        # one cell has no face, so only the shear term mu * ux**2 / (v * theta)
+        # counts; u need not vanish at the walls here
+        p = lg.PhysParams(beta=1.5, mu_tilde=1.3)
+        s = make_state([2.0], [0.0, 0.3], [0.5])
+        assert lg.dissipation(s, lg.build_grid(1), p) == pytest.approx(0.117, rel=1e-14)
+
+    def test_beta_zero_conductivity_is_kappa(self):
+        p = lg.PhysParams(beta=0.0, kappa_tilde=0.7)
+        theta = np.array([0.3, 1.0, 2.5, 7.0])
+        knum = functionals.conductivity_numerator(theta, p, np.empty(3), np.empty(3))
+        assert np.all(knum == 0.7)
+
 
 class TestMeanTheta:
     def test_unit(self, grid64, equilibrium64):

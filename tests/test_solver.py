@@ -8,7 +8,7 @@ from hypothesis import given, reject, settings, strategies as st
 import lagrangas as lg
 from lagrangas import functionals, representation, solver
 from lagrangas.core import Workspace
-from lagrangas.errors import (ConstructionError, NumericalBreakdown,
+from lagrangas.errors import (ConstructionError, NumericalBreakdown, ParamError,
                               SimulationFailure, StepRejected)
 
 from conftest import make_state, tridiag_breaking_after
@@ -231,6 +231,15 @@ class TestManufacturedSolution:
         _, src = solver.manufactured_solution(t, g, p)
         s_u_grid = np.interp(x, g.nodes, src.s_u)
         assert np.allclose(s_u_fd, s_u_grid, atol=5e-6)
+
+
+class TestStepControls:
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(dt=-1.0), "dt"), (dict(dt=1e-3, scheme="leapfrog"), "scheme")])
+    def test_errors_name_the_field(self, kwargs, field):
+        with pytest.raises(ParamError) as exc:
+            lg.StepControls(**kwargs)
+        assert exc.value.field == field
 
 
 class TestStepImex:
@@ -463,6 +472,19 @@ class TestAdvance:
             with pytest.raises(ValueError, match="sample_every"):
                 lg.advance(equilibrium64, unit_params, grid64, lg.StepControls(dt=1e-3),
                            0.01, cadence)
+
+    def test_cadence_floor_scales_with_horizon(self, grid64, equilibrium64, unit_params,
+                                               monkeypatch):
+        # at t_end = 1e3 the floor is the driver's tolerance 1e-9; 1e-12 kept
+        # it counting past about a thousand sample times after each landing
+        def started(*args):
+            raise AssertionError("advance started")
+
+        monkeypatch.setattr(solver, "check_normalization", started)
+        with pytest.raises(ParamError, match="sample_every") as exc:
+            lg.advance(equilibrium64, unit_params, grid64, lg.StepControls(dt=1e-3),
+                       1e3, 1e-12)
+        assert exc.value.field == "sample_every"
 
     def test_final_step_shortened(self, grid64, equilibrium64, unit_params):
         traj = lg.advance(equilibrium64, unit_params, grid64,
@@ -828,13 +850,12 @@ class TestWorkspace:
 
         def untouched(start):
             row, tag = start
-            return all(np.all(getattr(row, name) == tag) for name in fields + ("integrand",))
+            return all(np.all(getattr(row, name) == tag) for name in fields)
 
         def fill_level():
             return k if rng.random() < 0.5 else rng.integers(1, k + 1)
 
         write(ws.cur, 0.0)
-        ws.cur.integrand[...] = 0.0
         start, tags, fold_at, full_blocks = (ws.cur, 0), [], fill_level(), 0
         for step in range(1, 12 * k + 40):
             # the next kernel writes neither the accepted state nor a
@@ -853,9 +874,6 @@ class TestWorkspace:
             assert block.dt.tolist() == [0.5 * tag for tag in tags]
             if len(tags) == fold_at:
                 full_blocks += ws.full
-                # the fold writes theta / B of its rows, then reads the
-                # previous block's last one
-                block.integrand[...] = block.v
                 assert untouched(start)
                 start, tags, fold_at = (ws.cur, step), [], fill_level()
                 ws.fold()
