@@ -222,6 +222,8 @@ class RunSummary:
     theta_reference_gap: float
     n_steps: int
     n_rejected: int
+    rejections: dict
+    min_dt: float
     wall_time: float
     phase_s: dict
 
@@ -297,6 +299,8 @@ def _summarize(cfg: RunConfig, traj: solver.Trajectory, wall_time,
         theta_reference_gap=abs(traj.theta_star - first.mean_theta),
         n_steps=traj.n_steps,
         n_rejected=traj.n_rejected,
+        rejections=traj.rejections,
+        min_dt=traj.min_dt,
         wall_time=wall_time,
         phase_s=phase_s,
     )

@@ -42,7 +42,12 @@ class ConfigError(LagrangasError, ValueError):
 
 
 class StepRejected(LagrangasError):
-    """A time step was refused; the caller may retry with a smaller dt."""
+    """A time step was refused; the caller may retry with a smaller dt.
+    ``reason`` names the check that refused it (see the solver's reasons)."""
+
+    def __init__(self, reason, message):
+        super().__init__(message)
+        self.reason = reason
 
 
 class NumericalBreakdown(LagrangasError):

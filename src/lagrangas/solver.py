@@ -14,19 +14,35 @@ state with non-positive volume or temperature.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 import time
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from . import functionals, representation
 from .core import (Grid, PhysParams, State, Workspace, _pow, check_normalization,
                    validate_state)
 from .errors import NumericalBreakdown, ParamError, SimulationFailure, StepRejected
 
-_ptsv, = get_lapack_funcs(("ptsv",), (np.array([1.0]),))
+
+def _load_flapack():
+    """scipy's Fortran LAPACK wrapper module, loaded on its own. Importing
+    ``scipy.linalg`` for it would take longer than importing the rest of the
+    package, and ``get_lapack_funcs`` returns this module's functions."""
+    scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = PathFinder.find_spec("scipy.linalg._flapack", [os.path.join(scipy_dir, "linalg")])
+    if spec is None:
+        raise ImportError("scipy.linalg._flapack not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_ptsv = _load_flapack().dptsv
 
 # After a rejection, dt is halved; the nominal dt is restored once this many
 # consecutive steps have been accepted at the reduced value.
@@ -40,6 +56,13 @@ SCHEMES = (IMEX_BE, EXPLICIT_RK2)
 CFL_SAFETY = 0.9
 # No step may bring a volume or a temperature down to this value.
 POSITIVITY_FLOOR = 1e-10
+# The reasons a StepRejected names: the IMEX kernel's two floors, and the
+# explicit kernel's stability bound and its two positivity checks.
+VOLUME_FLOOR = "volume_floor"
+TEMPERATURE_FLOOR = "temperature_floor"
+STABILITY_BOUND = "stability_bound"
+MIDPOINT_POSITIVITY = "midpoint_positivity"
+FINAL_POSITIVITY = "final_positivity"
 # A time within TIME_TOLERANCE * max(1, |t_end|) of t_end or of a sample
 # time counts as on it.
 TIME_TOLERANCE = 1e-12
@@ -60,13 +83,17 @@ class StepControls:
             raise ParamError("scheme", f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
 
+def _check_cells(n_cells: int) -> None:
+    if n_cells < 2:
+        raise ParamError("n_cells", f"time stepping requires at least 2 cells, got {n_cells}")
+
+
 def check_run(n_cells: int, t0: float, t_end: float, sample_every: float) -> float:
     """Check the run controls of ``advance`` and return its time tolerance,
     TIME_TOLERANCE * max(1, |t_end|). Raises ParamError naming ``n_cells``,
     ``t_end`` or ``sample_every``: a cadence below the tolerance would keep
     the driver counting past the sample times near each landing."""
-    if n_cells < 2:
-        raise ParamError("n_cells", f"time stepping requires at least 2 cells, got {n_cells}")
+    _check_cells(n_cells)
     if not (math.isfinite(t_end) and t_end > t0):
         raise ParamError("t_end", f"t_end = {t_end} must be finite and exceed the "
                          f"initial time {t0}")
@@ -222,7 +249,7 @@ def _imex_kernel(v, u, theta, t, dt, p, g, src, ws):
         v_new += np.multiply(s.s_v, dt, out=work)
     # written so that NaN fails the check too
     if not v_new.min() > POSITIVITY_FLOOR:
-        raise StepRejected("volume fell to the positivity floor")
+        raise StepRejected(VOLUME_FLOOR, "volume fell to the positivity floor")
     np.divide(1.0, v_new, out=inv_v)
 
     # implicit velocity: (I - dt*L) u = u + dt*(-P_x + s_u), pressure lagged in
@@ -267,7 +294,7 @@ def _imex_kernel(v, u, theta, t, dt, p, g, src, ws):
     off2 = np.multiply(kf, -lam, out=work_f)
     _solve_spd_tridiag(diag2, off2, theta_new)
     if not theta_new.min() > POSITIVITY_FLOOR:
-        raise StepRejected("temperature fell to the positivity floor")
+        raise StepRejected(TEMPERATURE_FLOOR, "temperature fell to the positivity floor")
     return out.v, out.u, theta_new, ux_new, vf
 
 
@@ -275,7 +302,8 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws):
     # computes in fresh arrays, and copies the result into ws.nxt
     dt_stab = _dt_bound(EXPLICIT_RK2, v, theta, p, g)
     if dt > dt_stab:
-        raise StepRejected(f"dt = {dt} exceeds the explicit stability bound {dt_stab}")
+        raise StepRejected(STABILITY_BOUND,
+                           f"dt = {dt} exceeds the explicit stability bound {dt_stab}")
 
     def rates(vv, uu, tt, when):
         return spatial_rhs(vv, uu, tt, p, g, _sources_at(src, when))
@@ -285,7 +313,7 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws):
     um = u + 0.5 * dt * du
     tm = theta + 0.5 * dt * dtheta
     if not (vm.min() > POSITIVITY_FLOOR and tm.min() > POSITIVITY_FLOOR):
-        raise StepRejected("midpoint stage violated positivity")
+        raise StepRejected(MIDPOINT_POSITIVITY, "midpoint stage violated positivity")
 
     dv, du, dtheta = rates(vm, um, tm, t + 0.5 * dt)
     v_new = v + dt * dv
@@ -293,7 +321,7 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws):
     u_new[0] = u_new[-1] = 0.0
     theta_new = theta + dt * dtheta
     if not (v_new.min() > POSITIVITY_FLOOR and theta_new.min() > POSITIVITY_FLOOR):
-        raise StepRejected("state violated positivity after the step")
+        raise StepRejected(FINAL_POSITIVITY, "state violated positivity after the step")
     out = ws.nxt
     out.v[...] = v_new
     out.u[...] = u_new
@@ -318,10 +346,9 @@ def step(s: State, p: PhysParams, g: Grid, c: StepControls,
 
     Raises StepRejected when the step would bring volume or temperature down
     to the positivity floor, or when c.dt exceeds the explicit scheme's
-    stability bound.
+    stability bound; ParamError naming ``n_cells`` on a grid of one cell.
     """
-    if g.n_cells < 2:
-        raise ValueError("time stepping requires at least 2 cells")
+    _check_cells(g.n_cells)
     ws = Workspace(g.n_cells, 1)
     functionals.dissipation(s, g, p, ws)
     v, u, theta, _, _ = _take_step(s.v, s.u, s.theta, s.t, p, g, c.scheme, c.dt, src, ws)
@@ -331,7 +358,11 @@ def step(s: State, p: PhysParams, g: Grid, c: StepControls,
 @dataclass
 class Trajectory:
     """Sampled records of ``advance``, its first and last sampled states,
-    the running accumulators, and the seconds ``advance`` spent per phase."""
+    the running accumulators, and the seconds ``advance`` spent per phase.
+
+    ``rejections`` counts the rejected steps by StepRejected reason, and
+    ``min_dt`` is the smallest nominal dt the run reached: c.dt, or the
+    smallest a rejection halved it to."""
 
     grid: Grid
     params: PhysParams
@@ -339,15 +370,20 @@ class Trajectory:
     theta_star: float
     initial_state: State
     final_state: State
+    min_dt: float
     records: list = field(default_factory=list)
     n_steps: int = 0
-    n_rejected: int = 0
+    rejections: dict = field(default_factory=dict)
     accumulators: representation.ReprAccumulators | None = None
     phase_s: dict = field(default_factory=dict)
 
     def column(self, name: str) -> np.ndarray:
         """One scalar DiagnosticsRecord field across all samples."""
         return np.array([getattr(r, name) for r in self.records])
+
+    @property
+    def n_rejected(self) -> int:
+        return sum(self.rejections.values())
 
     @property
     def times(self) -> np.ndarray:
@@ -447,7 +483,8 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     ws = Workspace(g.n_cells)
     totals = _RunningTotals(s0, g, p, ws)
     traj = Trajectory(grid=g, params=p, v_star=v_star, theta_star=theta_star,
-                      initial_state=s0, final_state=s0, accumulators=totals.acc)
+                      initial_state=s0, final_state=s0, min_dt=c.dt,
+                      accumulators=totals.acc)
 
     def sample(state, base):
         # base is the state's base profile; None at s0, which the
@@ -497,13 +534,14 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
             row = ws.cur
             try:
                 _take_step(row.v, row.u, row.theta, t, p, g, c.scheme, dt_try, src, ws)
-            except StepRejected:
-                traj.n_rejected += 1
+            except StepRejected as exc:
+                traj.rejections[exc.reason] = traj.rejections.get(exc.reason, 0) + 1
                 rejected_in_row += 1
                 if rejected_in_row > c.max_retries:
                     raise failure(f"step at t = {t} rejected {rejected_in_row} times "
                                   f"(dt down to {cur_dt})")
                 cur_dt *= 0.5
+                traj.min_dt = min(traj.min_dt, cur_dt)
                 accepted_at_reduced = 0
                 continue
             except NumericalBreakdown as exc:

@@ -326,12 +326,25 @@ class TestRunScenario:
         blob = json.loads((out / "summary.json").read_text())
         assert blob["failed"] is False
         assert blob["n_steps"] == summary.n_steps
+        assert (blob["rejections"], blob["min_dt"]) == ({}, 1e-3)
         # the phases split the run's time; output is timed after the run
         phases = blob["phase_s"]
         assert sorted(phases) == ["diagnostics", "kernel", "output", "sampling"]
         assert all(seconds > 0.0 for seconds in phases.values())
         run_s = phases["kernel"] + phases["diagnostics"] + phases["sampling"]
         assert run_s <= summary.wall_time
+
+    def test_summary_counts_rejections_by_reason(self, tmp_path):
+        # dt = 1e-3 is above the explicit bound at 32 cells: each rejection
+        # halves it, and the dt restored later is capped at the bound
+        explicit = QUICK.replace("t_end = 0.5", "t_end = 0.02").replace(
+            "sample_every = 0.1", "sample_every = 0.01\nscheme = explicit_rk2")
+        cli.run_scenario(cli.parse_config(explicit), tmp_path)
+        blob = json.loads((tmp_path / "summary.json").read_text())
+        rejected = blob["n_rejected"]
+        assert rejected > 0
+        assert blob["rejections"] == {solver.STABILITY_BOUND: rejected}
+        assert blob["min_dt"] == 1e-3 / 2 ** rejected
 
     def test_byte_determinism(self, tmp_path):
         cfg = cli.parse_config(QUICK)

@@ -294,8 +294,9 @@ class TestStepImex:
     def test_single_cell_grid_rejected(self, unit_params):
         g = lg.build_grid(1)
         s = make_state([1.0], [0.0, 0.0], [1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamError) as exc:
             lg.step(s, unit_params, g, lg.StepControls(dt=1e-3))
+        assert exc.value.field == "n_cells"
 
     @given(seed=st.integers(0, 300), dt=st.floats(1e-6, 1e-2))
     def test_mass_conserved_and_boundaries(self, seed, dt):
@@ -425,6 +426,31 @@ class TestStepExplicit:
         assert abs(np.sum(s1.v) * g.dx - np.sum(s.v) * g.dx) <= 1e-13
 
 
+class TestRejectionReasons:
+    @pytest.mark.parametrize("scheme, dt_over_bound, sink, late, reason", [
+        (lg.IMEX_BE, 0.5, "s_v", False, solver.VOLUME_FLOOR),
+        (lg.IMEX_BE, 0.5, "s_theta", False, solver.TEMPERATURE_FLOOR),
+        (lg.EXPLICIT_RK2, 10.0, None, False, solver.STABILITY_BOUND),
+        (lg.EXPLICIT_RK2, 0.5, "s_theta", False, solver.MIDPOINT_POSITIVITY),
+        # the midpoint stage reads the sources at t, the final one at t + dt/2
+        (lg.EXPLICIT_RK2, 0.5, "s_theta", True, solver.FINAL_POSITIVITY),
+    ])
+    def test_each_check_names_its_reason(self, grid64, cosine64, unit_params,
+                                         scheme, dt_over_bound, sink, late, reason):
+        n = grid64.n_cells
+        fields = {"s_v": np.zeros(n), "s_u": np.zeros(n + 1), "s_theta": np.zeros(n)}
+        zero = lg.Sources(**fields)
+        if sink is not None:
+            fields[sink] = np.full(n, -1e9)
+        sinking = lg.Sources(**fields)
+        dt = dt_over_bound * lg.stability_limit(cosine64.v, cosine64.theta, unit_params,
+                                                grid64)
+        with pytest.raises(StepRejected) as exc:
+            lg.step(cosine64, unit_params, grid64, lg.StepControls(dt=dt, scheme=scheme),
+                    lambda t: sinking if t > 0.0 or not late else zero)
+        assert exc.value.reason == reason
+
+
 class TestSchemeConsistency:
     def test_first_order_agreement(self, grid64, cosine64, unit_params):
         diffs = []
@@ -449,6 +475,7 @@ class TestAdvance:
         assert all(r.h1_dev <= 1e-13 for r in traj.records)
         assert all(r.dissipation_V <= 1e-24 for r in traj.records)
         assert traj.n_rejected == 0
+        assert (traj.rejections, traj.min_dt) == ({}, 1e-3)
 
     def test_invalid_horizon(self, grid64, equilibrium64, unit_params):
         with pytest.raises(ValueError):
@@ -540,6 +567,9 @@ class TestAdvance:
             assert not getattr(last, name).flags.writeable
         traj = exc.value.trajectory
         assert (traj.n_steps, traj.n_rejected) == (5, 4)
+        # three halvings, then the fourth rejection ends the run
+        assert traj.rejections == {solver.TEMPERATURE_FLOOR: 4}
+        assert traj.min_dt == DT_EXACT / 8
 
     def test_breakdown_becomes_failure(self, monkeypatch, grid64, cosine64, unit_params):
         # two solves per step: the 21st step breaks down, in the middle of a
@@ -569,7 +599,9 @@ class TestAdvance:
         controls = lg.StepControls(dt=3.9 * dt_stab, scheme=lg.EXPLICIT_RK2,
                                    max_retries=12)
         traj = lg.advance(s0, unit_params, grid64, controls, 0.05, 0.01)
+        assert traj.rejections == {solver.STABILITY_BOUND: 3}
         assert traj.n_rejected == 3
+        assert traj.min_dt == controls.dt / 8
         assert traj.n_steps > 4 * solver.RECOVERY_STEPS
         assert traj.records[-1].t == 0.05
 
@@ -787,7 +819,7 @@ class TestRejectionReplay:
             result = take(*args)
             attempts.append(None)
             if len(attempts) == refused:
-                raise StepRejected("refused after the kernel ran")
+                raise StepRejected("test", "refused after the kernel ran")
             accepted.append(args[7])
             return result
 
@@ -897,6 +929,29 @@ class TestWorkspace:
         assert np.array_equal(first.accumulators.scaled_history, history)
         assert np.array_equal(first.accumulators.last_integrand, integrand)
         assert first.records == records
+
+
+class TestLapackBinding:
+    @pytest.mark.parametrize("n", [2, 3, 256, 4097])
+    def test_ptsv_is_scipys_public_ptsv(self, n):
+        # the solver loads scipy's Fortran wrapper module without importing
+        # scipy.linalg; this pins it to the public lookup, bit for bit
+        from scipy.linalg import get_lapack_funcs
+
+        public, = get_lapack_funcs(("ptsv",), (np.array([1.0]),))
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            off = rng.uniform(-1.0, 1.0, n - 1)
+            # diagonally dominant with a positive diagonal: SPD
+            diag = rng.uniform(0.1, 2.0, n)
+            diag[:-1] += np.abs(off)
+            diag[1:] += np.abs(off)
+            rhs = rng.standard_normal(n)
+            ours = solver._ptsv(diag.copy(), off.copy(), rhs.copy())
+            theirs = public(diag.copy(), off.copy(), rhs.copy())
+            assert ours[3] == theirs[3] == 0
+            for a, b in zip(ours[:3], theirs[:3]):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestTridiagonalBreakdown:
