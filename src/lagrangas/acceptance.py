@@ -6,6 +6,9 @@ refinements, all derived from the reference config. Tolerances are fixed
 here; observed extrema and moment suprema are additionally compared against
 regression pins (pins.json) within +-5% when the pins file is present.
 
+Criteria 1-4, 6 and 9 compare thresholds with ``analysis.reduce_records``,
+the reduction behind each run's summary.json, of a job's records or of those
+up to a time; criteria 5 and 7 read the t, h1_dev and log_damping series.
 Refinement-ratio checks (energy-drift halving, budget-defect decrease) are
 measured on the [0, 10] window, where both quantities have saturated, so the
 comparison runs stay affordable; the absolute envelopes are checked on the
@@ -32,14 +35,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, cli, functionals, solver
+from . import analysis, cli, solver
 from .core import InitialSpec, build_grid, make_initial_data
 from .errors import InsufficientDataError
 
 MASS_TOL = 1e-11
 ENERGY_TOL = 1e-4
 BUDGET_TOL = 5e-3
-CORRIDOR_TOL = 0.01
 BOUND_LO = 0.2
 BOUND_HI = 5.0
 PIN_REL = 0.05
@@ -71,24 +73,15 @@ class CriterionResult:
     detail: str
 
 
-def _reduce(traj: solver.Trajectory) -> dict:
-    """Every record column by its schema name, plus the moments under "lp"."""
-    out = {name: traj.column(name) for name in functionals.RECORD_FIELDS}
-    out["lp"] = {q: np.array([r.lp_moments[q] for r in traj.records])
-                 for q in traj.records[0].lp_moments}
-    return out
-
-
 def _acceptance_worker(args):
     tag, cfg, out_dir = args
     traj = cli._execute(cfg) if out_dir is None else cli._run_with_outputs(cfg, out_dir)[1]
-    return tag, _reduce(traj)
+    return tag, traj.records
 
 
-def _budget_defect(run: dict, t_max: float | None = None) -> float:
-    q = run["entropy_E"] + run["int_V_dt"]
-    mask = np.ones(len(q), dtype=bool) if t_max is None else run["t"] <= t_max + 1e-9
-    return float(np.max(np.abs(q[mask] - q[0])))
+def _until(records, t_max: float) -> list:
+    """The records up to t_max, and the one that overshoots it by roundoff."""
+    return [r for r in records if r.t <= t_max + 1e-9]
 
 
 def _pin_ok(observed: float, pin: float) -> bool:
@@ -131,8 +124,7 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
             ("n512", replace(cfg, n_cells=2 * cfg.n_cells), None),
             ("refined", replace(cfg, n_cells=2 * cfg.n_cells, dt=cfg.dt / 2,
                                 t_end=RATIO_WINDOW_END), None),
-            ("repr512", replace(cfg, n_cells=2 * cfg.n_cells, dt=cfg.dt / 4, t_end=1.0),
-             None),
+            ("repr512", cli.refinement_config(cfg, 2 * cfg.n_cells), None),
         ]
         jobs += [(f"beta_{beta:g}", replace(cfg, params=replace(cfg.params, beta=beta)), None)
                  for beta in SWEEP_BETAS]
@@ -151,52 +143,40 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
         results.append(result)
         echo(f"{'PASS' if result.passed else 'FAIL'} {number:>2} {name}: {detail}")
 
-    ref = runs["ref"]
+    reduced = {tag: analysis.reduce_records(records) for tag, records in runs.items()}
+    red = reduced["ref"]
+    red_10 = analysis.reduce_records(_until(runs["ref"], RATIO_WINDOW_END))
 
     # 1: conservation of mass exactly, of total energy at first order in dt
-    mass_dev = float(np.max(np.abs(ref["mass"] - 1.0)))
-    energy_dev = float(np.max(np.abs(ref["total_energy"] - 1.0)))
-    win = ref["t"] <= RATIO_WINDOW_END + 1e-9
-    energy_dev_10 = float(np.max(np.abs(ref["total_energy"][win] - 1.0)))
-    energy_dev_half = float(np.max(np.abs(runs["dt_half"]["total_energy"] - 1.0)))
-    ratio = energy_dev_10 / max(energy_dev_half, 1e-300)
-    add(1, "conservation", mass_dev <= MASS_TOL and energy_dev <= ENERGY_TOL
+    # (the reference data start at mass and energy exactly 1)
+    ratio = red_10.energy_drift_rel / max(reduced["dt_half"].energy_drift_rel, 1e-300)
+    add(1, "conservation", red.mass_drift <= MASS_TOL and red.energy_drift_rel <= ENERGY_TOL
         and ratio >= FIRST_ORDER_RATIO_MIN,
-        f"|mass-1| {mass_dev:.2e} (tol {MASS_TOL}), |energy-1| {energy_dev:.2e} "
-        f"(tol {ENERGY_TOL}), drift ratio under dt/2 {ratio:.2f} "
+        f"|mass-1| {red.mass_drift:.2e} (tol {MASS_TOL}), |energy-1| "
+        f"{red.energy_drift_rel:.2e} (tol {ENERGY_TOL}), drift ratio under dt/2 {ratio:.2f} "
         f"(>= {FIRST_ORDER_RATIO_MIN})")
 
     # 2: entropy budget defect small, nonincreasing, and refining at >= first order
-    defect = _budget_defect(ref)
-    q = ref["entropy_E"] + ref["int_V_dt"]
-    max_increment = float(np.max(np.diff(q), initial=0.0))
-    defect_10 = _budget_defect(ref, RATIO_WINDOW_END)
-    defect_fine = _budget_defect(runs["refined"])
-    ratio2 = defect_10 / max(defect_fine, 1e-300)
-    add(2, "entropy budget", defect <= BUDGET_TOL and max_increment <= BUDGET_TOL
-        and ratio2 >= FIRST_ORDER_RATIO_MIN,
-        f"sup defect {defect:.2e} (tol {BUDGET_TOL}), max increment "
-        f"{max_increment:.2e}, refinement ratio {ratio2:.2f} "
+    ratio2 = red_10.entropy_budget_defect / max(reduced["refined"].entropy_budget_defect, 1e-300)
+    add(2, "entropy budget", red.entropy_budget_defect <= BUDGET_TOL
+        and red.budget_max_increment <= BUDGET_TOL and ratio2 >= FIRST_ORDER_RATIO_MIN,
+        f"sup defect {red.entropy_budget_defect:.2e} (tol {BUDGET_TOL}), max increment "
+        f"{red.budget_max_increment:.2e}, refinement ratio {ratio2:.2f} "
         f"(>= {FIRST_ORDER_RATIO_MIN})")
 
     # 3: mean temperature stays in the corridor [alpha1 - tol, 1 + tol]
-    e0 = float(ref["entropy_E"][0])
-    alpha1, _ = analysis.entropy_roots(e0)
-    th_lo = float(np.min(ref["mean_theta"]))
-    th_hi = float(np.max(ref["mean_theta"]))
-    add(3, "mean-temperature corridor",
-        th_lo >= alpha1 - CORRIDOR_TOL and th_hi <= 1.0 + CORRIDOR_TOL,
-        f"mean theta in [{th_lo:.4f}, {th_hi:.4f}], corridor "
-        f"[{alpha1 - CORRIDOR_TOL:.4f}, {1.0 + CORRIDOR_TOL:.4f}] (E0 {e0:.4f})")
+    detail3 = "no corridor: x - ln x = E0 has no representable lower root"
+    if red.corridor is not None:
+        (th_lo, th_hi), (lo, hi) = red.mean_theta_range, red.corridor
+        detail3 = f"mean theta in [{th_lo:.4f}, {th_hi:.4f}], corridor [{lo:.4f}, {hi:.4f}]"
+    add(3, "mean-temperature corridor", red.bounds is not None and red.bounds.corridor_ok,
+        f"{detail3} (E0 {runs['ref'][0].entropy_E:.4f})")
 
     # 4: uniform bounds on v and theta over the reference run and the beta sweep
     ok4 = True
     details4 = []
     for tag, beta in [("ref", 1.0)] + [(f"beta_{b:g}", b) for b in SWEEP_BETAS]:
-        run = runs[tag]
-        b = {"inf_v": float(np.min(run["min_v"])), "sup_v": float(np.max(run["max_v"])),
-             "inf_theta": float(np.min(run["min_theta"])),
-             "sup_theta": float(np.max(run["max_theta"]))}
+        b = {k: getattr(reduced[tag], k) for k in ("inf_v", "sup_v", "inf_theta", "sup_theta")}
         observed["bounds"][f"{beta:g}"] = b
         ok4 &= (b["inf_v"] >= BOUND_LO and b["inf_theta"] >= BOUND_LO
                 and b["sup_v"] <= BOUND_HI and b["sup_theta"] <= BOUND_HI)
@@ -210,12 +190,12 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
         f"envelope [{BOUND_LO}, {BOUND_HI}], {pin_note}; " + "; ".join(details4))
 
     # 5: exponential decay of the H1 deviation, grid-stable rate
-    in_window = (ref["t"] >= DECAY_WINDOW[0]) & (ref["t"] <= DECAY_WINDOW[1])
-    h1_window = ref["h1_dev"][in_window]
+    t, h1, log_y = np.array([(r.t, r.h1_dev, r.log_damping) for r in runs["ref"]]).T
+    h1_window = h1[(t >= DECAY_WINDOW[0]) & (t <= DECAY_WINDOW[1])]
     try:
-        fit = analysis.fit_decay_rate(ref["t"], ref["h1_dev"], DECAY_WINDOW)
-        fit512 = analysis.fit_decay_rate(runs["n512"]["t"], runs["n512"]["h1_dev"],
-                                         DECAY_WINDOW)
+        fit = analysis.fit_decay_rate(t, h1, DECAY_WINDOW)
+        fit512 = analysis.fit_decay_rate(
+            *np.array([(r.t, r.h1_dev) for r in runs["n512"]]).T, DECAY_WINDOW)
         rate_shift = abs(fit512.rate - fit.rate) / fit.rate
         observed["eta0"] = fit.rate
         observed["eta0_n512"] = fit512.rate
@@ -232,11 +212,8 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
     add(5, "exponential stability", ok5, f"{detail5}; {span}")
 
     # 6: volume reconstruction accuracy on [0, 1] and second-order refinement
-    early = (ref["t"] > 0.0) & (ref["t"] <= 1.0 + 1e-9)
-    repr_ref = float(np.max(ref["repr_err"][early]))
-    r512 = runs["repr512"]
-    early512 = (r512["t"] > 0.0) & (r512["t"] <= 1.0 + 1e-9)
-    repr_fine = float(np.max(r512["repr_err"][early512]))
+    repr_ref = analysis.reduce_records(_until(runs["ref"], 1.0)).repr_err_max
+    repr_fine = reduced["repr512"].repr_err_max
     ratio6 = repr_ref / max(repr_fine, 1e-300)
     observed["repr_err_t1"] = repr_ref
     add(6, "volume reconstruction", repr_ref <= REPR_TOL and ratio6 >= REPR_RATIO_MIN,
@@ -244,9 +221,9 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
         f"{ratio6:.2f} (>= {REPR_RATIO_MIN})")
 
     # 7: damping factor stays between exp(-2t) and exp(-t) on normalized runs
-    t_pos = ref["t"] > 0.0
-    t7 = ref["t"][t_pos]
-    ly = ref["log_damping"][t_pos]
+    t_pos = t > 0.0
+    t7 = t[t_pos]
+    ly = log_y[t_pos]
     lower_ok = np.all(ly >= -2.0 * t7 - LOG_Y_TOL)
     upper_ok = np.all(ly <= -t7 + LOG_Y_TOL * t7)
     margin_lo = float(np.min(ly + 2.0 * t7)) if len(t7) else 0.0
@@ -269,8 +246,7 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
     # 9: inverse-temperature moments stay bounded
     ok9 = True
     parts9 = []
-    for q_exp, series in sorted(ref["lp"].items()):
-        sup = float(np.max(series))
+    for q_exp, sup in sorted(red.lp_sup.items()):
         observed["lp_sup"][f"{q_exp:g}"] = sup
         ok9 &= sup <= MOMENT_ENVELOPE
         if pins is not None:

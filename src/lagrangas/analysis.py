@@ -1,4 +1,4 @@
-"""Post-processing: root pairs, decay-rate fits, bound certificates, orders."""
+"""Post-processing: root pairs, decay-rate fits, record reductions, orders."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import numpy as np
 from .errors import InsufficientDataError, NoRootsError
 
 NORM_FLOOR = 1e-13
+CORRIDOR_TOL = 0.01  # slack of the mean-temperature corridor on each side
+E0_MAX = 705.0  # above it the lower entropy root leaves the normal double range
 
 
 def _gap(x: float, e0: float) -> float:
@@ -28,7 +30,7 @@ def entropy_roots(e0: float) -> tuple[float, float]:
         raise NoRootsError(f"e0 must be finite, got {e0}")
     if e0 < 1.0:
         raise NoRootsError(f"x - ln x >= 1 everywhere, no roots for e0 = {e0}")
-    if e0 > 705.0:
+    if e0 > E0_MAX:
         raise ValueError(f"lower root underflows double precision for e0 = {e0}")
     if e0 == 1.0:
         return 1.0, 1.0
@@ -119,30 +121,68 @@ class BoundsCertificate:
     corridor_ok: bool
 
 
-def bounds_certificate(trajectory, e0: float, upper: float = 1.0,
-                       tol: float = 0.01) -> BoundsCertificate:
-    """Scan a trajectory's records for extrema and the corridor condition.
+@dataclass
+class RecordReduction:
+    """The numbers a run's records reduce to; see ``reduce_records``."""
 
-    The corridor requires every sampled mean temperature to lie in
-    [alpha1 - tol, upper + tol], where alpha1 is the lower root of
-    x - ln x = e0 and upper is the normalized ceiling (1 for runs with unit
-    mass and energy). Order-insensitive in the samples.
+    mass_drift: float
+    energy_drift_rel: float
+    entropy_budget_defect: float
+    budget_max_increment: float
+    inf_v: float
+    sup_v: float
+    inf_theta: float
+    sup_theta: float
+    mean_theta_range: tuple[float, float]
+    corridor: tuple[float, float] | None
+    bounds: BoundsCertificate | None
+    repr_err_max: float
+    lp_sup: dict
+
+
+def reduce_records(records, e0: float | None = None) -> RecordReduction:
+    """Reduce a run's records (a list, a prefix of one, or a Trajectory).
+
+    Drifts are the largest |mass - mass0|, |energy - energy0| / |energy0| and
+    |entropy + int V dt - entropy0| (the budget defect), from the first
+    record; ``budget_max_increment`` is the largest rise of entropy + int V dt
+    from one sample to the next (0 if none). The corridor is alpha1 - CORRIDOR_TOL
+    to 1 + CORRIDOR_TOL, alpha1 the lower root of x - ln x = e0 (default: the
+    first record's entropy); it and ``bounds`` are None when e0 is outside
+    ``entropy_roots``' domain. ``lp_sup`` maps moment exponents to suprema.
     """
-    records = list(getattr(trajectory, "records", trajectory))
+    records = list(getattr(records, "records", records))
     if not records:
         raise ValueError("trajectory has no records")
-    alpha1, _ = entropy_roots(e0)
-    lo, hi = alpha1 - tol, upper + tol
-    corridor_ok = all(lo <= r.mean_theta <= hi for r in records)
-    times = [r.t for r in records]
-    return BoundsCertificate(
-        inf_v=min(r.min_v for r in records),
-        sup_v=max(r.max_v for r in records),
-        inf_theta=min(r.min_theta for r in records),
-        sup_theta=max(r.max_theta for r in records),
-        t_range=(min(times), max(times)),
-        corridor_ok=corridor_ok,
-    )
+    first = records[0]
+    e0 = first.entropy_E if e0 is None else e0
+    corridor = ((entropy_roots(e0)[0] - CORRIDOR_TOL, 1.0 + CORRIDOR_TOL)
+                if 1.0 <= e0 <= E0_MAX else None)
+    budget = [r.entropy_E + r.int_V_dt for r in records]
+    theta_lo, theta_hi = min(r.mean_theta for r in records), max(r.mean_theta for r in records)
+    extrema = {"inf_v": min(r.min_v for r in records), "sup_v": max(r.max_v for r in records),
+               "inf_theta": min(r.min_theta for r in records),
+               "sup_theta": max(r.max_theta for r in records)}
+    return RecordReduction(
+        mass_drift=max(abs(r.mass - first.mass) for r in records),
+        energy_drift_rel=(max(abs(r.total_energy - first.total_energy) for r in records)
+                          / abs(first.total_energy)),
+        entropy_budget_defect=max(abs(q - first.entropy_E) for q in budget),
+        budget_max_increment=max([0.0] + [b - a for a, b in zip(budget, budget[1:])]),
+        mean_theta_range=(theta_lo, theta_hi),
+        corridor=corridor,
+        bounds=None if corridor is None else BoundsCertificate(
+            **extrema, t_range=(min(r.t for r in records), max(r.t for r in records)),
+            corridor_ok=corridor[0] <= theta_lo and theta_hi <= corridor[1]),
+        repr_err_max=max(r.repr_err for r in records),
+        lp_sup={q: max(r.lp_moments[q] for r in records) for q in first.lp_moments},
+        **extrema)
+
+
+def bounds_certificate(trajectory, e0: float) -> BoundsCertificate | None:
+    """The extrema and corridor check of ``reduce_records``, order-insensitive
+    in the samples; None when e0 is outside ``entropy_roots``' domain."""
+    return reduce_records(trajectory, e0).bounds
 
 
 def convergence_order(errors) -> float:

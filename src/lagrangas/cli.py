@@ -203,20 +203,15 @@ def load_config(path) -> RunConfig:
 
 
 @dataclass
-class RunSummary:
-    """End-of-run report; serialized to summary.json by dataclasses.asdict."""
+class RunSummary(analysis.RecordReduction):
+    """A run's record reduction plus its own facts; asdict gives summary.json."""
 
     config: str
     failed: bool
     already_at_equilibrium: bool
     normalized: bool
-    mass_drift: float
-    energy_drift_rel: float
-    entropy_budget_defect: float
-    bounds: analysis.BoundsCertificate | None
     decay_fit: analysis.DecayFit | None
     decay_fit_note: str | None
-    repr_err_max: float
     v_star: float
     theta_star: float
     theta_reference_gap: float
@@ -258,15 +253,8 @@ def _summarize(cfg: RunConfig, traj: solver.Trajectory, wall_time,
                failed: bool, phase_s: dict) -> RunSummary:
     records = traj.records
     first = records[0]
-    mass0, energy0 = first.mass, first.total_energy
-    normalized = (abs(mass0 - 1.0) <= _NORMALIZED_TOL
-                  and abs(energy0 - 1.0) <= _NORMALIZED_TOL)
-    mass_drift = max(abs(r.mass - mass0) for r in records)
-    energy_drift = max(abs(r.total_energy - energy0) for r in records) / abs(energy0)
-    e0 = first.entropy_E
-    defect = max(abs(r.entropy_E + r.int_V_dt - e0) for r in records)
-
-    bounds = analysis.bounds_certificate(records, e0) if e0 >= 1.0 else None
+    normalized = (abs(first.mass - 1.0) <= _NORMALIZED_TOL
+                  and abs(first.total_energy - 1.0) <= _NORMALIZED_TOL)
 
     decay_fit = note = None
     window = cfg.fit_window
@@ -283,17 +271,13 @@ def _summarize(cfg: RunConfig, traj: solver.Trajectory, wall_time,
             note = f"insufficient-data: {exc}"
 
     return RunSummary(
+        **vars(analysis.reduce_records(records)),
         config=serialize_config(cfg),
         failed=failed,
         already_at_equilibrium=first.h1_dev < _EQUILIBRIUM_TOL,
         normalized=normalized,
-        mass_drift=mass_drift,
-        energy_drift_rel=energy_drift,
-        entropy_budget_defect=defect,
-        bounds=bounds,
         decay_fit=decay_fit,
         decay_fit_note=note,
-        repr_err_max=max(r.repr_err for r in records),
         v_star=traj.v_star,
         theta_star=traj.theta_star,
         theta_reference_gap=abs(traj.theta_star - first.mean_theta),
@@ -373,8 +357,8 @@ def _sweep_worker(cfg: RunConfig):
         "status": "ok",
         "beta": cfg.params.beta,
         "eta0": float("nan") if fit is None else fit.rate,
-        "inf_v": summary.bounds.inf_v if summary.bounds else float("nan"),
-        "inf_theta": summary.bounds.inf_theta if summary.bounds else float("nan"),
+        "inf_v": summary.inf_v,
+        "inf_theta": summary.inf_theta,
         "repr_err": summary.repr_err_max,
     }
 
@@ -465,12 +449,11 @@ def mms_error(cfg: RunConfig, n_cells: int, t_end: float = 0.5):
     """Integrate the forced problem on n_cells cells and return max-norm
     errors (v, u, theta) against the exact fields at t_end.
 
-    dt follows the fixed dt/dx^2 policy anchored at the config's own
-    (n_cells, dt) pair.
+    dt follows the dt/dx^2 policy of ``refinement_config``.
     """
     grid = build_grid(n_cells)
     params = cfg.params
-    dt = cfg.dt * (cfg.n_cells / n_cells) ** 2
+    dt = refinement_config(cfg, n_cells, t_end).dt
     s0, _ = solver.manufactured_solution(0.0, grid, params)
     controls = solver.StepControls(dt=dt, scheme=cfg.scheme)
     src = solver.ManufacturedSources(grid, params)
@@ -489,14 +472,11 @@ def mms_orders(errors: dict) -> dict:
             for i, name in enumerate(("v", "u", "theta"))}
 
 
-def reconstruction_refinement(cfg: RunConfig, n_cells: int, t_end: float = 1.0) -> float:
-    """Max reconstruction error over [0, t_end] at one refinement level,
-    holding dt/dx^2 fixed relative to the config."""
-    sub = replace(cfg, n_cells=n_cells,
-                  dt=cfg.dt * (cfg.n_cells / n_cells) ** 2,
-                  t_end=t_end, sample_every=min(cfg.sample_every, t_end))
-    traj = _execute(sub)
-    return float(traj.column("repr_err").max())
+def refinement_config(cfg: RunConfig, n_cells: int, t_end: float = 1.0) -> RunConfig:
+    """The config on n_cells cells over [0, t_end], holding dt/dx^2 fixed
+    relative to the config's own (n_cells, dt) pair."""
+    return replace(cfg, n_cells=n_cells, dt=cfg.dt * (cfg.n_cells / n_cells) ** 2,
+                   t_end=t_end, sample_every=min(cfg.sample_every, t_end))
 
 
 def convergence_study(cfg: RunConfig, levels) -> dict:
@@ -514,7 +494,8 @@ def convergence_study(cfg: RunConfig, levels) -> dict:
 
     errors = {n: mms_error(cfg, n) for n in ns}
     orders = mms_orders(errors)
-    repr_errs = {n: reconstruction_refinement(cfg, n) for n in ns}
+    repr_errs = {n: analysis.reduce_records(_execute(refinement_config(cfg, n))).repr_err_max
+                 for n in ns}
     ratios = [repr_errs[a] / repr_errs[b] for a, b in zip(ns, ns[1:])]
     return {"levels": ns, "mms_errors": errors, "orders": orders,
             "reconstruction_errors": repr_errs,

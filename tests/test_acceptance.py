@@ -10,6 +10,7 @@ prints its criterion's pass/fail line and asserts it.
 This module dominates the suite's runtime (several minutes).
 """
 
+import json
 import os
 
 import pytest
@@ -22,22 +23,31 @@ pytestmark = pytest.mark.slow
 @pytest.fixture(scope="session")
 def acceptance(tmp_path_factory):
     workers = int(os.environ.get("LAGRANGAS_WORKERS", "0")) or None
-    results, observed = run_acceptance(
-        out_dir=tmp_path_factory.mktemp("verify"), workers=workers,
-        echo=lambda line: None)
-    return {r.number: r for r in results}, observed
+    out = tmp_path_factory.mktemp("verify")
+    results, observed = run_acceptance(out_dir=out, workers=workers,
+                                       echo=lambda line: None)
+    return {r.number: r for r in results}, observed, out
 
 
 def _check(acceptance, number):
-    results, _ = acceptance
+    results = acceptance[0]
     r = results[number]
     print(f"{'PASS' if r.passed else 'FAIL'} {r.number:>2} {r.name}: {r.detail}")
     assert r.passed, f"criterion {r.number} ({r.name}): {r.detail}"
 
 
 def test_criteria_complete(acceptance):
-    results, _ = acceptance
-    assert sorted(results) == list(range(1, 11))
+    assert sorted(acceptance[0]) == list(range(1, 11))
+
+
+def test_summary_holds_the_numbers_the_criteria_read(acceptance):
+    # the reference run's summary.json and criteria 4 and 9 come from one
+    # reduction of the same records
+    _, observed, out = acceptance
+    summary = json.loads((out / "ref" / "summary.json").read_text(encoding="utf-8"))
+    bounds = observed["bounds"]["1"]
+    assert {key: summary["bounds"][key] for key in bounds} == bounds
+    assert {f"{float(q):g}": sup for q, sup in summary["lp_sup"].items()} == observed["lp_sup"]
 
 
 def test_criterion_01_conservation(acceptance):

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
 import lagrangas as lg
+from lagrangas import acceptance, analysis, cli
 from lagrangas.errors import InsufficientDataError, NoRootsError
 
 
@@ -165,6 +166,71 @@ class TestBoundsCertificate:
         cert = lg.bounds_certificate(traj, e0=2.0)
         assert cert.corridor_ok
         assert cert.inf_v == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("e0", [0.5, 710.0])
+    def test_no_certificate_outside_the_roots_domain(self, e0):
+        records = [fake_record(0.0, min_v=0.8), fake_record(1.0, max_th=1.5)]
+        assert lg.bounds_certificate(records, e0=e0) is None
+        reduced = analysis.reduce_records(records, e0=e0)
+        assert reduced.corridor is None
+        assert (reduced.inf_v, reduced.sup_theta) == (0.8, 1.5)
+
+
+class TestReduceRecords:
+    """The reduction against the column formulas the criteria used before
+    they read it, on the full records and on a time prefix of them."""
+
+    # beta 2.5 tracks three moments; mass and energy start at exactly 1
+    CONFIG = ("beta = 2.5\ninit.kind = cosine\nn_cells = 256\ndt = 1e-3\n"
+              "t_end = 1.5\nsample_every = 0.1\n")
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return cli._execute(cli.parse_config(self.CONFIG)).records
+
+    @pytest.mark.parametrize("t_max", [None, 1.0])
+    def test_matches_column_formulas(self, records, t_max):
+        sub = records if t_max is None else acceptance._until(records, t_max)
+        assert len(sub) == (16 if t_max is None else 11)
+
+        def col(name):
+            return np.array([getattr(r, name) for r in sub])
+
+        red = analysis.reduce_records(sub)
+        # criterion 1
+        assert (sub[0].mass, sub[0].total_energy) == (1.0, 1.0)
+        assert red.mass_drift == np.max(np.abs(col("mass") - 1.0))
+        assert red.energy_drift_rel == np.max(np.abs(col("total_energy") - 1.0))
+        # criterion 2
+        q = col("entropy_E") + col("int_V_dt")
+        assert red.entropy_budget_defect == np.max(np.abs(q - q[0]))
+        assert red.budget_max_increment == np.max(np.diff(q), initial=0.0)
+        # criterion 3
+        alpha1, _ = lg.entropy_roots(sub[0].entropy_E)
+        assert red.corridor == (alpha1 - 0.01, 1.0 + 0.01)
+        th_lo, th_hi = np.min(col("mean_theta")), np.max(col("mean_theta"))
+        assert red.mean_theta_range == (th_lo, th_hi)
+        assert red.bounds.corridor_ok == (th_lo >= alpha1 - 0.01 and th_hi <= 1.01)
+        # criterion 4
+        assert (red.inf_v, red.sup_v, red.inf_theta, red.sup_theta) == (
+            np.min(col("min_v")), np.max(col("max_v")),
+            np.min(col("min_theta")), np.max(col("max_theta")))
+        # criterion 6, which left out the sample at t = 0
+        t = col("t")
+        assert red.repr_err_max == np.max(col("repr_err")[t > 0.0])
+        # criterion 9
+        assert list(red.lp_sup) == [2.5, 3.5, 2.0]
+        assert red.lp_sup == {q: np.max([r.lp_moments[q] for r in sub]) for q in red.lp_sup}
+
+    def test_prefix_keeps_the_sample_meant_for_its_end(self, records):
+        # sample times are sums of steps: the one meant for 1.2 is above it
+        assert records[12].t > 1.2
+        assert acceptance._until(records, 1.2) == records[:13]
+
+    def test_summary_holds_the_reduction(self, tmp_path):
+        summary, traj = cli._run_with_outputs(cli.parse_config(self.CONFIG), tmp_path)
+        reduced = vars(analysis.reduce_records(traj))
+        assert {name: getattr(summary, name) for name in reduced} == reduced
 
 
 class TestConvergenceOrder:

@@ -31,6 +31,18 @@ sample_every = 0.1
 seed = 0
 """
 
+# mean temperature about 1/c_v, so E0 = 6914.8: the lower root of
+# x - ln x = E0 underflows and the run has no mean-temperature corridor
+HOT_GAS = """
+init.kind = cosine
+c_v = 1000
+init.a_theta = 1e-4
+n_cells = 16
+t_end = 0.01
+dt = 1e-3
+sample_every = 0.005
+"""
+
 EQUILIBRIUM_QUICK = """
 init.kind = equilibrium
 n_cells = 16
@@ -574,6 +586,21 @@ class TestMainExitCodes:
         assert blob["failed"] is True
         assert blob["phase_s"]["diagnostics"] > 0.0
 
+    def test_run_and_sweep_without_a_corridor(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(HOT_GAS)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        blob = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert blob["bounds"] is None and blob["corridor"] is None
+        assert blob["mean_theta_range"][0] == pytest.approx(1e-3, rel=0.01)
+        assert cli.main(["sweep", "--config", str(path), "--betas", "0.5,1",
+                         "--out", str(tmp_path / "s"), "--workers", "1"]) == 0
+        rows = [row.split(",") for row in
+                (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[-1] for row in rows] == ["ok", "ok"]
+        # the extrema do not need a corridor
+        assert all(0.0 < float(row[3]) < 1e-3 for row in rows)
+
     def test_verify_missing_dir(self, tmp_path):
         assert cli.main(["verify", "--dir", str(tmp_path / "absent")]) == 2
 
@@ -607,6 +634,19 @@ class TestVerifyShortReference:
         assert "no samples in the window" in results[4].detail
         assert results[9].passed
         assert not list(tmp_path.glob("lagrangas-verify-*"))
+
+    def test_no_corridor_fails_criterion_3(self, tmp_path, monkeypatch):
+        from lagrangas import acceptance
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        (config_dir / "reference.cfg").write_text(
+            HOT_GAS.replace("n_cells = 16", "n_cells = 8").replace("dt = 1e-3", "dt = 2e-3"))
+        monkeypatch.setattr(acceptance, "MMS_LEVELS", (8, 16, 32))
+        results, _ = acceptance.run_acceptance(config_dir=config_dir, out_dir=tmp_path / "v",
+                                               workers=1, echo=lambda line: None)
+        assert [r.number for r in results] == list(range(1, 11))
+        assert not results[2].passed
+        assert results[2].detail.startswith("no corridor")
 
 
 class TestPins:
