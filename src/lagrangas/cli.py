@@ -512,11 +512,10 @@ def _cmd_run(args) -> int:
     print(f"mass drift {summary.mass_drift:.3e}, "
           f"energy drift {summary.energy_drift_rel:.3e}, "
           f"budget defect {summary.entropy_budget_defect:.3e}")
-    if summary.bounds is not None:
-        b = summary.bounds
-        print(f"v in [{b.inf_v:.4f}, {b.sup_v:.4f}], "
-              f"theta in [{b.inf_theta:.4f}, {b.sup_theta:.4f}], "
-              f"corridor_ok {b.corridor_ok}")
+    # a run without a corridor has extrema all the same
+    corridor = "" if summary.bounds is None else f", corridor_ok {summary.bounds.corridor_ok}"
+    print(f"v in [{summary.inf_v:.4f}, {summary.sup_v:.4f}], "
+          f"theta in [{summary.inf_theta:.4f}, {summary.sup_theta:.4f}]{corridor}")
     if summary.decay_fit is not None:
         f = summary.decay_fit
         print(f"decay rate {f.rate:.4f} (r^2 {f.r_squared:.4f}) "

@@ -136,9 +136,13 @@ class _Rows:
     Workspace: the fields (v, u, theta) of a state, its cell velocity
     gradient ``ux``, the face means ``vf`` of its volume and ``thf`` of its
     temperature, ``knum`` = kappa_tilde * thf**beta, and, of a run of rows,
-    the sizes ``dt`` of the steps that accepted them."""
+    the sizes ``dt`` of the steps that accepted them. ``u_in``, ``u_lo`` and
+    ``u_hi`` view u without its wall nodes, without its last node and
+    without its first; ``v_lo`` and ``v_hi`` view v without its last cell and
+    without its first, so that a step builds none of these views."""
 
-    __slots__ = ("index", "v", "u", "theta", "ux", "vf", "thf", "knum", "dt")
+    __slots__ = ("index", "v", "u", "theta", "ux", "vf", "thf", "knum", "dt",
+                 "u_in", "u_lo", "u_hi", "v_lo", "v_hi")
 
     def __init__(self, ws, index):
         self.index = index
@@ -146,6 +150,9 @@ class _Rows:
         self.ux, self.vf = ws.ux[index], ws.vf[index]
         self.thf, self.knum = ws.thf[index], ws.knum[index]
         self.dt = ws.dt[index]
+        u, v = self.u, self.v
+        self.u_in, self.u_lo, self.u_hi = u[..., 1:-1], u[..., :-1], u[..., 1:]
+        self.v_lo, self.v_hi = v[..., :-1], v[..., 1:]
 
 
 class Workspace:
@@ -164,7 +171,8 @@ class Workspace:
     ``base``, ``cells``, ``faces``, ``nodes`` and ``steps`` are scratch for
     a fold, ``block`` rows of n, n, n - 1, n + 1 and 1 floats, and
     ``step_cells`` and ``step_faces`` three rows of n and n - 1 floats for
-    a kernel; any function may overwrite them.
+    a kernel; any function may overwrite them. ``step_views`` holds the
+    shifted views of them that the IMEX kernel reads, built once.
     """
 
     def __init__(self, n_cells: int, block: int | None = None):
@@ -186,12 +194,25 @@ class Workspace:
         self.steps = np.empty(k)
         self.step_cells = tuple(np.empty((3, n)))
         self.step_faces = tuple(np.empty((3, n - 1)))
+        inv_v, work, _ = self.step_cells
+        _, work_f2, kf = self.step_faces
+        self.step_views = (inv_v[:-1], inv_v[1:], inv_v[1:-1], work[:-1], work[1:],
+                           work[1:-1], work_f2[:-1], kf[:-1], kf[1:])
         self._rows = [_Rows(self, i) for i in range(rows)]
         self._banks = (_Rows(self, slice(0, k)), _Rows(self, slice(k, rows)))
         # the first block fills bank 0 from the last row of bank 1
         self.cur = self._rows[-1]
         self._bank = 1
         self.fold()
+
+    def load(self, s: State) -> _Rows:
+        """Copy the fields of ``s`` into ``cur``, the row a first step reads;
+        returns that row."""
+        row = self.cur
+        row.v[...] = s.v
+        row.u[...] = s.u
+        row.theta[...] = s.theta
+        return row
 
     def accept(self, dt: float) -> _Rows:
         """Make the kernel's last output, a step of size ``dt``, the

@@ -11,11 +11,12 @@ gases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Grid, PhysParams, State, Workspace, _pow, check_normalization
+from .core import Grid, PhysParams, State, Workspace, _pow, kinetic_energy
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,13 @@ def default_lp_exponents(p: PhysParams) -> tuple:
     return tuple(out.values())
 
 
+# the reductions without the Python wrappers of np.sum and ndarray.min/max;
+# a 1-D float sum is the same pairwise sum either way
+_sum = np.add.reduce
+_min = np.minimum.reduce
+_max = np.maximum.reduce
+
+
 def entropy(s: State, g: Grid, p: PhysParams) -> float:
     """Convex entropy distance from equilibrium.
 
@@ -70,8 +78,8 @@ def entropy(s: State, g: Grid, p: PhysParams) -> float:
     node sum of u^2/2; equals 2 at the equilibrium state with unit constants.
     """
     cells = p.R * (s.v - np.log(s.v)) + p.c_v * (s.theta - np.log(s.theta))
-    kinetic = np.sum(g.node_weights * 0.5 * s.u * s.u)
-    return float((np.sum(cells) + kinetic) * g.dx)
+    kinetic = _sum(g.node_weights * 0.5 * s.u * s.u)
+    return float((_sum(cells) + kinetic) * g.dx)
 
 
 def dissipation(s: State, g: Grid, p: PhysParams, ws: Workspace | None = None) -> float:
@@ -133,19 +141,19 @@ def dissipation_from(ux: np.ndarray, vf: np.ndarray, v: np.ndarray, theta: np.nd
 
 def mean_theta(s: State, g: Grid) -> float:
     """Cell-average temperature."""
-    return float(np.sum(s.theta) * g.dx)
+    return float(_sum(s.theta) * g.dx)
 
 
 def inverse_temperature_moment(s: State, g: Grid, p_exp: float) -> float:
     """Cell sum of theta**(1 - p) for a positive moment exponent p."""
     if p_exp <= 0.0:
         raise ValueError(f"moment exponent must be positive, got {p_exp}")
-    return float(np.sum(s.theta ** (1.0 - p_exp)) * g.dx)
+    return float(_sum(s.theta ** (1.0 - p_exp)) * g.dx)
 
 
 def _grad_sq(values: np.ndarray, dx: float) -> float:
-    d = np.diff(values)
-    return float(np.sum(d * d) / dx)
+    d = values[1:] - values[:-1]
+    return float(_sum(d * d) / dx)
 
 
 def h1_deviation(s: State, g: Grid, v_star: float, theta_star: float) -> float:
@@ -156,21 +164,31 @@ def h1_deviation(s: State, g: Grid, v_star: float, theta_star: float) -> float:
     quotients times dx. Zero exactly iff the state equals the constant
     reference in every component.
     """
+    return _h1_deviation(s, g, v_star, theta_star, _gradients(s, g))
+
+
+def _gradients(s: State, g: Grid) -> tuple[float, float, float]:
+    return _grad_sq(s.v, g.dx), _grad_sq(s.u, g.dx), _grad_sq(s.theta, g.dx)
+
+
+def _h1_deviation(s: State, g: Grid, v_star: float, theta_star: float, gradients) -> float:
+    # ``gradients`` are the three squared gradient sums of ``_gradients``
     if v_star <= 0.0 or theta_star <= 0.0:
         raise ValueError("reference values must be positive")
     dx = g.dx
+    grad_v, grad_u, grad_theta = gradients
     dv = s.v - v_star
     dth = s.theta - theta_star
-    total = np.sum(dv * dv) * dx + _grad_sq(s.v, dx)
-    total += np.sum(g.node_weights * s.u * s.u) * dx + _grad_sq(s.u, dx)
-    total += np.sum(dth * dth) * dx + _grad_sq(s.theta, dx)
-    return float(np.sqrt(total))
+    total = _sum(dv * dv) * dx + grad_v
+    total += _sum(g.node_weights * s.u * s.u) * dx + grad_u
+    total += _sum(dth * dth) * dx + grad_theta
+    return math.sqrt(total)
 
 
 def extrema(s: State) -> tuple[float, float, float, float]:
     """(min v, max v, min theta, max theta) over the cells."""
-    return (float(s.v.min()), float(s.v.max()),
-            float(s.theta.min()), float(s.theta.max()))
+    return (float(_min(s.v)), float(_max(s.v)),
+            float(_min(s.theta)), float(_max(s.theta)))
 
 
 def record(s: State, g: Grid, p: PhysParams, *, int_v_dt: float = 0.0,
@@ -179,29 +197,35 @@ def record(s: State, g: Grid, p: PhysParams, *, int_v_dt: float = 0.0,
            theta_star: float = 1.0, dissipation_V: float | None = None) -> DiagnosticsRecord:
     """Aggregate every monitored functional into one deterministic row;
     the time-accumulated values come from the caller's running totals, and
-    so may ``dissipation_V``, the state's dissipation, when it has it."""
+    so may ``dissipation_V``, the state's dissipation, when it has it.
+
+    Each field equals its public helper bit for bit (the mass and energy
+    ``check_normalization``); the sums that several fields share, of theta
+    and of the squared gradients, are taken once."""
     if lp_exponents is None:
         lp_exponents = default_lp_exponents(p)
     if dissipation_V is None:
         dissipation_V = dissipation(s, g, p)
-    mass, energy = check_normalization(s, g, p)
+    dx = g.dx
+    sum_theta = _sum(s.theta)
+    gradients = _gradients(s, g)
     min_v, max_v, min_th, max_th = extrema(s)
     return DiagnosticsRecord(
         t=s.t,
-        mass=mass,
-        total_energy=energy,
+        mass=float(_sum(s.v) * dx),
+        total_energy=float(p.c_v * sum_theta * dx) + kinetic_energy(s.u, g),
         entropy_E=entropy(s, g, p),
         dissipation_V=float(dissipation_V),
         int_V_dt=float(int_v_dt),
-        mean_theta=mean_theta(s, g),
+        mean_theta=float(sum_theta * dx),
         min_v=min_v,
         max_v=max_v,
         min_theta=min_th,
         max_theta=max_th,
-        grad_v_sq=_grad_sq(s.v, g.dx),
-        grad_u_sq=_grad_sq(s.u, g.dx),
-        grad_theta_sq=_grad_sq(s.theta, g.dx),
-        h1_dev=h1_deviation(s, g, v_star, theta_star),
+        grad_v_sq=gradients[0],
+        grad_u_sq=gradients[1],
+        grad_theta_sq=gradients[2],
+        h1_dev=_h1_deviation(s, g, v_star, theta_star, gradients),
         repr_err=float(repr_err),
         log_damping=float(log_damping),
         lp_moments={float(q): inverse_temperature_moment(s, g, q) for q in lp_exponents},

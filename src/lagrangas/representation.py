@@ -126,9 +126,11 @@ def _base_factor_cached(acc: ReprAccumulators, v: np.ndarray, u: np.ndarray, g: 
     # the exponent vanishes identically at the initial state, so the base
     # profile is v0 there bit for bit
     exponent = velocity_integral(u, g, ws.base[:rows], ws)
-    # g_now - g0 of each row, from one BLAS dot a row
-    dx, g0 = g.dx, acc.g0
-    shifts = np.array([vj.dot(ej) * dx - g0 for vj, ej in zip(v, exponent)])
+    # g_now - g0 of each row; vecdot takes one BLAS dot a row, as
+    # ndarray.dot does
+    shifts = np.vecdot(v, exponent)
+    shifts *= g.dx
+    shifts -= acc.g0
     exponent -= acc.u0_integral
     exponent -= shifts[:, None]
     base = np.exp(exponent, out=exponent)

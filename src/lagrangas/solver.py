@@ -43,6 +43,8 @@ def _load_flapack():
 
 
 _ptsv = _load_flapack().dptsv
+# ndarray.min without the Python wrapper it goes through; NaN propagates
+_min = np.minimum.reduce
 
 # After a rejection, dt is halved; the nominal dt is restored once this many
 # consecutive steps have been accepted at the reduced value.
@@ -144,7 +146,8 @@ def _solve_spd_tridiag(diag, off, rhs):
             raise NumericalBreakdown("tridiagonal solve hit a non-positive pivot")
         rhs /= diag
         return rhs
-    d, _, x, info = _ptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    # overwrite_d, overwrite_e and overwrite_b, passed by position
+    d, _, x, info = _ptsv(diag, off, rhs, 1, 1, 1)
     if info != 0:
         raise NumericalBreakdown(f"tridiagonal solve hit a non-positive pivot (row {info})")
     # ptsv stops only at a pivot <= 0, so a NaN pivot passes; it spoils every
@@ -235,65 +238,69 @@ def _step_times(t, dt, target, count):
 # instead of recomputing them.
 
 def _imex_kernel(v, u, theta, t, dt, p, g, src, ws):
-    # reads ws.cur.ux and ws.cur.knum as the values carried from (v, u, theta)
+    # (v, u, theta) must be the fields of ws.cur, whose ux, knum and u_in
+    # the kernel reads as the values carried from them. The views of rows
+    # and scratch come prebuilt with the Workspace, and each ufunc takes its
+    # ``out`` by position: a step builds no view and parses no keyword.
     dx = g.dx
     s = _sources_at(src, t + dt)
-    out = ws.nxt
+    cur, out = ws.cur, ws.nxt
     inv_v, work, work2 = ws.step_cells
-    work_f, work_f2, kf = ws.step_faces
+    work_f, _, kf = ws.step_faces
+    inv_lo, inv_hi, inv_in, work_lo, work_hi, work_in, off, kf_lo, kf_hi = ws.step_views
 
     # volume first, explicitly, so both solves see the new geometry
-    v_new = np.multiply(ws.cur.ux, dt, out=out.v)
+    v_new = np.multiply(cur.ux, dt, out.v)
     v_new += v
     if s is not None:
-        v_new += np.multiply(s.s_v, dt, out=work)
+        v_new += np.multiply(s.s_v, dt, work)
     # written so that NaN fails the check too
-    if not v_new.min() > POSITIVITY_FLOOR:
+    if not _min(v_new) > POSITIVITY_FLOOR:
         raise StepRejected(VOLUME_FLOOR, "volume fell to the positivity floor")
-    np.divide(1.0, v_new, out=inv_v)
+    np.divide(1.0, v_new, inv_v)
 
     # implicit velocity: (I - dt*L) u = u + dt*(-P_x + s_u), pressure lagged in
     # theta, solved in place in the interior of the new velocity
     coef = dt * p.mu_tilde / (dx * dx)
-    diag = np.add(inv_v[:-1], inv_v[1:], out=work_f)
+    diag = np.add(inv_lo, inv_hi, work_f)
     diag *= coef
     diag += 1.0
-    off = np.multiply(inv_v[1:-1], -coef, out=work_f2[:-1])
-    theta_r = np.multiply(theta, p.R, out=work2)
-    pressure = np.multiply(theta_r, inv_v, out=work)
-    rhs = np.subtract(pressure[1:], pressure[:-1], out=out.u[1:-1])
+    np.multiply(inv_in, -coef, off)
+    theta_r = np.multiply(theta, p.R, work2)
+    np.multiply(theta_r, inv_v, work)  # the pressure
+    rhs = np.subtract(work_hi, work_lo, out.u_in)
     rhs *= dt / dx
-    np.subtract(u[1:-1], rhs, out=rhs)
+    np.subtract(cur.u_in, rhs, rhs)
     if s is not None:
-        rhs += np.multiply(s.s_u[1:-1], dt, out=kf)
+        rhs += np.multiply(s.s_u[1:-1], dt, kf)
     _solve_spd_tridiag(diag, off, rhs)
-    ux_new = np.subtract(out.u[1:], out.u[:-1], out=out.ux)
+    ux_new = np.subtract(out.u_hi, out.u_lo, out.ux)
     ux_new /= dx
 
     # implicit temperature: conductivity frozen at the old theta, reaction and
     # viscous heating explicit but evaluated with the new velocity
-    vf = np.add(v_new[:-1], v_new[1:], out=out.vf)
+    vf = np.add(out.v_lo, out.v_hi, out.vf)
     vf *= 0.5
-    np.divide(ws.cur.knum, vf, out=kf)
+    np.divide(cur.knum, vf, kf)
     lam = dt / (p.c_v * dx * dx)
-    heating = np.multiply(ux_new, p.mu_tilde, out=work)
+    heating = np.multiply(ux_new, p.mu_tilde, work)
     heating -= theta_r
     heating *= ux_new
     heating *= inv_v
     heating *= dt / p.c_v
-    theta_new = np.add(theta, heating, out=out.theta)
+    theta_new = np.add(theta, heating, out.theta)
     if s is not None:
-        theta_new += np.multiply(s.s_theta, dt, out=work)
+        theta_new += np.multiply(s.s_theta, dt, work)
     # each row couples through the faces beside it; the walls conduct nothing
     diag2 = work
-    np.add(kf[:-1], kf[1:], out=diag2[1:-1])
+    np.add(kf_lo, kf_hi, work_in)
     diag2[0] = kf[0]
     diag2[-1] = kf[-1]
     diag2 *= lam
     diag2 += 1.0
-    off2 = np.multiply(kf, -lam, out=work_f)
+    off2 = np.multiply(kf, -lam, work_f)
     _solve_spd_tridiag(diag2, off2, theta_new)
-    if not theta_new.min() > POSITIVITY_FLOOR:
+    if not _min(theta_new) > POSITIVITY_FLOOR:
         raise StepRejected(TEMPERATURE_FLOOR, "temperature fell to the positivity floor")
     return out.v, out.u, theta_new, ux_new, vf
 
@@ -350,8 +357,10 @@ def step(s: State, p: PhysParams, g: Grid, c: StepControls,
     """
     _check_cells(g.n_cells)
     ws = Workspace(g.n_cells, 1)
+    row = ws.load(s)
     functionals.dissipation(s, g, p, ws)
-    v, u, theta, _, _ = _take_step(s.v, s.u, s.theta, s.t, p, g, c.scheme, c.dt, src, ws)
+    v, u, theta, _, _ = _take_step(row.v, row.u, row.theta, s.t, p, g, c.scheme, c.dt,
+                                   src, ws)
     return State(t=s.t + c.dt, v=v, u=u, theta=theta)
 
 
@@ -403,10 +412,7 @@ class _RunningTotals:
 
     def __init__(self, s0: State, g: Grid, p: PhysParams, ws: Workspace):
         self.g, self.p, self.ws = g, p, ws
-        row = ws.cur
-        row.v[...] = s0.v
-        row.u[...] = s0.u
-        row.theta[...] = s0.theta
+        ws.load(s0)
         self.acc = representation.init_accumulators(s0, g, ws)
         self.dissipation = functionals.dissipation(s0, g, p, ws)
         self.int_v_dt = 0.0

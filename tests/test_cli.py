@@ -601,6 +601,22 @@ class TestMainExitCodes:
         # the extrema do not need a corridor
         assert all(0.0 < float(row[3]) < 1e-3 for row in rows)
 
+    def test_run_prints_extrema_without_a_corridor(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_text(HOT_GAS)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        blob = json.loads((tmp_path / "o" / "summary.json").read_text())
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("v in [")]
+        assert lines == [f"v in [{blob['inf_v']:.4f}, {blob['sup_v']:.4f}], "
+                         f"theta in [{blob['inf_theta']:.4f}, {blob['sup_theta']:.4f}]"]
+        # with a corridor, the line also says whether the mean stayed in it
+        path.write_text(QUICK)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "q")]) == 0
+        line, = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("v in [")]
+        assert line.endswith(", corridor_ok True")
+
     def test_verify_missing_dir(self, tmp_path):
         assert cli.main(["verify", "--dir", str(tmp_path / "absent")]) == 2
 
@@ -647,6 +663,9 @@ class TestVerifyShortReference:
         assert [r.number for r in results] == list(range(1, 11))
         assert not results[2].passed
         assert results[2].detail.startswith("no corridor")
+        # criterion 1 reports drifts from the first record, whatever it holds
+        assert results[0].detail.startswith("mass drift ")
+        assert ", energy drift " in results[0].detail
 
 
 class TestPins:

@@ -132,6 +132,21 @@ class TestH1Deviation:
         got = lg.h1_deviation(s, g, 1.0, theta_c)
         assert got == pytest.approx(exact, abs=1e-4)
 
+    def test_each_part_by_hand(self, grid64):
+        # fields with gradients of different sizes, so that a part taken
+        # from the wrong field shows
+        rng = np.random.default_rng(7)
+        v, theta = rng.uniform(0.5, 1.5, 64), rng.uniform(0.5, 1.5, 64)
+        u = np.zeros(65)
+        u[1:-1] = 3.0 * rng.standard_normal(63)
+        s = make_state(v, u, theta)
+        dx = grid64.dx
+        parts = [np.sum((v - 1.1) ** 2) * dx, np.sum(np.diff(v) ** 2) / dx,
+                 np.sum(grid64.node_weights * u * u) * dx, np.sum(np.diff(u) ** 2) / dx,
+                 np.sum((theta - 0.9) ** 2) * dx, np.sum(np.diff(theta) ** 2) / dx]
+        assert lg.h1_deviation(s, grid64, 1.1, 0.9) == pytest.approx(np.sqrt(sum(parts)),
+                                                                     rel=1e-14)
+
     def test_zero_iff_reference(self, grid64):
         v = np.ones(64)
         v[5] += 1e-8
@@ -184,6 +199,39 @@ class TestRecord:
                                 2.0: lg.inverse_temperature_moment(s, g, 2.0)}
         mass, energy = lg.check_normalization(s, g, p)
         assert (r.mass, r.total_energy) == (mass, energy)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [2, 256])
+    def test_equals_public_helpers(self, beta, seed, n):
+        # record shares its sums between fields; each field must still equal
+        # what the helpers give on their own, bit for bit
+        p = lg.PhysParams(beta=beta, R=0.9, c_v=1.3)
+        g = lg.build_grid(n)
+        s = lg.make_initial_data(
+            lg.InitialSpec(kind="random_smooth", a_v=0.3, a_u=0.4, a_theta=0.2,
+                           seed=seed), g, p.c_v)
+
+        def grad_sq(values):
+            d = np.diff(values)
+            return float(np.sum(d * d) / g.dx)
+
+        mass, energy = lg.check_normalization(s, g, p)
+        min_v, max_v, min_th, max_th = lg.extrema(s)
+        exponents = functionals.default_lp_exponents(p)
+        expected = lg.DiagnosticsRecord(
+            t=s.t, mass=mass, total_energy=energy, entropy_E=lg.entropy(s, g, p),
+            dissipation_V=lg.dissipation(s, g, p), int_V_dt=0.5,
+            mean_theta=lg.mean_theta(s, g), min_v=min_v, max_v=max_v,
+            min_theta=min_th, max_theta=max_th, grad_v_sq=grad_sq(s.v),
+            grad_u_sq=grad_sq(s.u), grad_theta_sq=grad_sq(s.theta),
+            h1_dev=lg.h1_deviation(s, g, 1.01, 0.97), repr_err=1e-3, log_damping=-0.25,
+            lp_moments={q: lg.inverse_temperature_moment(s, g, q) for q in exponents})
+        got = lg.record(s, g, p, int_v_dt=0.5, repr_err=1e-3, log_damping=-0.25,
+                        v_star=1.01, theta_star=0.97)
+        for name in functionals.RECORD_FIELDS:
+            assert repr(getattr(got, name)) == repr(getattr(expected, name)), name
+        assert got == expected
 
     def test_default_moment_exponents(self):
         p = lg.PhysParams(beta=0.5)

@@ -65,6 +65,19 @@ class TestBaseFactor:
         assert np.max(np.abs(got - want) / want) <= 1e-8
 
 
+class TestVecdotBinding:
+    @pytest.mark.parametrize("shape", [(64, 64), (16, 256), (1, 4096), (2, 3)])
+    def test_vecdot_is_rowwise_dot(self, shape):
+        # the base profile's shifts take one np.vecdot over a block; this
+        # pins it to one ndarray.dot a row, bit for bit
+        rng = np.random.default_rng(shape[1])
+        for _ in range(3):
+            v = rng.uniform(0.5, 1.5, shape)
+            e = rng.standard_normal(shape)
+            rowwise = np.array([vj.dot(ej) for vj, ej in zip(v, e)])
+            assert np.vecdot(v, e).tobytes() == rowwise.tobytes()
+
+
 class TestDampingUpdate:
     def test_starts_at_one(self, grid64, equilibrium64):
         acc = lg.init_accumulators(equilibrium64, grid64)

@@ -311,6 +311,32 @@ class TestStepImex:
         assert s1.v.min() > 0.0 and s1.theta.min() > 0.0
 
 
+class TestStepMatchesAdvance:
+    """``step`` loads its state into the workspace row whose prebuilt views
+    the kernel reads; ``advance`` steps through the rows of its blocks. Both
+    must give the same states bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_steps_equal_advance(self, n, forced, steps):
+        p = lg.PhysParams(beta=1.5, mu_tilde=0.7, kappa_tilde=1.3, R=1.1, c_v=0.9)
+        g = lg.build_grid(n)
+        s0 = lg.make_initial_data(
+            lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.1,
+                           seed=n), g, p.c_v)
+        c = lg.StepControls(dt=DT_EXACT)
+        src = solver.ManufacturedSources(g, p) if forced else None
+        s = s0
+        for _ in range(steps):
+            s = lg.step(s, p, g, c, src)
+        t_end = steps * DT_EXACT
+        traj = lg.advance(s0, p, g, c, t_end, t_end, src)
+        assert traj.n_steps == steps and s.t == traj.final_state.t == t_end
+        for name in ("v", "u", "theta"):
+            assert getattr(s, name).tobytes() == getattr(traj.final_state, name).tobytes()
+
+
 def imex_systems(s, s1, dt, p, g, sources=None):
     """The velocity and temperature systems that the IMEX step from ``s`` to
     ``s1`` must satisfy, assembled row by row as dense matrices from the old
