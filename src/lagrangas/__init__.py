@@ -12,7 +12,7 @@ from .analysis import (BoundsCertificate, DecayFit, bounds_certificate,
                        convergence_order, entropy_roots, fit_decay_rate)
 from .core import (Grid, InitialSpec, PhysParams, State, build_grid,
                    check_normalization, load_table, make_initial_data,
-                   parse_table, validate_params, validate_state)
+                   parse_table, validate_state)
 from .functionals import (DiagnosticsRecord, dissipation, entropy, extrema,
                           h1_deviation, inverse_temperature_moment,
                           mean_theta, record)
@@ -35,5 +35,5 @@ __all__ = [
     "make_initial_data", "manufactured_solution", "mean_theta", "parse_table",
     "reconstruct_volume", "record", "spatial_rhs",
     "stability_limit", "step",
-    "update_damping", "update_history", "validate_params", "validate_state",
+    "update_damping", "update_history", "validate_state",
 ]

@@ -69,11 +69,10 @@ class DecayFit:
     n_excluded: int
 
 
-def fit_decay_rate(times, norms, window: tuple[float, float] | None = None,
-                   floor: float = NORM_FLOOR) -> DecayFit:
+def fit_decay_rate(times, norms, window: tuple[float, float] | None = None) -> DecayFit:
     """Fit ln(norm) = log_amplitude - rate * t over a time window.
 
-    Samples at or below ``floor`` are dropped (there, roundoff noise would
+    Samples at or below NORM_FLOOR are dropped (there, roundoff noise would
     corrupt the slope) and counted in n_excluded. Raises
     InsufficientDataError with fewer than 5 usable samples. The default
     window is the second half of the series.
@@ -89,7 +88,7 @@ def fit_decay_rate(times, norms, window: tuple[float, float] | None = None,
         raise ValueError(f"fit window must be ordered, got {window}")
 
     in_window = (t >= t_lo) & (t <= t_hi)
-    usable = in_window & (y > floor)
+    usable = in_window & (y > NORM_FLOOR)
     n_excluded = int(np.count_nonzero(in_window) - np.count_nonzero(usable))
     n = int(np.count_nonzero(usable))
     if n < 5:

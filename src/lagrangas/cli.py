@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis, functionals, solver
 from .core import (Grid, InitialSpec, PhysParams, State, build_grid,
-                   make_initial_data, validate_params)
+                   make_initial_data)
 from .errors import (ConfigError, ConstructionError, FormatError,
                      InsufficientDataError, ParamError, SimulationFailure,
                      WorkerDied)
@@ -135,37 +135,23 @@ def parse_config(text: str) -> RunConfig:
         head, _, name = attr.rpartition(".")
         fields[head][name] = values[key]
 
-    params = PhysParams(**fields["params"])
-    try:
-        # beta = 0 is reachable from configs on purpose: it is the classical
-        # constant-conductivity comparison case
-        validate_params(params, allow_beta_zero=True)
-        # the run controls get the solver's own checks
-        solver.StepControls(values["dt"], values["scheme"])
-        solver.check_run(values["n_cells"], 0.0, values["t_end"], values["sample_every"])
-    except ParamError as exc:
-        bad(next(key for key, (attr, _, _) in _KEYS.items()
-                 if attr in (exc.field, f"params.{exc.field}")), str(exc))
-
-    kind = values["init.kind"]
-    table_path = None
+    kind, table_path = values["init.kind"], None
     if kind.startswith("custom_table:"):
         kind, _, table_path = kind.partition(":")
         table_path = table_path.strip()
         if not table_path:
             bad("init.kind", "custom_table needs a path after the colon")
-    if kind not in InitialSpec.KINDS:
-        bad("init.kind", f"unknown initial-data kind {kind!r}")
-    for key in ("init.a_v", "init.a_u", "init.a_theta"):
-        if not math.isfinite(values[key]):
-            bad(key, f"amplitude must be finite, got {values[key]}")
-    if abs(values["init.a_v"]) >= 1.0:
-        bad("init.a_v", f"|a_v| = {abs(values['init.a_v'])} >= 1 would make the "
-            "volume vanish")
-    if values["init.k"] < 1:
-        bad("init.k", f"wavenumber must be a positive integer, got {values['init.k']}")
-    if values["seed"] < 0:
-        bad("seed", f"seed must be a non-negative integer, got {values['seed']}")
+    try:
+        # the types and the run controls check themselves: each error names
+        # its field, which is the last part of its key's attribute
+        params = PhysParams(**fields["params"])
+        solver.StepControls(values["dt"], values["scheme"])
+        solver.check_run(values["n_cells"], 0.0, values["t_end"], values["sample_every"])
+        initial = InitialSpec(**dict(fields["initial"], kind=kind, seed=values["seed"],
+                                     table_path=table_path))
+    except (ParamError, ConstructionError) as exc:
+        bad(next(key for key, (attr, _, _) in _KEYS.items()
+                 if attr.rpartition(".")[2] == exc.field), str(exc))
     lp = values["lp"]
     if lp is not None:
         if not all(math.isfinite(q) and q > 0.0 for q in lp):
@@ -177,7 +163,6 @@ def parse_config(text: str) -> RunConfig:
     if window is not None and (len(window) != 2 or not window[0] < window[1]):
         bad("fit_window", f"window must be an ordered pair t0,t1, got {raw['fit_window']!r}")
 
-    initial = InitialSpec(**dict(fields["initial"], kind=kind, table_path=table_path))
     return RunConfig(params=params, initial=initial, **fields[""])
 
 
@@ -292,7 +277,6 @@ def _summarize(cfg: RunConfig, traj: solver.Trajectory, wall_time,
 
 def _execute(cfg: RunConfig) -> solver.Trajectory:
     """Run one scenario in memory and return its trajectory."""
-    validate_params(cfg.params, allow_beta_zero=True)
     grid = build_grid(cfg.n_cells)
     s0 = build_initial_state(cfg, grid)
     controls = solver.StepControls(dt=cfg.dt, scheme=cfg.scheme)

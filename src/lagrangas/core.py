@@ -1,18 +1,21 @@
-"""Domain types, grid construction, parameter checks, and initial-data builders.
+"""Domain types, grid construction, and initial-data builders.
 
 The gas occupies the mass interval (0, 1). Velocity lives on the N+1 nodes of
 a uniform staggered grid, specific volume and temperature on the N cells; this
 placement makes the discrete mass identity telescope exactly. All value types
-are frozen after construction and safe to share between threads.
+are frozen after construction and safe to share between threads; PhysParams
+and InitialSpec check their own fields when built, so an instance is always
+in range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, FormatError, ParamError, RegimeError
+from .errors import ConstructionError, FormatError, ParamError
 
 TABLE_HEADER = ("x", "v", "u", "theta")
 
@@ -22,8 +25,10 @@ class PhysParams:
     """Physical constants of the gas model.
 
     Viscosity is constant (mu_tilde); heat conductivity is kappa_tilde *
-    theta**beta, degenerate at theta = 0 when beta > 0. The viscosity
-    exponent is identically zero and is not stored.
+    theta**beta, degenerate at theta = 0 when beta > 0 and the classical
+    constant conductivity at beta = 0. The viscosity exponent is identically
+    zero and is not stored. Raises ParamError naming the field unless the
+    four constants are positive and finite and beta is finite and >= 0.
     """
 
     beta: float
@@ -32,26 +37,13 @@ class PhysParams:
     R: float = 1.0
     c_v: float = 1.0
 
-
-def validate_params(p: PhysParams, allow_beta_zero: bool = False) -> None:
-    """Check positivity of all constants and the beta > 0 regime.
-
-    Raises ParamError naming the offending field, or RegimeError when
-    beta == 0 and ``allow_beta_zero`` is not set (the constant-conductivity
-    comparison case must be requested explicitly).
-    """
-    for name in ("mu_tilde", "kappa_tilde", "R", "c_v"):
-        value = getattr(p, name)
-        if not np.isfinite(value) or value <= 0.0:
-            raise ParamError(name, f"{name} must be positive, got {value}")
-    if not np.isfinite(p.beta) or p.beta < 0.0:
-        raise ParamError("beta", f"beta must be >= 0, got {p.beta}")
-    if p.beta == 0.0 and not allow_beta_zero:
-        raise RegimeError(
-            "beta",
-            "beta = 0 is the classical constant-conductivity case; "
-            "pass allow_beta_zero=True to run it",
-        )
+    def __post_init__(self):
+        for name in ("mu_tilde", "kappa_tilde", "R", "c_v"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0.0:
+                raise ParamError(name, f"{name} must be positive, got {value}")
+        if not math.isfinite(self.beta) or self.beta < 0.0:
+            raise ParamError("beta", f"beta must be >= 0, got {self.beta}")
 
 
 def _pow(base: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -275,7 +267,9 @@ class InitialSpec:
     kind is one of 'equilibrium', 'cosine', 'random_smooth', 'custom_table'.
     Amplitudes and the integer wavenumber k apply to the analytic builders;
     seed to 'random_smooth'; table (rows of x, v, u, theta) or table_path to
-    'custom_table'.
+    'custom_table'. Raises ConstructionError naming the field for an unknown
+    kind, a non-finite amplitude, |a_v| >= 1 (the volume would vanish),
+    k < 1 or seed < 0.
     """
 
     kind: str
@@ -288,6 +282,23 @@ class InitialSpec:
     table_path: str | None = None
 
     KINDS = ("equilibrium", "cosine", "random_smooth", "custom_table")
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ConstructionError(f"unknown initial-data kind {self.kind!r}", "kind")
+        for name in ("a_v", "a_u", "a_theta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConstructionError(f"amplitude must be finite, got {value}", name)
+        if abs(self.a_v) >= 1.0:
+            raise ConstructionError(
+                f"|a_v| = {abs(self.a_v)} >= 1 would make the volume vanish", "a_v")
+        if self.k < 1:
+            raise ConstructionError(
+                f"wavenumber k must be a positive integer, got {self.k}", "k")
+        if self.seed < 0:
+            raise ConstructionError(
+                f"seed must be a non-negative integer, got {self.seed}", "seed")
 
 
 def kinetic_energy(u: np.ndarray, grid: Grid) -> float:
@@ -306,11 +317,9 @@ def make_initial_data(spec: InitialSpec, grid: Grid, c_v: float = 1.0) -> State:
     (1 - kinetic energy) / c_v. 'custom_table' interpolates tabulated rows
     linearly onto the grid and is not renormalized.
 
-    Raises ConstructionError when amplitudes would break positivity and
-    FormatError for malformed tables.
+    Raises ConstructionError when amplitudes would break positivity on the
+    grid and FormatError for malformed tables.
     """
-    if spec.kind not in InitialSpec.KINDS:
-        raise ConstructionError(f"unknown initial-data kind {spec.kind!r}")
     if c_v <= 0.0:
         raise ConstructionError(f"c_v must be positive, got {c_v}")
 
@@ -319,12 +328,6 @@ def make_initial_data(spec: InitialSpec, grid: Grid, c_v: float = 1.0) -> State:
         return State(t=0.0, v=np.ones(n), u=np.zeros(n + 1), theta=np.ones(n))
 
     if spec.kind == "cosine":
-        if abs(spec.a_v) >= 1.0:
-            raise ConstructionError(
-                f"|a_v| = {abs(spec.a_v)} >= 1 would make the volume vanish"
-            )
-        if spec.k < 1:
-            raise ConstructionError(f"wavenumber k must be a positive integer, got {spec.k}")
         if spec.k % grid.n_cells == 0:
             # aliased mode is constant on the cell centers, so the zero-mean
             # cancellation behind the exact normalization would fail
@@ -375,8 +378,6 @@ def _random_smooth(spec: InitialSpec, grid: Grid, c_v: float) -> State:
     pert_u = scaled(series(grid.nodes, rng.standard_normal(n_modes), "sin"), spec.a_u)
     pert_t = scaled(series(grid.cell_centers, rng.standard_normal(n_modes), "cos"), spec.a_theta)
 
-    if abs(spec.a_v) >= 1.0:
-        raise ConstructionError(f"|a_v| = {abs(spec.a_v)} >= 1 would make the volume vanish")
     v = 1.0 + pert_v
     u = pert_u
     u[0] = u[-1] = 0.0

@@ -6,20 +6,21 @@ class LagrangasError(Exception):
 
 
 class ParamError(LagrangasError, ValueError):
-    """A physical parameter or a run control (n_cells, dt, scheme, t_end,
-    sample_every) is out of range; ``field`` names it."""
+    """A physical parameter (a PhysParams field) or a run control (n_cells,
+    dt, scheme, t_end, sample_every) is out of range; ``field`` names it."""
 
     def __init__(self, field, message):
         super().__init__(message)
         self.field = field
 
 
-class RegimeError(ParamError):
-    """Parameters are outside the degenerate-conductivity regime (beta > 0)."""
-
-
 class ConstructionError(LagrangasError, ValueError):
-    """Initial data cannot be built (positivity or normalization failure)."""
+    """Initial data cannot be built: an InitialSpec field out of range, which
+    ``field`` names, or a positivity or normalization failure on a grid."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class FormatError(LagrangasError, ValueError):

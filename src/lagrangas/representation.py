@@ -43,13 +43,10 @@ def velocity_integral(u: np.ndarray, g: Grid, out: np.ndarray, ws: Workspace) ->
     return out
 
 
-def damping_integrand(u: np.ndarray, theta: np.ndarray, g: Grid,
-                      ws: Workspace | None = None) -> list:
+def damping_integrand(u: np.ndarray, theta: np.ndarray, g: Grid, ws: Workspace) -> list:
     """Mass total of u^2 + theta (trapezoid nodes + cell sum) of each row of
-    a block of states."""
+    a block of states; ``ws`` lends scratch."""
     rows = u.shape[0]
-    if ws is None:
-        ws = Workspace(g.n_cells, rows)
     kinetic = np.multiply(g.node_weights, u, out=ws.nodes[:rows])
     kinetic *= u
     dx = g.dx
@@ -62,7 +59,8 @@ class ReprAccumulators:
     """Running state of the reconstruction along one trajectory: the scaled
     history a = Y * A, and the last folded step's theta / B and ratios
     Y_new / Y_old, one per step of the last folded block. ``update_history``
-    overwrites ``last_integrand`` in place."""
+    overwrites ``last_integrand`` in place. The folds take their scratch
+    from ``ws``, so a block folds at most ``ws.block`` rows."""
 
     s0: State
     u0_integral: np.ndarray
@@ -72,6 +70,7 @@ class ReprAccumulators:
     scaled_history: np.ndarray
     last_integrand: np.ndarray
     last_damping_integrand: float
+    ws: Workspace
 
     @property
     def damping_ratio(self) -> float:
@@ -90,9 +89,10 @@ class ReprAccumulators:
 
 
 def init_accumulators(s0: State, g: Grid, ws: Workspace | None = None) -> ReprAccumulators:
-    """Fresh accumulators at the trajectory's initial state."""
+    """Fresh accumulators at the trajectory's initial state, folding with
+    the scratch of ``ws``, or of a ``Workspace(g.n_cells)`` of their own."""
     if ws is None:
-        ws = Workspace(g.n_cells, 1)
+        ws = Workspace(g.n_cells)
     u0_int = velocity_integral(s0.u[None], g, np.empty((1, g.n_cells)), ws)[0]
     g0 = float(s0.v.dot(u0_int) * g.dx)
     # the base profile at t = 0 is exactly v0, so the first history integrand
@@ -106,6 +106,7 @@ def init_accumulators(s0: State, g: Grid, ws: Workspace | None = None) -> ReprAc
         scaled_history=np.zeros(g.n_cells),
         last_integrand=s0.theta / s0.v,
         last_damping_integrand=damping_integrand(s0.u[None], s0.theta[None], g, ws)[0],
+        ws=ws,
     )
 
 
@@ -115,14 +116,12 @@ def base_factor(s: State, s0: State, g: Grid) -> np.ndarray:
     return _base_factor_cached(init_accumulators(s0, g), s.v[None], s.u[None], g)[0]
 
 
-def _base_factor_cached(acc: ReprAccumulators, v: np.ndarray, u: np.ndarray, g: Grid,
-                        ws: Workspace | None = None) -> np.ndarray:
+def _base_factor_cached(acc: ReprAccumulators, v: np.ndarray, u: np.ndarray,
+                        g: Grid) -> np.ndarray:
     """Base profile of each row of a block of fields (v, u), with the
     initial velocity potential taken from ``acc``; the block of profiles is
-    written into ``ws.base``."""
-    rows = v.shape[0]
-    if ws is None:
-        ws = Workspace(g.n_cells, rows)
+    written into ``acc.ws.base``."""
+    rows, ws = v.shape[0], acc.ws
     # the exponent vanishes identically at the initial state, so the base
     # profile is v0 there bit for bit
     exponent = velocity_integral(u, g, ws.base[:rows], ws)
@@ -139,13 +138,13 @@ def _base_factor_cached(acc: ReprAccumulators, v: np.ndarray, u: np.ndarray, g: 
 
 
 def update_damping(acc: ReprAccumulators, u: np.ndarray, theta: np.ndarray, g: Grid,
-                   dts, ws: Workspace | None = None) -> None:
+                   dts) -> None:
     """Fold a block of accepted steps of sizes ``dts``, ending at the rows of
     (u, theta), into log Y (trapezoid in time), and keep each step's ratio
     Y_new / Y_old."""
     log_damping, last = acc.log_damping, acc.last_damping_integrand
     ratios = []
-    for dt, integrand in zip(dts, damping_integrand(u, theta, g, ws)):
+    for dt, integrand in zip(dts, damping_integrand(u, theta, g, acc.ws)):
         decrement = 0.5 * dt * (last + integrand)
         log_damping -= decrement
         ratios.append(math.exp(-decrement))
@@ -155,7 +154,7 @@ def update_damping(acc: ReprAccumulators, u: np.ndarray, theta: np.ndarray, g: G
 
 
 def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
-                   dts, ws: Workspace | None = None) -> None:
+                   dts) -> None:
     """Fold a block of accepted steps of sizes ``dts``, ending at the rows
     of ``theta``, into the scaled history a = Y * A, in place.
 
@@ -166,9 +165,7 @@ def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
     with f = theta / B. ``acc.last_integrand``, the first step's f_prev,
     then takes a copy of the block's last f.
     """
-    rows, n = theta.shape
-    if ws is None:
-        ws = Workspace(n, rows)
+    rows, ws = theta.shape[0], acc.ws
     f = np.divide(theta, base, out=ws.cells[1][:rows])
     # the half-dt products of every step; the first step's f_prev is the
     # previous block's last f

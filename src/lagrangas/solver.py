@@ -441,9 +441,9 @@ class _RunningTotals:
             total += 0.5 * dt * (prev + rate)
             prev = rate
         self.dissipation, self.int_v_dt = prev, total
-        representation.update_damping(acc, block.u, block.theta, g, dts, ws)
-        base = representation._base_factor_cached(acc, block.v, block.u, g, ws)
-        representation.update_history(acc, block.theta, base, block.dt, ws)
+        representation.update_damping(acc, block.u, block.theta, g, dts)
+        base = representation._base_factor_cached(acc, block.v, block.u, g)
+        representation.update_history(acc, block.theta, base, block.dt)
         self.base = base[-1]
         ws.fold()
         self.seconds += time.perf_counter() - started

@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 import lagrangas as lg
 from lagrangas import cli, solver
-from lagrangas.errors import ConfigError, ConstructionError, SimulationFailure
+from lagrangas.errors import ConfigError, ConstructionError, ParamError, SimulationFailure
 
 from conftest import tridiag_breaking_after
 
@@ -171,6 +171,39 @@ class TestParseConfig:
                 assert not accepted
             except _Started:
                 assert accepted
+
+    @given(params=st.tuples(*[st.floats() | st.floats(0.0, 3.0)] * 5),
+           kind=st.sampled_from(lg.InitialSpec.KINDS + ("sawtooth",)),
+           amplitudes=st.tuples(*[st.floats() | st.floats(-1.5, 1.5)] * 3),
+           k=st.integers(-1, 3), seed=st.integers(-2, 2 ** 40))
+    @example(params=(1.0, 1.0, 1.0, 1.0, 1.0), kind="cosine",
+             amplitudes=(math.nan, 0.0, 0.0), k=1, seed=0)
+    @example(params=(1.0, 1.0, 1.0, 1.0, 1.0), kind="random_smooth",
+             amplitudes=(0.0, 0.0, 0.0), k=1, seed=-1)
+    @example(params=(-1.0, -0.5, 1.0, 1.0, 1.0), kind="cosine",
+             amplitudes=(0.0, 0.0, 0.0), k=0, seed=0)
+    def test_types_reject_the_same_values(self, params, kind, amplitudes, k, seed):
+        # the config refuses exactly what PhysParams and InitialSpec refuse,
+        # on the key, and the line, of the field the type's error names
+        values = dict(zip(("beta", "mu", "kappa", "R", "c_v"), params),
+                      **{"init.kind": kind, "init.k": k, "seed": seed},
+                      **dict(zip(("init.a_v", "init.a_u", "init.a_theta"), amplitudes)))
+        text = "".join(f"{key} = {value!r}\n".replace("'", "") for key, value in values.items())
+        keys = {"mu_tilde": "mu", "kappa_tilde": "kappa", "kind": "init.kind", "k": "init.k",
+                "a_v": "init.a_v", "a_u": "init.a_u", "a_theta": "init.a_theta"}
+        try:
+            lg.PhysParams(*params)
+            lg.InitialSpec(kind, *amplitudes, k=k, seed=seed)
+            refused = None
+        except (ParamError, ConstructionError) as exc:
+            refused = keys.get(exc.field, exc.field)
+        try:
+            cli.parse_config(text)
+        except ConfigError as exc:
+            assert refused is not None
+            assert (exc.key, exc.line) == (refused, list(values).index(refused) + 1)
+        else:
+            assert refused is None
 
     def test_sample_every_below_time_tolerance(self, tmp_path):
         # 1e-300 was accepted, and the run never returned: after each sample
@@ -461,6 +494,14 @@ class TestSweep:
         cfg = cli.parse_config(QUICK)
         with pytest.raises(ValueError):
             cli.sweep(cfg, [], tmp_path / "sweep")
+
+    def test_negative_beta_refused_before_any_run(self, tmp_path):
+        # the job's PhysParams refuses it when the sweep builds its jobs
+        cfg = cli.parse_config(QUICK)
+        with pytest.raises(ParamError) as exc:
+            cli.sweep(cfg, [0.5, -1.0], tmp_path / "sweep", workers=1)
+        assert exc.value.field == "beta"
+        assert not (tmp_path / "sweep" / "beta_0.5").exists()
 
     def test_betas_sharing_a_directory_rejected(self, tmp_path):
         # both betas print as 1, so both runs would write into beta_1/

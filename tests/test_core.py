@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import lagrangas as lg
-from lagrangas.errors import (ConstructionError, FormatError, ParamError,
-                              RegimeError)
+from lagrangas.errors import ConstructionError, FormatError, ParamError
 
 from conftest import make_state
 
@@ -37,29 +38,70 @@ class TestBuildGrid:
 
 
 class TestValidateParams:
+    # PhysParams checks its fields when it is built
     def test_ok(self):
-        lg.validate_params(lg.PhysParams(beta=0.5))
+        assert lg.PhysParams(beta=0.5).beta == 0.5
 
-    def test_beta_zero_needs_flag(self):
-        with pytest.raises(RegimeError):
-            lg.validate_params(lg.PhysParams(beta=0.0))
-        lg.validate_params(lg.PhysParams(beta=0.0), allow_beta_zero=True)
+    def test_beta_zero_accepted(self):
+        # the classical constant-conductivity case needs no flag
+        assert lg.PhysParams(beta=0.0).beta == 0.0
 
     def test_negative_viscosity_names_field(self):
         with pytest.raises(ParamError) as exc:
-            lg.validate_params(lg.PhysParams(beta=1.0, mu_tilde=-1.0))
+            lg.PhysParams(beta=1.0, mu_tilde=-1.0)
         assert exc.value.field == "mu_tilde"
 
     @pytest.mark.parametrize("field", ["mu_tilde", "kappa_tilde", "R", "c_v"])
     def test_nonpositive_constants_rejected(self, field):
-        p = lg.PhysParams(beta=1.0, **{field: 0.0})
         with pytest.raises(ParamError) as exc:
-            lg.validate_params(p)
+            lg.PhysParams(beta=1.0, **{field: 0.0})
         assert exc.value.field == field
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ParamError):
-            lg.validate_params(lg.PhysParams(beta=-0.5))
+            lg.PhysParams(beta=-0.5)
+
+    @pytest.mark.parametrize("beta, fields, field", [
+        (-1.0, {}, "beta"),
+        (1.0, {"mu_tilde": -0.5}, "mu_tilde"),
+        (float("nan"), {}, "beta"),
+        (float("inf"), {}, "beta"),
+        (1.0, {"kappa_tilde": float("inf")}, "kappa_tilde"),
+        (1.0, {"R": float("nan")}, "R"),
+    ])
+    def test_construction_names_the_field(self, beta, fields, field):
+        with pytest.raises(ParamError) as exc:
+            lg.PhysParams(beta=beta, **fields)
+        assert exc.value.field == field
+
+    def test_replace_checks_the_new_value(self):
+        # a sweep derives its runs' parameters with dataclasses.replace
+        with pytest.raises(ParamError) as exc:
+            replace(lg.PhysParams(beta=1.0), beta=-1.0)
+        assert exc.value.field == "beta"
+
+
+class TestInitialSpec:
+    # InitialSpec checks its fields when it is built; the grid-dependent
+    # checks stay with the builders
+    @pytest.mark.parametrize("fields, field", [
+        ({"kind": "sawtooth"}, "kind"),
+        ({"kind": "cosine", "a_v": float("nan")}, "a_v"),
+        ({"kind": "cosine", "a_u": float("inf")}, "a_u"),
+        ({"kind": "cosine", "a_theta": -float("inf")}, "a_theta"),
+        ({"kind": "cosine", "a_v": -1.0}, "a_v"),
+        ({"kind": "cosine", "k": 0}, "k"),
+        ({"kind": "random_smooth", "seed": -1}, "seed"),
+    ])
+    def test_construction_names_the_field(self, fields, field):
+        with pytest.raises(ConstructionError) as exc:
+            lg.InitialSpec(**fields)
+        assert exc.value.field == field
+
+    def test_builder_failures_name_no_field(self):
+        with pytest.raises(ConstructionError) as exc:
+            lg.make_initial_data(lg.InitialSpec(kind="cosine", a_theta=1.0), lg.build_grid(8))
+        assert exc.value.field is None
 
 
 class TestEquilibriumBuilder:
