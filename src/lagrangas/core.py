@@ -46,6 +46,18 @@ class PhysParams:
             raise ParamError("beta", f"beta must be >= 0, got {self.beta}")
 
 
+def _operand(value: float) -> np.ndarray:
+    # ``value`` as a read-only 0-d float64 array. A ufunc converts a Python
+    # float operand on every call; it takes a 0-d array as it is, and gives
+    # the same bits either way.
+    a = np.array(value, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+_HALF, _ONE, _THREE = _operand(0.5), _operand(1.0), _operand(3.0)
+
+
 def _pow(base: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np.ndarray:
     # theta**beta dominates the step cost at small N; shortcut beta = 1.
     # The power goes into ``out`` when given, unless it is ``base`` itself.
@@ -59,7 +71,8 @@ class Grid:
     """Uniform partition of the mass interval (0, 1).
 
     ``node_weights`` are the trapezoid quadrature weights on the nodes (1/2
-    at the two ends), built once and read-only.
+    at the two ends), built once and read-only, and so are ``dx_ops``, the
+    spacings dx, dx/2 and dx/8 as 0-d arrays for the ufuncs of a run.
     """
 
     n_cells: int
@@ -67,12 +80,16 @@ class Grid:
     cell_centers: np.ndarray
     nodes: np.ndarray
     node_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    dx_ops: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.ones(self.n_cells + 1)
         w[0] = w[-1] = 0.5
         w.setflags(write=False)
         object.__setattr__(self, "node_weights", w)
+        dx = self.dx
+        object.__setattr__(self, "dx_ops", (_operand(dx), _operand(0.5 * dx),
+                                            _operand(dx / 8.0)))
 
 
 def build_grid(n_cells: int) -> Grid:
@@ -130,11 +147,12 @@ class _Rows:
     temperature, ``knum`` = kappa_tilde * thf**beta, and, of a run of rows,
     the sizes ``dt`` of the steps that accepted them. ``u_in``, ``u_lo`` and
     ``u_hi`` view u without its wall nodes, without its last node and
-    without its first; ``v_lo`` and ``v_hi`` view v without its last cell and
-    without its first, so that a step builds none of these views."""
+    without its first; ``v_lo`` and ``v_hi`` view v, and ``theta_lo`` and
+    ``theta_hi`` theta, without its last cell and without its first, so that
+    a step builds none of these views."""
 
     __slots__ = ("index", "v", "u", "theta", "ux", "vf", "thf", "knum", "dt",
-                 "u_in", "u_lo", "u_hi", "v_lo", "v_hi")
+                 "u_in", "u_lo", "u_hi", "v_lo", "v_hi", "theta_lo", "theta_hi")
 
     def __init__(self, ws, index):
         self.index = index
@@ -142,9 +160,10 @@ class _Rows:
         self.ux, self.vf = ws.ux[index], ws.vf[index]
         self.thf, self.knum = ws.thf[index], ws.knum[index]
         self.dt = ws.dt[index]
-        u, v = self.u, self.v
+        u, v, theta = self.u, self.v, self.theta
         self.u_in, self.u_lo, self.u_hi = u[..., 1:-1], u[..., :-1], u[..., 1:]
         self.v_lo, self.v_hi = v[..., :-1], v[..., 1:]
+        self.theta_lo, self.theta_hi = theta[..., :-1], theta[..., 1:]
 
 
 class Workspace:
@@ -160,11 +179,14 @@ class Workspace:
     bank forward from its first row while the other bank holds the state it
     started from; ``fold`` switches banks, and no row is copied.
 
-    ``base``, ``cells``, ``faces``, ``nodes`` and ``steps`` are scratch for
-    a fold, ``block`` rows of n, n, n - 1, n + 1 and 1 floats, and
-    ``step_cells`` and ``step_faces`` three rows of n and n - 1 floats for
-    a kernel; any function may overwrite them. ``step_views`` holds the
-    shifted views of them that the IMEX kernel reads, built once.
+    ``base``, ``cells``, ``faces``, ``nodes``, ``steps`` and ``ratios`` are
+    scratch for a fold, ``block`` rows of n, n, n - 1, n + 1, 1 and 1
+    floats, and ``step_cells`` and ``step_faces`` three rows of n and n - 1
+    floats for a kernel; any function may overwrite them. ``step_views``
+    holds the shifted views of them that the IMEX kernel reads, and
+    ``ratio_ops`` the 0-d views of ``ratios``, one a row, built once.
+    ``scalars`` is left to the solver, which keeps the 0-d operands of the
+    run that steps in the workspace there.
     """
 
     def __init__(self, n_cells: int, block: int | None = None):
@@ -184,6 +206,9 @@ class Workspace:
         self.faces = (np.empty((k, n - 1)), np.empty((k, n - 1)))
         self.nodes = np.empty((k, n + 1))
         self.steps = np.empty(k)
+        self.ratios = np.empty(k)
+        self.ratio_ops = tuple(self.ratios[i, ...] for i in range(k))
+        self.scalars = None
         self.step_cells = tuple(np.empty((3, n)))
         self.step_faces = tuple(np.empty((3, n - 1)))
         inv_v, work, _ = self.step_cells
@@ -318,10 +343,11 @@ def make_initial_data(spec: InitialSpec, grid: Grid, c_v: float = 1.0) -> State:
     linearly onto the grid and is not renormalized.
 
     Raises ConstructionError when amplitudes would break positivity on the
-    grid and FormatError for malformed tables.
+    grid or ``c_v`` is not positive and finite (naming ``c_v``), and
+    FormatError for malformed tables.
     """
-    if c_v <= 0.0:
-        raise ConstructionError(f"c_v must be positive, got {c_v}")
+    if not (math.isfinite(c_v) and c_v > 0.0):
+        raise ConstructionError(f"c_v must be positive and finite, got {c_v}", "c_v")
 
     n = grid.n_cells
     if spec.kind == "equilibrium":

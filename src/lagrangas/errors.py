@@ -15,8 +15,9 @@ class ParamError(LagrangasError, ValueError):
 
 
 class ConstructionError(LagrangasError, ValueError):
-    """Initial data cannot be built: an InitialSpec field out of range, which
-    ``field`` names, or a positivity or normalization failure on a grid."""
+    """Initial data cannot be built: an InitialSpec field or the heat
+    capacity ``c_v`` out of range, which ``field`` names, or a positivity or
+    normalization failure on a grid."""
 
     def __init__(self, message, field=None):
         super().__init__(message)

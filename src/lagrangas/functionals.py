@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Grid, PhysParams, State, Workspace, _pow, kinetic_energy
+from .core import _HALF, Grid, PhysParams, State, Workspace, _pow, kinetic_energy
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def dissipation(s: State, g: Grid, p: PhysParams, ws: Workspace | None = None) -
     vf *= 0.5
     knum = conductivity_numerator(s.theta, p, row.thf, row.knum)
     return dissipation_from(ux[None], vf[None], s.v[None], s.theta[None], row.thf[None],
-                            knum[None], g, p, ws)[0]
+                            knum[None], g, p.mu_tilde, ws)[0]
 
 
 def conductivity_numerator(theta: np.ndarray, p: PhysParams, thf: np.ndarray,
@@ -108,32 +108,39 @@ def conductivity_numerator(theta: np.ndarray, p: PhysParams, thf: np.ndarray,
     """kappa_tilde * thf**beta, written into ``out``, at the face means of
     ``theta``, written into ``thf``: the numerator of the IMEX step's face
     conductivities, and a factor of the thermal dissipation."""
-    np.add(theta[:-1], theta[1:], out=thf)
-    thf *= 0.5
-    return np.multiply(_pow(thf, p.beta, out), p.kappa_tilde, out=out)
+    return _numerator_from(theta[:-1], theta[1:], p.beta, p.kappa_tilde, thf, out)
+
+
+def _numerator_from(theta_lo: np.ndarray, theta_hi: np.ndarray, beta: float, kappa,
+                    thf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # conductivity_numerator from the views of theta without its last cell
+    # and without its first; ``kappa`` is kappa_tilde, a float or a 0-d array
+    np.add(theta_lo, theta_hi, thf)
+    thf *= _HALF
+    return np.multiply(_pow(thf, beta, out), kappa, out)
 
 
 def dissipation_from(ux: np.ndarray, vf: np.ndarray, v: np.ndarray, theta: np.ndarray,
-                     thf: np.ndarray, knum: np.ndarray, g: Grid, p: PhysParams,
+                     thf: np.ndarray, knum: np.ndarray, g: Grid, mu,
                      ws: Workspace) -> list:
     """``dissipation`` of each row of a block of states, from its cell
     velocity gradient ``ux``, the face means ``vf`` of ``v`` and ``thf`` of
     ``theta``, and ``knum`` from ``conductivity_numerator``, all of which the
-    time stepping has already computed; one value per row. ``ws`` lends
-    scratch.
+    time stepping has already computed; one value per row. ``mu`` is
+    mu_tilde, a float or a 0-d array; ``ws`` lends scratch.
     """
     rows = ux.shape[0]
     dx = g.dx
-    shear = np.multiply(ux, p.mu_tilde, out=ws.cells[0][:rows])
+    shear = np.multiply(ux, mu, ws.cells[0][:rows])
     shear *= ux
-    shear /= np.multiply(v, theta, out=ws.cells[1][:rows])
+    shear /= np.multiply(v, theta, ws.cells[1][:rows])
     shears = np.add.reduce(shear, axis=1).tolist()
-    dth = np.subtract(theta[:, 1:], theta[:, :-1], out=ws.faces[0][:rows])
-    dth /= dx
-    thermal = np.multiply(knum, dth, out=ws.faces[1][:rows])
+    dth = np.subtract(theta[:, 1:], theta[:, :-1], ws.faces[0][:rows])
+    dth /= g.dx_ops[0]
+    thermal = np.multiply(knum, dth, ws.faces[1][:rows])
     thermal *= dth
     # dth is spent: it takes the denominator vf * thf * thf
-    np.multiply(vf, thf, out=dth)
+    np.multiply(vf, thf, dth)
     dth *= thf
     thermal /= dth
     return [t * dx + s * dx for t, s in zip(np.add.reduce(thermal, axis=1).tolist(), shears)]

@@ -19,26 +19,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, State, Workspace
+from .core import _HALF, _THREE, Grid, State, Workspace, _operand
 
 
 def velocity_integral(u: np.ndarray, g: Grid, out: np.ndarray, ws: Workspace) -> np.ndarray:
     """Cumulative trapezoid of each row of a block of node fields up to each
     cell center, written into the rows of ``out`` (one float per cell);
     ``ws`` lends scratch."""
-    dx = g.dx
+    _, half_dx, eighth_dx = g.dx_ops
     rows = u.shape[0]
     half_faces, quarter_cells = ws.faces[0][:rows], ws.cells[0][:rows]
     # out takes the integral up to each cell's left node, then up to its
     # center. cumsum adds in sequence, so its sums over the first N - 1
     # faces are those it gives over all N.
     out[:, 0] = 0.0
-    np.add(u[:, :-2], u[:, 1:-1], out=half_faces)
-    half_faces *= 0.5 * dx
-    half_faces.cumsum(axis=1, out=out[:, 1:])
-    np.multiply(u[:, :-1], 3.0, out=quarter_cells)
+    np.add(u[:, :-2], u[:, 1:-1], half_faces)
+    half_faces *= half_dx
+    half_faces.cumsum(1, None, out[:, 1:])  # along each row, into out
+    np.multiply(u[:, :-1], _THREE, quarter_cells)
     quarter_cells += u[:, 1:]
-    quarter_cells *= dx / 8.0
+    quarter_cells *= eighth_dx
     out += quarter_cells
     return out
 
@@ -59,12 +59,13 @@ class ReprAccumulators:
     """Running state of the reconstruction along one trajectory: the scaled
     history a = Y * A, and the last folded step's theta / B and ratios
     Y_new / Y_old, one per step of the last folded block. ``update_history``
-    overwrites ``last_integrand`` in place. The folds take their scratch
-    from ``ws``, so a block folds at most ``ws.block`` rows."""
+    overwrites ``last_integrand`` in place. ``g0``, the initial mass-weighted
+    velocity potential, is a 0-d array. The folds take their scratch from
+    ``ws``, so a block folds at most ``ws.block`` rows."""
 
     s0: State
     u0_integral: np.ndarray
-    g0: float
+    g0: np.ndarray
     log_damping: float
     damping_ratios: list
     scaled_history: np.ndarray
@@ -94,7 +95,7 @@ def init_accumulators(s0: State, g: Grid, ws: Workspace | None = None) -> ReprAc
     if ws is None:
         ws = Workspace(g.n_cells)
     u0_int = velocity_integral(s0.u[None], g, np.empty((1, g.n_cells)), ws)[0]
-    g0 = float(s0.v.dot(u0_int) * g.dx)
+    g0 = _operand(s0.v.dot(u0_int) * g.dx)
     # the base profile at t = 0 is exactly v0, so the first history integrand
     # is theta0 / v0
     return ReprAccumulators(
@@ -128,7 +129,7 @@ def _base_factor_cached(acc: ReprAccumulators, v: np.ndarray, u: np.ndarray,
     # g_now - g0 of each row; vecdot takes one BLAS dot a row, as
     # ndarray.dot does
     shifts = np.vecdot(v, exponent)
-    shifts *= g.dx
+    shifts *= g.dx_ops[0]
     shifts -= acc.g0
     exponent -= acc.u0_integral
     exponent -= shifts[:, None]
@@ -166,17 +167,19 @@ def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
     then takes a copy of the block's last f.
     """
     rows, ws = theta.shape[0], acc.ws
-    f = np.divide(theta, base, out=ws.cells[1][:rows])
+    f = np.divide(theta, base, ws.cells[1][:rows])
     # the half-dt products of every step; the first step's f_prev is the
     # previous block's last f
-    half_dts = np.multiply(dts, 0.5, out=ws.steps[:rows])[:, None]
+    half_dts = np.multiply(dts, _HALF, ws.steps[:rows])[:, None]
     prev_terms = ws.cells[0][:rows]
-    np.multiply(acc.last_integrand, half_dts[0], out=prev_terms[0])
-    np.multiply(f[:-1], half_dts[1:], out=prev_terms[1:])
+    np.multiply(acc.last_integrand, half_dts[0], prev_terms[0])
+    np.multiply(f[:-1], half_dts[1:], prev_terms[1:])
     acc.last_integrand[...] = f[-1]
-    new_terms = np.multiply(f, half_dts, out=f)
+    new_terms = np.multiply(f, half_dts, f)
+    # the ratios reach the loop as the 0-d views ws.ratio_ops
+    ws.ratios[:rows] = acc.damping_ratios
     history = acc.scaled_history
-    for ratio, prev, new in zip(acc.damping_ratios, prev_terms, new_terms):
+    for ratio, prev, new in zip(ws.ratio_ops, prev_terms, new_terms):
         history += prev
         history *= ratio
         history += new

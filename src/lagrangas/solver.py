@@ -24,8 +24,8 @@ from importlib.machinery import PathFinder
 import numpy as np
 
 from . import functionals, representation
-from .core import (Grid, PhysParams, State, Workspace, _pow, check_normalization,
-                   validate_state)
+from .core import (_HALF, _ONE, Grid, PhysParams, State, Workspace, _operand, _pow,
+                   check_normalization, validate_state)
 from .errors import NumericalBreakdown, ParamError, SimulationFailure, StepRejected
 
 
@@ -124,6 +124,15 @@ class Sources:
         object.__setattr__(self, "s_theta", np.asarray(self.s_theta, dtype=float))
         if self.s_u[0] != 0.0 or self.s_u[-1] != 0.0:
             raise ValueError("s_u must vanish at the boundary nodes")
+
+
+def _source_row(s_v, s_u, s_theta) -> Sources:
+    # a row of ManufacturedSources.rows as Sources, without the conversion
+    # and the wall check of Sources.__post_init__: rows gives float arrays
+    # and zeroes s_u at the walls itself
+    row = object.__new__(Sources)
+    row.__dict__.update(s_v=s_v, s_u=s_u, s_theta=s_theta)
+    return row
 
 
 def _sources_at(src, t):
@@ -232,6 +241,40 @@ def _step_times(t, dt, target, count):
     return times
 
 
+class _Scalars:
+    """The scalar operands of one run's IMEX steps as 0-d float64 arrays,
+    which a ufunc takes as they are where it converts a Python float on
+    every call: the run's constants, built once from (p, g), and the values
+    of the step size, which ``at`` refills in place when dt changes, each
+    from the expression that gave the float operand."""
+
+    __slots__ = ("p", "g", "R", "mu", "kappa", "dx", "last_dt", "dt", "coef",
+                 "neg_coef", "dt_dx", "dt_cv", "lam", "neg_lam")
+
+    def __init__(self, p: PhysParams, g: Grid):
+        self.p, self.g = p, g
+        self.R, self.mu, self.kappa = (_operand(p.R), _operand(p.mu_tilde),
+                                       _operand(p.kappa_tilde))
+        self.dx = g.dx_ops[0]
+        self.last_dt = None
+        (self.dt, self.coef, self.neg_coef, self.dt_dx, self.dt_cv, self.lam,
+         self.neg_lam) = (np.empty(()) for _ in range(7))
+
+    def at(self, dt: float) -> _Scalars:
+        """The operands of a step of size dt."""
+        if dt != self.last_dt:
+            p, dx = self.p, self.g.dx
+            coef = dt * p.mu_tilde / (dx * dx)
+            lam = dt / (p.c_v * dx * dx)
+            self.dt[()] = dt
+            self.coef[()], self.neg_coef[()] = coef, -coef
+            self.dt_dx[()] = dt / dx
+            self.dt_cv[()] = dt / p.c_v
+            self.lam[()], self.neg_lam[()] = lam, -lam
+            self.last_dt = dt
+        return self
+
+
 # Both kernels write (v, u, theta, ux, vf) into the row ws.nxt of the run's
 # Workspace ``ws`` and return those views: the new state, its cell velocity
 # gradient and the face means of its volume, which the dissipation reads
@@ -240,65 +283,67 @@ def _step_times(t, dt, target, count):
 def _imex_kernel(v, u, theta, t, dt, p, g, src, ws):
     # (v, u, theta) must be the fields of ws.cur, whose ux, knum and u_in
     # the kernel reads as the values carried from them. The views of rows
-    # and scratch come prebuilt with the Workspace, and each ufunc takes its
-    # ``out`` by position: a step builds no view and parses no keyword.
-    dx = g.dx
+    # and scratch come prebuilt with the Workspace, each ufunc takes its
+    # ``out`` by position, and every scalar operand is a 0-d array of
+    # ws.scalars: a step builds no view, parses no keyword and converts no
+    # float.
     s = _sources_at(src, t + dt)
+    sc = ws.scalars.at(dt)
     cur, out = ws.cur, ws.nxt
     inv_v, work, work2 = ws.step_cells
     work_f, _, kf = ws.step_faces
     inv_lo, inv_hi, inv_in, work_lo, work_hi, work_in, off, kf_lo, kf_hi = ws.step_views
 
     # volume first, explicitly, so both solves see the new geometry
-    v_new = np.multiply(cur.ux, dt, out.v)
+    v_new = np.multiply(cur.ux, sc.dt, out.v)
     v_new += v
     if s is not None:
-        v_new += np.multiply(s.s_v, dt, work)
+        v_new += np.multiply(s.s_v, sc.dt, work)
     # written so that NaN fails the check too
     if not _min(v_new) > POSITIVITY_FLOOR:
         raise StepRejected(VOLUME_FLOOR, "volume fell to the positivity floor")
-    np.divide(1.0, v_new, inv_v)
+    np.divide(_ONE, v_new, inv_v)
 
     # implicit velocity: (I - dt*L) u = u + dt*(-P_x + s_u), pressure lagged in
-    # theta, solved in place in the interior of the new velocity
-    coef = dt * p.mu_tilde / (dx * dx)
+    # theta, solved in place in the interior of the new velocity;
+    # coef = dt * mu_tilde / dx**2
     diag = np.add(inv_lo, inv_hi, work_f)
-    diag *= coef
-    diag += 1.0
-    np.multiply(inv_in, -coef, off)
-    theta_r = np.multiply(theta, p.R, work2)
+    diag *= sc.coef
+    diag += _ONE
+    np.multiply(inv_in, sc.neg_coef, off)
+    theta_r = np.multiply(theta, sc.R, work2)
     np.multiply(theta_r, inv_v, work)  # the pressure
     rhs = np.subtract(work_hi, work_lo, out.u_in)
-    rhs *= dt / dx
+    rhs *= sc.dt_dx
     np.subtract(cur.u_in, rhs, rhs)
     if s is not None:
-        rhs += np.multiply(s.s_u[1:-1], dt, kf)
+        rhs += np.multiply(s.s_u[1:-1], sc.dt, kf)
     _solve_spd_tridiag(diag, off, rhs)
     ux_new = np.subtract(out.u_hi, out.u_lo, out.ux)
-    ux_new /= dx
+    ux_new /= sc.dx
 
     # implicit temperature: conductivity frozen at the old theta, reaction and
-    # viscous heating explicit but evaluated with the new velocity
+    # viscous heating explicit but evaluated with the new velocity;
+    # lam = dt / (c_v * dx**2)
     vf = np.add(out.v_lo, out.v_hi, out.vf)
-    vf *= 0.5
+    vf *= _HALF
     np.divide(cur.knum, vf, kf)
-    lam = dt / (p.c_v * dx * dx)
-    heating = np.multiply(ux_new, p.mu_tilde, work)
+    heating = np.multiply(ux_new, sc.mu, work)
     heating -= theta_r
     heating *= ux_new
     heating *= inv_v
-    heating *= dt / p.c_v
+    heating *= sc.dt_cv
     theta_new = np.add(theta, heating, out.theta)
     if s is not None:
-        theta_new += np.multiply(s.s_theta, dt, work)
+        theta_new += np.multiply(s.s_theta, sc.dt, work)
     # each row couples through the faces beside it; the walls conduct nothing
     diag2 = work
     np.add(kf_lo, kf_hi, work_in)
     diag2[0] = kf[0]
     diag2[-1] = kf[-1]
-    diag2 *= lam
-    diag2 += 1.0
-    off2 = np.multiply(kf, -lam, work_f)
+    diag2 *= sc.lam
+    diag2 += _ONE
+    off2 = np.multiply(kf, sc.neg_lam, work_f)
     _solve_spd_tridiag(diag2, off2, theta_new)
     if not _min(theta_new) > POSITIVITY_FLOOR:
         raise StepRejected(TEMPERATURE_FLOOR, "temperature fell to the positivity floor")
@@ -357,6 +402,7 @@ def step(s: State, p: PhysParams, g: Grid, c: StepControls,
     """
     _check_cells(g.n_cells)
     ws = Workspace(g.n_cells, 1)
+    ws.scalars = _Scalars(p, g)
     row = ws.load(s)
     functionals.dissipation(s, g, p, ws)
     v, u, theta, _, _ = _take_step(row.v, row.u, row.theta, s.t, p, g, c.scheme, c.dt,
@@ -407,11 +453,13 @@ class _RunningTotals:
     computes only what the next kernel reads, and folds the block in when
     the block is full; ``fold`` folds in a partial block. After a fold,
     ``dissipation`` and ``base`` hold the dissipation and the base profile
-    of the last accepted state. ``seconds`` is the time spent folding.
+    of the last accepted state. ``seconds`` is the time spent folding. The
+    run's scalar operands are ``ws.scalars``, which this makes.
     """
 
     def __init__(self, s0: State, g: Grid, p: PhysParams, ws: Workspace):
         self.g, self.p, self.ws = g, p, ws
+        ws.scalars = self.scalars = _Scalars(p, g)
         ws.load(s0)
         self.acc = representation.init_accumulators(s0, g, ws)
         self.dissipation = functionals.dissipation(s0, g, p, ws)
@@ -421,7 +469,8 @@ class _RunningTotals:
 
     def accept(self, dt: float) -> None:
         row = self.ws.accept(dt)
-        functionals.conductivity_numerator(row.theta, self.p, row.thf, row.knum)
+        functionals._numerator_from(row.theta_lo, row.theta_hi, self.p.beta,
+                                    self.scalars.kappa, row.thf, row.knum)
         if self.ws.full:
             self.fold()
 
@@ -429,11 +478,11 @@ class _RunningTotals:
         if not self.ws.filled:
             return
         started = time.perf_counter()
-        g, p, ws, acc = self.g, self.p, self.ws, self.acc
+        g, ws, acc = self.g, self.ws, self.acc
         block = ws.pending()
         dts = block.dt.tolist()  # Python floats for the scalar recurrences
         rates = functionals.dissipation_from(block.ux, block.vf, block.v, block.theta,
-                                             block.thf, block.knum, g, p, ws)
+                                             block.thf, block.knum, g, self.scalars.mu, ws)
         # the scalar recurrences run one step after the other, as they would
         # step by step
         prev, total = self.dissipation, self.int_v_dt
@@ -675,4 +724,4 @@ class ManufacturedSources:
             i = 0
         else:
             s_v, s_u, s_theta = self.block
-        return Sources(s_v=s_v[i], s_u=s_u[i], s_theta=s_theta[i])
+        return _source_row(s_v[i], s_u[i], s_theta[i])

@@ -103,6 +103,16 @@ class TestInitialSpec:
             lg.make_initial_data(lg.InitialSpec(kind="cosine", a_theta=1.0), lg.build_grid(8))
         assert exc.value.field is None
 
+    @pytest.mark.parametrize("kind", ["equilibrium", "cosine", "random_smooth"])
+    @pytest.mark.parametrize("c_v", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_heat_capacity_must_be_positive_and_finite(self, kind, c_v):
+        # a NaN c_v used to pass the builders' positivity check and give a
+        # temperature of NaN in every cell
+        spec = lg.InitialSpec(kind=kind, a_v=0.1, a_theta=0.1)
+        with pytest.raises(ConstructionError) as exc:
+            lg.make_initial_data(spec, lg.build_grid(8), c_v=c_v)
+        assert exc.value.field == "c_v"
+
 
 class TestEquilibriumBuilder:
     def test_exact_constant_state(self, grid64, equilibrium64):

@@ -202,6 +202,32 @@ class TestManufacturedSolution:
         assert len(src.index) == 10
         assert_lookups_equal_rows(list(src.index))
 
+    def test_rows_reach_the_kernel_unconverted(self, monkeypatch):
+        # rows already zeroes s_u at the walls, so a looked-up row is a
+        # Sources view of the block, not converted and checked again; a
+        # Sources built by a caller still is
+        g = lg.build_grid(16)
+        p = lg.PhysParams(beta=1.5)
+        src = solver.ManufacturedSources(g, p)
+        checks = []
+        post_init = solver.Sources.__post_init__
+
+        def counted(self):
+            checks.append(None)
+            post_init(self)
+
+        monkeypatch.setattr(solver.Sources, "__post_init__", counted)
+        s0, _ = solver.manufactured_solution(0.0, g, p)
+        checks.clear()
+        traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), 8 * DT_EXACT,
+                          4 * DT_EXACT, src)
+        assert traj.n_steps == 8 and checks == []
+        row = src(traj.final_state.t)
+        assert isinstance(row, solver.Sources)
+        assert np.shares_memory(row.s_u, src.block[1])
+        lg.Sources(row.s_v, row.s_u, row.s_theta)
+        assert len(checks) == 1
+
     def test_sources_from_finite_differences(self, unit_params):
         # independent derivation: forward-difference the analytic fields in
         # time and difference the fluxes in space on a very fine grid
@@ -861,6 +887,63 @@ class TestRejectionReplay:
         s, acc, totals = replay(s0, p, g, accepted, src)
         assert_same_totals(traj, traj.final_state, s, acc, totals)
         return planned
+
+
+class TestStepSizeChanges:
+    """The IMEX kernel's operands of the step size are refilled when dt
+    changes: on a step clamped onto a sample time, after a rejection, and
+    when the nominal dt is restored. A run through all three equals
+    ``step`` taken with each accepted dt in turn, bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 64, 4097])
+    def test_run_equals_step_replay(self, monkeypatch, n):
+        p = lg.PhysParams(beta=1.5, mu_tilde=0.7, kappa_tilde=1.3, R=1.1, c_v=0.9)
+        g = lg.build_grid(n)
+        # a velocity gradient that a step of 0.5 pushes through the volume
+        # floor at the start, and a cadence no multiple of dt
+        s0 = lg.make_initial_data(
+            lg.InitialSpec(kind="cosine", a_v=0.1, a_u=0.45, a_theta=0.1), g, p.c_v)
+        take = solver._take_step
+        accepted = []
+
+        def logged(*args):
+            result = take(*args)
+            accepted.append(args[7])
+            return result
+
+        monkeypatch.setattr(solver, "_take_step", logged)
+        traj = lg.advance(s0, p, g, lg.StepControls(dt=0.5), 8.0, 0.7)
+        monkeypatch.undo()
+        assert traj.n_rejected >= 1 and traj.n_steps == len(accepted)
+        reduced = accepted.index(0.25)
+        assert 0.5 in accepted[reduced:]  # the nominal dt restored
+        assert any(dt not in (0.5, 0.25) for dt in accepted)  # landings
+        s, acc, totals = replay(s0, p, g, accepted)
+        assert_same_totals(traj, traj.final_state, s, acc, totals)
+
+
+class TestScalarOperandBinding:
+    """The kernel and the fold give numpy each scalar operand as a 0-d
+    float64 array instead of a Python float. This pins, as
+    ``TestLapackBinding`` pins dptsv, that every ufunc form they use gives
+    the same bits either way: new, in place and with the scalar first (as
+    in 1.0 / v), on rows and on blocks of rows."""
+
+    @pytest.mark.parametrize("n", [2, 3, 256, 4097])
+    def test_zero_d_operand_gives_the_float_bits(self, n):
+        rng = np.random.default_rng(n)
+        scalars = [0.5, 1.0, 3.0, 1.0 / n, 0.125 / n, rng.uniform(1e-9, 1e-3) * n * n,
+                   -rng.uniform(1e-9, 1e-3) * n * n, rng.uniform(0.1, 10.0)]
+        for x in (rng.uniform(-2.0, 2.0, n), rng.uniform(0.01, 3.0, (3, n))):
+            for c in scalars:
+                z = np.array(c)
+                for ufunc in (np.multiply, np.add, np.subtract, np.divide):
+                    assert ufunc(x, z).tobytes() == ufunc(x, c).tobytes()
+                    assert ufunc(z, x).tobytes() == ufunc(c, x).tobytes()
+                    with_zero_d, with_float = x.copy(), x.copy()
+                    ufunc(with_zero_d, z, with_zero_d)
+                    ufunc(with_float, c, with_float)
+                    assert with_zero_d.tobytes() == with_float.tobytes()
 
 
 class TestWorkspace:
