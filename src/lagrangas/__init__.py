@@ -8,8 +8,8 @@ reconstruction used as an independent oracle, and exponential-decay fits of
 the distance to equilibrium.
 """
 
-from .analysis import (BoundsCertificate, DecayFit, bounds_certificate,
-                       convergence_order, entropy_roots, fit_decay_rate)
+from .analysis import (BoundsCertificate, DecayFit, convergence_order,
+                       entropy_roots, fit_decay_rate)
 from .core import (Grid, InitialSpec, PhysParams, State, build_grid,
                    check_normalization, load_table, make_initial_data,
                    parse_table, validate_state)
@@ -28,7 +28,7 @@ __all__ = [
     "BoundsCertificate", "DecayFit", "DiagnosticsRecord", "EXPLICIT_RK2",
     "Grid", "IMEX_BE", "InitialSpec", "PhysParams", "ReprAccumulators",
     "Sources", "State", "StepControls", "Trajectory",
-    "advance", "base_factor", "bounds_certificate", "build_grid",
+    "advance", "base_factor", "build_grid",
     "check_normalization", "convergence_order", "dissipation", "entropy",
     "entropy_roots", "extrema", "fit_decay_rate", "h1_deviation",
     "init_accumulators", "inverse_temperature_moment", "load_table",

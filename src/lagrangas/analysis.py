@@ -178,12 +178,6 @@ def reduce_records(records, e0: float | None = None) -> RecordReduction:
         **extrema)
 
 
-def bounds_certificate(trajectory, e0: float) -> BoundsCertificate | None:
-    """The extrema and corridor check of ``reduce_records``, order-insensitive
-    in the samples; None when e0 is outside ``entropy_roots``' domain."""
-    return reduce_records(trajectory, e0).bounds
-
-
 def convergence_order(errors) -> float:
     """Least-squares slope of ln e against ln h over refinement levels.
 

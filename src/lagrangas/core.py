@@ -66,6 +66,17 @@ def _pow(base: np.ndarray, exponent: float, out: np.ndarray | None = None) -> np
     return np.power(base, exponent, out=out)
 
 
+def _numerator_from(theta_lo: np.ndarray, theta_hi: np.ndarray, beta: float, kappa,
+                    thf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # kappa_tilde * thf**beta into ``out``, at the face means of theta into
+    # ``thf``, from the views of theta without its last cell and without its
+    # first: the numerator of the IMEX step's face conductivities, and a
+    # factor of the thermal dissipation. ``kappa`` is a float or a 0-d array.
+    np.add(theta_lo, theta_hi, thf)
+    thf *= _HALF
+    return np.multiply(_pow(thf, beta, out), kappa, out)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of the mass interval (0, 1).
@@ -172,8 +183,8 @@ class Workspace:
 
     The fields are 2-D, one row per state, in two banks of ``block`` rows.
     ``nxt`` views the row the next kernel writes and ``cur`` that of the
-    last accepted state, whose ``ux`` and ``knum`` the kernel reads instead
-    of recomputing them; a rejected attempt overwrites neither.
+    last accepted or ``load``ed state, whose ``ux`` and ``knum`` the kernel
+    reads instead of recomputing them; a rejected attempt overwrites neither.
     ``accept(dt)`` moves ``cur`` onto ``nxt`` and keeps the step's size in
     ``dt``. A block, the steps accepted since the last ``fold``, fills one
     bank forward from its first row while the other bank holds the state it
@@ -222,13 +233,20 @@ class Workspace:
         self._bank = 1
         self.fold()
 
-    def load(self, s: State) -> _Rows:
-        """Copy the fields of ``s`` into ``cur``, the row a first step reads;
-        returns that row."""
+    def load(self, s: State, g: Grid, p: PhysParams) -> _Rows:
+        """Copy the fields of ``s`` into ``cur``, the row a first step reads,
+        and write there what a step and the dissipation read from them: the
+        cell velocity gradient ``ux``, the face means ``vf`` and ``thf`` and
+        ``knum``; returns that row."""
         row = self.cur
         row.v[...] = s.v
         row.u[...] = s.u
         row.theta[...] = s.theta
+        np.subtract(row.u_hi, row.u_lo, row.ux)
+        row.ux /= g.dx_ops[0]
+        np.add(row.v_lo, row.v_hi, row.vf)
+        row.vf *= _HALF
+        _numerator_from(row.theta_lo, row.theta_hi, p.beta, p.kappa_tilde, row.thf, row.knum)
         return row
 
     def accept(self, dt: float) -> _Rows:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import _HALF, Grid, PhysParams, State, Workspace, _pow, kinetic_energy
+from .core import Grid, PhysParams, State, Workspace, kinetic_energy
 
 
 @dataclass(frozen=True)
@@ -82,42 +82,16 @@ def entropy(s: State, g: Grid, p: PhysParams) -> float:
     return float((_sum(cells) + kinetic) * g.dx)
 
 
-def dissipation(s: State, g: Grid, p: PhysParams, ws: Workspace | None = None) -> float:
+def dissipation(s: State, g: Grid, p: PhysParams) -> float:
     """Entropy dissipation rate: thermal-gradient and shear contributions.
 
     Face values of theta and v are arithmetic means, matching the solver's
     heat flux. Zero exactly iff u has no differences and theta is constant.
-    With a run's workspace ``ws``, the state's cell velocity gradient, face
-    means and kappa_tilde * thf**beta are left in its row ``ws.cur``, which
-    readies ``ws`` for a first IMEX step from ``s``.
     """
-    if ws is None:
-        ws = Workspace(g.n_cells, 1)
-    row = ws.cur
-    ux = np.subtract(s.u[1:], s.u[:-1], out=row.ux)
-    ux /= g.dx
-    vf = np.add(s.v[:-1], s.v[1:], out=row.vf)
-    vf *= 0.5
-    knum = conductivity_numerator(s.theta, p, row.thf, row.knum)
-    return dissipation_from(ux[None], vf[None], s.v[None], s.theta[None], row.thf[None],
-                            knum[None], g, p.mu_tilde, ws)[0]
-
-
-def conductivity_numerator(theta: np.ndarray, p: PhysParams, thf: np.ndarray,
-                           out: np.ndarray) -> np.ndarray:
-    """kappa_tilde * thf**beta, written into ``out``, at the face means of
-    ``theta``, written into ``thf``: the numerator of the IMEX step's face
-    conductivities, and a factor of the thermal dissipation."""
-    return _numerator_from(theta[:-1], theta[1:], p.beta, p.kappa_tilde, thf, out)
-
-
-def _numerator_from(theta_lo: np.ndarray, theta_hi: np.ndarray, beta: float, kappa,
-                    thf: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # conductivity_numerator from the views of theta without its last cell
-    # and without its first; ``kappa`` is kappa_tilde, a float or a 0-d array
-    np.add(theta_lo, theta_hi, thf)
-    thf *= _HALF
-    return np.multiply(_pow(thf, beta, out), kappa, out)
+    ws = Workspace(g.n_cells, 1)
+    row = ws.load(s, g, p)
+    return dissipation_from(row.ux[None], row.vf[None], row.v[None], row.theta[None],
+                            row.thf[None], row.knum[None], g, p.mu_tilde, ws)[0]
 
 
 def dissipation_from(ux: np.ndarray, vf: np.ndarray, v: np.ndarray, theta: np.ndarray,
@@ -125,7 +99,7 @@ def dissipation_from(ux: np.ndarray, vf: np.ndarray, v: np.ndarray, theta: np.nd
                      ws: Workspace) -> list:
     """``dissipation`` of each row of a block of states, from its cell
     velocity gradient ``ux``, the face means ``vf`` of ``v`` and ``thf`` of
-    ``theta``, and ``knum`` from ``conductivity_numerator``, all of which the
+    ``theta``, and ``knum`` = kappa_tilde * thf**beta, all of which the
     time stepping has already computed; one value per row. ``mu`` is
     mu_tilde, a float or a 0-d array; ``ws`` lends scratch.
     """

@@ -24,8 +24,8 @@ from importlib.machinery import PathFinder
 import numpy as np
 
 from . import functionals, representation
-from .core import (_HALF, _ONE, Grid, PhysParams, State, Workspace, _operand, _pow,
-                   check_normalization, validate_state)
+from .core import (_HALF, _ONE, Grid, PhysParams, State, Workspace, _numerator_from,
+                   _operand, _pow, check_normalization, validate_state)
 from .errors import NumericalBreakdown, ParamError, SimulationFailure, StepRejected
 
 
@@ -403,8 +403,7 @@ def step(s: State, p: PhysParams, g: Grid, c: StepControls,
     _check_cells(g.n_cells)
     ws = Workspace(g.n_cells, 1)
     ws.scalars = _Scalars(p, g)
-    row = ws.load(s)
-    functionals.dissipation(s, g, p, ws)
+    row = ws.load(s, g, p)
     v, u, theta, _, _ = _take_step(row.v, row.u, row.theta, s.t, p, g, c.scheme, c.dt,
                                    src, ws)
     return State(t=s.t + c.dt, v=v, u=u, theta=theta)
@@ -460,17 +459,17 @@ class _RunningTotals:
     def __init__(self, s0: State, g: Grid, p: PhysParams, ws: Workspace):
         self.g, self.p, self.ws = g, p, ws
         ws.scalars = self.scalars = _Scalars(p, g)
-        ws.load(s0)
+        ws.load(s0, g, p)
         self.acc = representation.init_accumulators(s0, g, ws)
-        self.dissipation = functionals.dissipation(s0, g, p, ws)
+        self.dissipation = functionals.dissipation(s0, g, p)
         self.int_v_dt = 0.0
         self.base = None
         self.seconds = 0.0
 
     def accept(self, dt: float) -> None:
         row = self.ws.accept(dt)
-        functionals._numerator_from(row.theta_lo, row.theta_hi, self.p.beta,
-                                    self.scalars.kappa, row.thf, row.knum)
+        _numerator_from(row.theta_lo, row.theta_hi, self.p.beta, self.scalars.kappa,
+                        row.thf, row.knum)
         if self.ws.full:
             self.fold()
 

@@ -128,7 +128,7 @@ def fake_record(t, mean_theta=1.0, min_v=1.0, max_v=1.0, min_th=1.0, max_th=1.0)
 class TestBoundsCertificate:
     def test_equilibrium_records(self):
         records = [fake_record(t) for t in (0.0, 1.0, 2.0)]
-        cert = lg.bounds_certificate(records, e0=2.0)
+        cert = analysis.reduce_records(records, e0=2.0).bounds
         assert cert.inf_v == cert.sup_v == 1.0
         assert cert.inf_theta == cert.sup_theta == 1.0
         assert cert.corridor_ok
@@ -138,7 +138,7 @@ class TestBoundsCertificate:
         records = [fake_record(0.0, min_v=0.8, max_v=1.3),
                    fake_record(1.0, min_v=0.6, max_th=1.5),
                    fake_record(2.0, max_v=2.0, min_th=0.7)]
-        cert = lg.bounds_certificate(records, e0=2.0)
+        cert = analysis.reduce_records(records, e0=2.0).bounds
         assert cert.inf_v == 0.6
         assert cert.sup_v == 2.0
         assert cert.inf_theta == 0.7
@@ -146,31 +146,31 @@ class TestBoundsCertificate:
 
     def test_order_insensitive(self):
         records = [fake_record(t, min_v=1.0 - 0.01 * t) for t in range(5)]
-        fwd = lg.bounds_certificate(records, e0=2.0)
-        rev = lg.bounds_certificate(list(reversed(records)), e0=2.0)
+        fwd = analysis.reduce_records(records, e0=2.0).bounds
+        rev = analysis.reduce_records(list(reversed(records)), e0=2.0).bounds
         assert fwd == rev
 
     def test_corridor_violation(self):
         alpha1, _ = lg.entropy_roots(2.0)
         records = [fake_record(0.0), fake_record(1.0, mean_theta=alpha1 - 0.02)]
-        cert = lg.bounds_certificate(records, e0=2.0)
+        cert = analysis.reduce_records(records, e0=2.0).bounds
         assert not cert.corridor_ok
 
     def test_empty_trajectory(self):
         with pytest.raises(ValueError):
-            lg.bounds_certificate([], e0=2.0)
+            analysis.reduce_records([], e0=2.0).bounds
 
     def test_accepts_trajectory_object(self, grid64, equilibrium64, unit_params):
         traj = lg.advance(equilibrium64, unit_params, grid64,
                           lg.StepControls(dt=1e-3), 0.1, 0.05)
-        cert = lg.bounds_certificate(traj, e0=2.0)
+        cert = analysis.reduce_records(traj, e0=2.0).bounds
         assert cert.corridor_ok
         assert cert.inf_v == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("e0", [0.5, 710.0])
     def test_no_certificate_outside_the_roots_domain(self, e0):
         records = [fake_record(0.0, min_v=0.8), fake_record(1.0, max_th=1.5)]
-        assert lg.bounds_certificate(records, e0=e0) is None
+        assert analysis.reduce_records(records, e0=e0).bounds is None
         reduced = analysis.reduce_records(records, e0=e0)
         assert reduced.corridor is None
         assert (reduced.inf_v, reduced.sup_theta) == (0.8, 1.5)

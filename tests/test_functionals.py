@@ -5,6 +5,7 @@ from scipy.integrate import quad
 
 import lagrangas as lg
 from lagrangas import functionals
+from lagrangas.core import Workspace
 
 from conftest import make_state
 
@@ -77,8 +78,8 @@ class TestDissipation:
 
     def test_beta_zero_conductivity_is_kappa(self):
         p = lg.PhysParams(beta=0.0, kappa_tilde=0.7)
-        theta = np.array([0.3, 1.0, 2.5, 7.0])
-        knum = functionals.conductivity_numerator(theta, p, np.empty(3), np.empty(3))
+        s = make_state(np.ones(4), np.zeros(5), [0.3, 1.0, 2.5, 7.0])
+        knum = Workspace(4, 1).load(s, lg.build_grid(4), p).knum
         assert np.all(knum == 0.7)
 
 

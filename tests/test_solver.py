@@ -363,6 +363,110 @@ class TestStepMatchesAdvance:
             assert getattr(s, name).tobytes() == getattr(traj.final_state, name).tobytes()
 
 
+class TestCarriedRow:
+    """``Workspace.load`` readies the row a step reads: the fields of a state
+    and its ``ux``, ``vf``, ``thf`` and ``knum``. A step therefore computes
+    no dissipation, and the row an accepted step leaves holds what a fresh
+    ``load`` of its state writes, bit for bit."""
+
+    @pytest.mark.parametrize("scheme", solver.SCHEMES)
+    def test_step_computes_no_dissipation(self, monkeypatch, scheme, grid64, cosine64,
+                                          unit_params):
+        calls = []
+        rates = functionals.dissipation_from
+
+        def counted(*args):
+            calls.append(args)
+            return rates(*args)
+
+        monkeypatch.setattr(functionals, "dissipation_from", counted)
+        lg.step(cosine64, unit_params, grid64, lg.StepControls(dt=1e-5, scheme=scheme))
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("scheme", solver.SCHEMES)
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 6.0])
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_accepted_row_equals_a_fresh_load(self, scheme, beta, n):
+        p = lg.PhysParams(beta=beta, mu_tilde=0.7, kappa_tilde=1.3, R=1.1, c_v=0.9)
+        g = lg.build_grid(n)
+        s0 = lg.make_initial_data(
+            lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.1,
+                           seed=n), g, p.c_v)
+        dt = min(DT_EXACT, 0.5 * solver._dt_bound(scheme, s0.v, s0.theta, p, g))
+        ws = Workspace(n)
+        totals = solver._RunningTotals(s0, g, p, ws)
+        t = 0.0
+        # one more step than a block holds, so that a fold comes between
+        for _ in range(ws.block + 1):
+            row = ws.cur
+            solver._take_step(row.v, row.u, row.theta, t, p, g, scheme, dt, None, ws)
+            totals.accept(dt)
+            t += dt
+            row = ws.cur
+            fresh = Workspace(n, 1).load(
+                lg.State(t=t, v=row.v, u=row.u, theta=row.theta), g, p)
+            for name in ("ux", "vf", "thf", "knum"):
+                assert getattr(row, name).tobytes() == getattr(fresh, name).tobytes()
+
+
+def driver_step_sizes(t0, dt, t_end, sample_every, tiny):
+    """The sizes of the steps ``advance`` takes when it rejects none: each
+    from ``_step_size`` towards the next sample time or t_end."""
+    sizes, t, sample_idx = [], t0, 1
+    while t < t_end - tiny:
+        target = min(t0 + sample_idx * sample_every, t_end)
+        while t < target:
+            dt_try, t = solver._step_size(t, dt, target)
+            sizes.append(dt_try)
+        while t0 + sample_idx * sample_every <= target + tiny:
+            sample_idx += 1
+    return sizes
+
+
+class TestAdvanceEqualsStepChain:
+    """Over the admissible inputs, a run of ``advance`` that rejects no step
+    equals the chain of ``step``s over its step sizes, bit for bit."""
+
+    @given(scheme=st.sampled_from(solver.SCHEMES), beta=st.floats(0.0, 4.0),
+           c_v=st.floats(0.2, 5.0), n=st.integers(2, 64),
+           a_v=st.floats(-0.9, 0.9), a_u=st.floats(0.0, 1.0),
+           theta_share=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 16),
+           dt_share=st.floats(0.05, 1.0), t_end=st.floats(1e-3, 0.02),
+           samples=st.integers(1, 4))
+    @settings(deadline=None)
+    def test_run_equals_step_chain(self, scheme, beta, c_v, n, a_v, a_u, theta_share,
+                                   seed, dt_share, t_end, samples):
+        p = lg.PhysParams(beta=beta, c_v=c_v)
+        g = lg.build_grid(n)
+        spec = lg.InitialSpec(kind="random_smooth", a_v=a_v, a_u=a_u, a_theta=0.0,
+                              seed=seed)
+        try:
+            theta_c = lg.make_initial_data(spec, g, c_v).theta[0]
+            spec = replace(spec, a_theta=theta_share * theta_c)
+            s0 = lg.make_initial_data(spec, g, c_v)
+        except ConstructionError:
+            reject()
+        # the explicit scheme at a share of its bound at s0, the IMEX one at
+        # a share of 0.01
+        bound = solver._dt_bound(scheme, s0.v, s0.theta, p, g)
+        dt = dt_share * min(bound, 0.01)
+        try:
+            traj = lg.advance(s0, p, g, lg.StepControls(dt=dt, scheme=scheme),
+                              t_end, t_end / samples)
+        except SimulationFailure:
+            reject()
+        if traj.n_rejected:
+            reject()
+        tiny = solver.check_run(n, s0.t, t_end, t_end / samples)
+        sizes = driver_step_sizes(s0.t, dt, t_end, t_end / samples, tiny)
+        assert len(sizes) == traj.n_steps
+        s = s0
+        for dt_try in sizes:
+            s = lg.step(s, p, g, lg.StepControls(dt=dt_try, scheme=scheme))
+        for name in ("v", "u", "theta"):
+            assert getattr(s, name).tobytes() == getattr(traj.final_state, name).tobytes()
+
+
 def imex_systems(s, s1, dt, p, g, sources=None):
     """The velocity and temperature systems that the IMEX step from ``s`` to
     ``s1`` must satisfy, assembled row by row as dense matrices from the old
