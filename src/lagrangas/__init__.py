@@ -8,8 +8,7 @@ reconstruction used as an independent oracle, and exponential-decay fits of
 the distance to equilibrium.
 """
 
-from .analysis import (BoundsCertificate, DecayFit, convergence_order,
-                       entropy_roots, fit_decay_rate)
+from .analysis import DecayFit, convergence_order, entropy_roots, fit_decay_rate
 from .core import (Grid, InitialSpec, PhysParams, State, build_grid,
                    check_normalization, load_table, make_initial_data,
                    parse_table, validate_state)
@@ -25,7 +24,7 @@ from .solver import (EXPLICIT_RK2, IMEX_BE, Sources, StepControls, Trajectory,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsCertificate", "DecayFit", "DiagnosticsRecord", "EXPLICIT_RK2",
+    "DecayFit", "DiagnosticsRecord", "EXPLICIT_RK2",
     "Grid", "IMEX_BE", "InitialSpec", "PhysParams", "ReprAccumulators",
     "Sources", "State", "StepControls", "Trajectory",
     "advance", "base_factor", "build_grid",

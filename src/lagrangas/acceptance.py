@@ -4,7 +4,8 @@ Each criterion is evaluated against the reference scenario (cosine data with
 amplitudes 0.1, unit constants, N = 256, dt = 1e-4, t_end = 50) and its
 refinements, all derived from the reference config. Tolerances are fixed
 here; observed extrema and moment suprema are additionally compared against
-regression pins (pins.json) within +-5% when the pins file is present.
+regression pins (pins.json) within +-5% when the pins file is present; a
+pins file that lacks one of them is rejected before any job runs.
 
 Criteria 1-4, 6 and 9 compare thresholds with ``analysis.reduce_records``,
 the reduction behind each run's summary.json, of a job's records or of those
@@ -27,17 +28,19 @@ trajectory-level tests (about twelve clean orders of magnitude).
 from __future__ import annotations
 
 import json
+import operator
 import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, cli, solver
+from . import analysis, cli, functionals, solver
 from .core import InitialSpec, build_grid, make_initial_data
-from .errors import InsufficientDataError
+from .errors import ConfigError, InsufficientDataError
 
 MASS_TOL = 1e-11
 ENERGY_TOL = 1e-4
@@ -57,12 +60,7 @@ MOMENT_ENVELOPE = 10.0
 FIRST_ORDER_RATIO_MIN = 1.6
 RATIO_WINDOW_END = 10.0
 SWEEP_BETAS = (0.5, 1.5, 2.5)
-# Wall seconds of each job of the reference config, measured with 2
-# workers. The jobs are submitted longest first (LPT scheduling), so that
-# no long job starts last; the results are keyed by tag, so the order
-# changes no outcome.
-JOB_SECONDS = {"n512": 63, "beta_1.5": 48, "beta_0.5": 47, "ref": 41, "beta_2.5": 41,
-               "rerun": 39, "refined": 26, "dt_half": 16, "repr512": 5}
+EXTREMA = ("inf_v", "sup_v", "inf_theta", "sup_theta")
 
 
 @dataclass
@@ -75,8 +73,20 @@ class CriterionResult:
 
 def _acceptance_worker(args):
     tag, cfg, out_dir = args
-    traj = cli._execute(cfg) if out_dir is None else cli._run_with_outputs(cfg, out_dir)[1]
-    return tag, traj.records
+    return tag, cli._run_with_outputs(cfg, out_dir)[1].records
+
+
+def _check_pins(cfg, pins) -> None:
+    """Raise ConfigError naming the first pin that criterion 4 or 9 reads for
+    ``cfg`` and that ``pins`` lacks: the extrema of the config's beta and of
+    SWEEP_BETAS, and the moment suprema of the exponents the runs track."""
+    lp = cfg.lp_exponents or functionals.default_lp_exponents(cfg.params)
+    needed = [("bounds", f"{b:g}", k) for b in (cfg.params.beta, *SWEEP_BETAS) for k in EXTREMA]
+    for path in needed + [("lp_sup", f"{q:g}") for q in lp]:
+        try:
+            reduce(operator.getitem, path, pins)
+        except (KeyError, TypeError):
+            raise ConfigError(f"pins.json has no entry {'/'.join(path)}") from None
 
 
 def _until(records, t_max: float) -> list:
@@ -108,6 +118,8 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
     """
     cfg_text, pins = _load_reference(config_dir)
     cfg = cli.parse_config(cfg_text)
+    if pins is not None:
+        _check_pins(cfg, pins)
     if workers is None:
         import os
         workers = min(2, os.cpu_count() or 1)
@@ -117,19 +129,23 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
     with scratch as out_name:
         out = Path(out_name)
         out.mkdir(parents=True, exist_ok=True)
-        jobs = [
-            ("ref", cfg, str(out / "ref")),
-            ("rerun", cfg, str(out / "rerun")),
-            ("dt_half", replace(cfg, dt=cfg.dt / 2, t_end=RATIO_WINDOW_END), None),
-            ("n512", replace(cfg, n_cells=2 * cfg.n_cells), None),
-            ("refined", replace(cfg, n_cells=2 * cfg.n_cells, dt=cfg.dt / 2,
-                                t_end=RATIO_WINDOW_END), None),
-            ("repr512", cli.refinement_config(cfg, 2 * cfg.n_cells), None),
-        ]
-        jobs += [(f"beta_{beta:g}", replace(cfg, params=replace(cfg.params, beta=beta)), None)
-                 for beta in SWEEP_BETAS]
-        jobs.sort(key=lambda job: -JOB_SECONDS.get(job[0], 0))
-        runs = dict(cli._fan_out(_acceptance_worker, jobs, workers))
+        jobs = {
+            "ref": cfg,
+            "rerun": cfg,
+            "dt_half": replace(cfg, dt=cfg.dt / 2, t_end=RATIO_WINDOW_END),
+            "n512": replace(cfg, n_cells=2 * cfg.n_cells),
+            "refined": replace(cfg, n_cells=2 * cfg.n_cells, dt=cfg.dt / 2,
+                               t_end=RATIO_WINDOW_END),
+            "repr512": cli.refinement_config(cfg, 2 * cfg.n_cells),
+        }
+        jobs.update((f"beta_{beta:g}", replace(cfg, params=replace(cfg.params, beta=beta)))
+                    for beta in SWEEP_BETAS)
+        # costliest first, by cells times steps (LPT scheduling), so that no
+        # long job starts last; the results are keyed by tag, so the order
+        # changes no outcome
+        order = sorted(jobs, key=lambda tag: -jobs[tag].n_cells * jobs[tag].t_end / jobs[tag].dt)
+        runs = dict(cli._fan_out(_acceptance_worker,
+                                 [(tag, jobs[tag], str(out / tag)) for tag in order], workers))
         csv_a = (out / "ref" / "timeseries.csv").read_bytes()
         csv_b = (out / "rerun" / "timeseries.csv").read_bytes()
 
@@ -169,14 +185,14 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
     if red.corridor is not None:
         (th_lo, th_hi), (lo, hi) = red.mean_theta_range, red.corridor
         detail3 = f"mean theta in [{th_lo:.4f}, {th_hi:.4f}], corridor [{lo:.4f}, {hi:.4f}]"
-    add(3, "mean-temperature corridor", red.bounds is not None and red.bounds.corridor_ok,
+    add(3, "mean-temperature corridor", red.corridor_ok,
         f"{detail3} (E0 {runs['ref'][0].entropy_E:.4f})")
 
     # 4: uniform bounds on v and theta over the reference run and the beta sweep
     ok4 = True
     details4 = []
-    for tag, beta in [("ref", 1.0)] + [(f"beta_{b:g}", b) for b in SWEEP_BETAS]:
-        b = {k: getattr(reduced[tag], k) for k in ("inf_v", "sup_v", "inf_theta", "sup_theta")}
+    for tag, beta in [("ref", cfg.params.beta)] + [(f"beta_{b:g}", b) for b in SWEEP_BETAS]:
+        b = {k: getattr(reduced[tag], k) for k in EXTREMA}
         observed["bounds"][f"{beta:g}"] = b
         ok4 &= (b["inf_v"] >= BOUND_LO and b["inf_theta"] >= BOUND_LO
                 and b["sup_v"] <= BOUND_HI and b["sup_theta"] <= BOUND_HI)

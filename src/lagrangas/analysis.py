@@ -107,22 +107,10 @@ def fit_decay_rate(times, norms, window: tuple[float, float] | None = None) -> D
                     n_samples=n, n_excluded=n_excluded)
 
 
-@dataclass(frozen=True)
-class BoundsCertificate:
-    """Observed extrema of v and theta over a trajectory, plus the
-    mean-temperature corridor check."""
-
-    inf_v: float
-    sup_v: float
-    inf_theta: float
-    sup_theta: float
-    t_range: tuple[float, float]
-    corridor_ok: bool
-
-
 @dataclass
 class RecordReduction:
-    """The numbers a run's records reduce to; see ``reduce_records``."""
+    """The numbers a run's records reduce to, each once; see
+    ``reduce_records``."""
 
     mass_drift: float
     energy_drift_rel: float
@@ -134,34 +122,32 @@ class RecordReduction:
     sup_theta: float
     mean_theta_range: tuple[float, float]
     corridor: tuple[float, float] | None
-    bounds: BoundsCertificate | None
+    corridor_ok: bool | None
     repr_err_max: float
     lp_sup: dict
 
 
-def reduce_records(records, e0: float | None = None) -> RecordReduction:
+def reduce_records(records) -> RecordReduction:
     """Reduce a run's records (a list, a prefix of one, or a Trajectory).
 
     Drifts are the largest |mass - mass0|, |energy - energy0| / |energy0| and
     |entropy + int V dt - entropy0| (the budget defect), from the first
     record; ``budget_max_increment`` is the largest rise of entropy + int V dt
-    from one sample to the next (0 if none). The corridor is alpha1 - CORRIDOR_TOL
-    to 1 + CORRIDOR_TOL, alpha1 the lower root of x - ln x = e0 (default: the
-    first record's entropy); it and ``bounds`` are None when e0 is outside
-    ``entropy_roots``' domain. ``lp_sup`` maps moment exponents to suprema.
+    from one sample to the next (0 if none). The extrema are those of v and
+    theta over all records. The corridor is alpha1 - CORRIDOR_TOL to
+    1 + CORRIDOR_TOL, alpha1 the lower root of x - ln x = E0, the first
+    record's entropy, and ``corridor_ok`` says whether ``mean_theta_range``
+    lies in it; both are None when E0 is outside ``entropy_roots``' domain.
+    ``lp_sup`` maps moment exponents to suprema.
     """
     records = list(getattr(records, "records", records))
     if not records:
         raise ValueError("trajectory has no records")
     first = records[0]
-    e0 = first.entropy_E if e0 is None else e0
-    corridor = ((entropy_roots(e0)[0] - CORRIDOR_TOL, 1.0 + CORRIDOR_TOL)
-                if 1.0 <= e0 <= E0_MAX else None)
+    corridor = ((entropy_roots(first.entropy_E)[0] - CORRIDOR_TOL, 1.0 + CORRIDOR_TOL)
+                if 1.0 <= first.entropy_E <= E0_MAX else None)
     budget = [r.entropy_E + r.int_V_dt for r in records]
     theta_lo, theta_hi = min(r.mean_theta for r in records), max(r.mean_theta for r in records)
-    extrema = {"inf_v": min(r.min_v for r in records), "sup_v": max(r.max_v for r in records),
-               "inf_theta": min(r.min_theta for r in records),
-               "sup_theta": max(r.max_theta for r in records)}
     return RecordReduction(
         mass_drift=max(abs(r.mass - first.mass) for r in records),
         energy_drift_rel=(max(abs(r.total_energy - first.total_energy) for r in records)
@@ -170,12 +156,13 @@ def reduce_records(records, e0: float | None = None) -> RecordReduction:
         budget_max_increment=max([0.0] + [b - a for a, b in zip(budget, budget[1:])]),
         mean_theta_range=(theta_lo, theta_hi),
         corridor=corridor,
-        bounds=None if corridor is None else BoundsCertificate(
-            **extrema, t_range=(min(r.t for r in records), max(r.t for r in records)),
-            corridor_ok=corridor[0] <= theta_lo and theta_hi <= corridor[1]),
+        corridor_ok=(None if corridor is None
+                     else corridor[0] <= theta_lo and theta_hi <= corridor[1]),
+        inf_v=min(r.min_v for r in records), sup_v=max(r.max_v for r in records),
+        inf_theta=min(r.min_theta for r in records),
+        sup_theta=max(r.max_theta for r in records),
         repr_err_max=max(r.repr_err for r in records),
-        lp_sup={q: max(r.lp_moments[q] for r in records) for q in first.lp_moments},
-        **extrema)
+        lp_sup={q: max(r.lp_moments[q] for r in records) for q in first.lp_moments})
 
 
 def convergence_order(errors) -> float:

@@ -497,7 +497,7 @@ def _cmd_run(args) -> int:
           f"energy drift {summary.energy_drift_rel:.3e}, "
           f"budget defect {summary.entropy_budget_defect:.3e}")
     # a run without a corridor has extrema all the same
-    corridor = "" if summary.bounds is None else f", corridor_ok {summary.bounds.corridor_ok}"
+    corridor = "" if summary.corridor_ok is None else f", corridor_ok {summary.corridor_ok}"
     print(f"v in [{summary.inf_v:.4f}, {summary.sup_v:.4f}], "
           f"theta in [{summary.inf_theta:.4f}, {summary.sup_theta:.4f}]{corridor}")
     if summary.decay_fit is not None:

@@ -275,21 +275,19 @@ class _Scalars:
         return self
 
 
-# Both kernels write (v, u, theta, ux, vf) into the row ws.nxt of the run's
-# Workspace ``ws`` and return those views: the new state, its cell velocity
-# gradient and the face means of its volume, which the dissipation reads
-# instead of recomputing them.
+# Both kernels step from ws.cur, the last accepted or loaded row of the run's
+# Workspace ``ws``, into the row ws.nxt: the new state, its cell velocity
+# gradient ``ux`` and the face means ``vf`` of its volume, which the dissipation
+# reads instead of recomputing them. The run's p and g are those of ws.scalars.
 
-def _imex_kernel(v, u, theta, t, dt, p, g, src, ws):
-    # (v, u, theta) must be the fields of ws.cur, whose ux, knum and u_in
-    # the kernel reads as the values carried from them. The views of rows
-    # and scratch come prebuilt with the Workspace, each ufunc takes its
-    # ``out`` by position, and every scalar operand is a 0-d array of
-    # ws.scalars: a step builds no view, parses no keyword and converts no
-    # float.
+def _imex_kernel(t, dt, src, ws):
+    # The views of rows and scratch come prebuilt with the Workspace, each ufunc
+    # takes its ``out`` by position, and every scalar operand is a 0-d array of
+    # ws.scalars: a step builds no view, parses no keyword and converts no float.
     s = _sources_at(src, t + dt)
     sc = ws.scalars.at(dt)
     cur, out = ws.cur, ws.nxt
+    v, theta = cur.v, cur.theta
     inv_v, work, work2 = ws.step_cells
     work_f, _, kf = ws.step_faces
     inv_lo, inv_hi, inv_in, work_lo, work_hi, work_in, off, kf_lo, kf_hi = ws.step_views
@@ -347,11 +345,12 @@ def _imex_kernel(v, u, theta, t, dt, p, g, src, ws):
     _solve_spd_tridiag(diag2, off2, theta_new)
     if not _min(theta_new) > POSITIVITY_FLOOR:
         raise StepRejected(TEMPERATURE_FLOOR, "temperature fell to the positivity floor")
-    return out.v, out.u, theta_new, ux_new, vf
 
 
-def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws):
+def _rk2_kernel(t, dt, src, ws):
     # computes in fresh arrays, and copies the result into ws.nxt
+    p, g = ws.scalars.p, ws.scalars.g
+    v, u, theta = ws.cur.v, ws.cur.u, ws.cur.theta
     dt_stab = _dt_bound(EXPLICIT_RK2, v, theta, p, g)
     if dt > dt_stab:
         raise StepRejected(STABILITY_BOUND,
@@ -380,16 +379,15 @@ def _rk2_kernel(v, u, theta, t, dt, p, g, src, ws):
     out.theta[...] = theta_new
     out.ux[...] = (u_new[1:] - u_new[:-1]) / g.dx
     out.vf[...] = 0.5 * (v_new[:-1] + v_new[1:])
-    return out.v, out.u, out.theta, out.ux, out.vf
 
 
 _KERNELS = {IMEX_BE: _imex_kernel, EXPLICIT_RK2: _rk2_kernel}
 
 
-def _take_step(v, u, theta, t, p, g, scheme, dt, src, ws):
-    """One attempt at a step of size dt from (v, u, theta) at time t; returns
-    the kernel's (v, u, theta, ux, vf) or raises StepRejected."""
-    return _KERNELS[scheme](v, u, theta, t, dt, p, g, src, ws)
+def _take_step(t, dt, scheme, src, ws):
+    """One attempt at a step of size dt from ws.cur at time t into ws.nxt;
+    raises StepRejected."""
+    _KERNELS[scheme](t, dt, src, ws)
 
 
 def step(s: State, p: PhysParams, g: Grid, c: StepControls,
@@ -403,10 +401,9 @@ def step(s: State, p: PhysParams, g: Grid, c: StepControls,
     _check_cells(g.n_cells)
     ws = Workspace(g.n_cells, 1)
     ws.scalars = _Scalars(p, g)
-    row = ws.load(s, g, p)
-    v, u, theta, _, _ = _take_step(row.v, row.u, row.theta, s.t, p, g, c.scheme, c.dt,
-                                   src, ws)
-    return State(t=s.t + c.dt, v=v, u=u, theta=theta)
+    ws.load(s, g, p)
+    _take_step(s.t, c.dt, c.scheme, src, ws)
+    return State(t=s.t + c.dt, v=ws.nxt.v, u=ws.nxt.u, theta=ws.nxt.theta)
 
 
 @dataclass
@@ -585,9 +582,8 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
             if isinstance(src, ManufacturedSources) and t + dt_try not in src.index:
                 src.plan(_step_times(t, cur_dt, target, ws.block))
 
-            row = ws.cur
             try:
-                _take_step(row.v, row.u, row.theta, t, p, g, c.scheme, dt_try, src, ws)
+                _take_step(t, dt_try, c.scheme, src, ws)
             except StepRejected as exc:
                 traj.rejections[exc.reason] = traj.rejections.get(exc.reason, 0) + 1
                 rejected_in_row += 1

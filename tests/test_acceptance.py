@@ -46,7 +46,7 @@ def test_summary_holds_the_numbers_the_criteria_read(acceptance):
     _, observed, out = acceptance
     summary = json.loads((out / "ref" / "summary.json").read_text(encoding="utf-8"))
     bounds = observed["bounds"]["1"]
-    assert {key: summary["bounds"][key] for key in bounds} == bounds
+    assert {key: summary[key] for key in bounds} == bounds
     assert {f"{float(q):g}": sup for q, sup in summary["lp_sup"].items()} == observed["lp_sup"]
 
 

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -116,9 +119,10 @@ class TestFitDecayRate:
             np.log(scale), abs=1e-9)
 
 
-def fake_record(t, mean_theta=1.0, min_v=1.0, max_v=1.0, min_th=1.0, max_th=1.0):
+def fake_record(t, mean_theta=1.0, min_v=1.0, max_v=1.0, min_th=1.0, max_th=1.0,
+                entropy=2.0):
     return lg.DiagnosticsRecord(
-        t=t, mass=1.0, total_energy=1.0, entropy_E=2.0, dissipation_V=0.0,
+        t=t, mass=1.0, total_energy=1.0, entropy_E=entropy, dissipation_V=0.0,
         int_V_dt=0.0, mean_theta=mean_theta, min_v=min_v, max_v=max_v,
         min_theta=min_th, max_theta=max_th, grad_v_sq=0.0, grad_u_sq=0.0,
         grad_theta_sq=0.0, h1_dev=0.0, repr_err=0.0, log_damping=0.0,
@@ -126,53 +130,55 @@ def fake_record(t, mean_theta=1.0, min_v=1.0, max_v=1.0, min_th=1.0, max_th=1.0)
 
 
 class TestBoundsCertificate:
+    """The bound certificate of ``reduce_records``: the extrema of v and
+    theta, and whether the mean temperature stayed in its corridor."""
+
     def test_equilibrium_records(self):
         records = [fake_record(t) for t in (0.0, 1.0, 2.0)]
-        cert = analysis.reduce_records(records, e0=2.0).bounds
-        assert cert.inf_v == cert.sup_v == 1.0
-        assert cert.inf_theta == cert.sup_theta == 1.0
-        assert cert.corridor_ok
-        assert cert.t_range == (0.0, 2.0)
+        reduced = analysis.reduce_records(records)
+        assert reduced.inf_v == reduced.sup_v == 1.0
+        assert reduced.inf_theta == reduced.sup_theta == 1.0
+        assert reduced.corridor_ok is True
 
     def test_extrema_scan(self):
         records = [fake_record(0.0, min_v=0.8, max_v=1.3),
                    fake_record(1.0, min_v=0.6, max_th=1.5),
                    fake_record(2.0, max_v=2.0, min_th=0.7)]
-        cert = analysis.reduce_records(records, e0=2.0).bounds
-        assert cert.inf_v == 0.6
-        assert cert.sup_v == 2.0
-        assert cert.inf_theta == 0.7
-        assert cert.sup_theta == 1.5
+        reduced = analysis.reduce_records(records)
+        assert reduced.inf_v == 0.6
+        assert reduced.sup_v == 2.0
+        assert reduced.inf_theta == 0.7
+        assert reduced.sup_theta == 1.5
 
     def test_order_insensitive(self):
         records = [fake_record(t, min_v=1.0 - 0.01 * t) for t in range(5)]
-        fwd = analysis.reduce_records(records, e0=2.0).bounds
-        rev = analysis.reduce_records(list(reversed(records)), e0=2.0).bounds
-        assert fwd == rev
+        fwd = analysis.reduce_records(records)
+        rev = analysis.reduce_records(list(reversed(records)))
+        for name in ("inf_v", "sup_v", "inf_theta", "sup_theta", "corridor_ok"):
+            assert getattr(fwd, name) == getattr(rev, name)
 
     def test_corridor_violation(self):
         alpha1, _ = lg.entropy_roots(2.0)
         records = [fake_record(0.0), fake_record(1.0, mean_theta=alpha1 - 0.02)]
-        cert = analysis.reduce_records(records, e0=2.0).bounds
-        assert not cert.corridor_ok
+        assert analysis.reduce_records(records).corridor_ok is False
 
     def test_empty_trajectory(self):
         with pytest.raises(ValueError):
-            analysis.reduce_records([], e0=2.0).bounds
+            analysis.reduce_records([])
 
     def test_accepts_trajectory_object(self, grid64, equilibrium64, unit_params):
         traj = lg.advance(equilibrium64, unit_params, grid64,
                           lg.StepControls(dt=1e-3), 0.1, 0.05)
-        cert = analysis.reduce_records(traj, e0=2.0).bounds
-        assert cert.corridor_ok
-        assert cert.inf_v == pytest.approx(1.0, abs=1e-13)
+        reduced = analysis.reduce_records(traj)
+        assert reduced.corridor_ok is True
+        assert reduced.inf_v == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("e0", [0.5, 710.0])
     def test_no_certificate_outside_the_roots_domain(self, e0):
-        records = [fake_record(0.0, min_v=0.8), fake_record(1.0, max_th=1.5)]
-        assert analysis.reduce_records(records, e0=e0).bounds is None
-        reduced = analysis.reduce_records(records, e0=e0)
-        assert reduced.corridor is None
+        # E0 is the first record's entropy
+        records = [fake_record(0.0, min_v=0.8, entropy=e0), fake_record(1.0, max_th=1.5)]
+        reduced = analysis.reduce_records(records)
+        assert reduced.corridor is None and reduced.corridor_ok is None
         assert (reduced.inf_v, reduced.sup_theta) == (0.8, 1.5)
 
 
@@ -210,7 +216,7 @@ class TestReduceRecords:
         assert red.corridor == (alpha1 - 0.01, 1.0 + 0.01)
         th_lo, th_hi = np.min(col("mean_theta")), np.max(col("mean_theta"))
         assert red.mean_theta_range == (th_lo, th_hi)
-        assert red.bounds.corridor_ok == (th_lo >= alpha1 - 0.01 and th_hi <= 1.01)
+        assert red.corridor_ok == (th_lo >= alpha1 - 0.01 and th_hi <= 1.01)
         # criterion 4
         assert (red.inf_v, red.sup_v, red.inf_theta, red.sup_theta) == (
             np.min(col("min_v")), np.max(col("max_v")),
@@ -231,6 +237,14 @@ class TestReduceRecords:
         summary, traj = cli._run_with_outputs(cli.parse_config(self.CONFIG), tmp_path)
         reduced = vars(analysis.reduce_records(traj))
         assert {name: getattr(summary, name) for name in reduced} == reduced
+
+    def test_summary_json_holds_each_field_once(self, tmp_path):
+        # every field of the reduction at top level, and no nested copy
+        _, traj = cli._run_with_outputs(cli.parse_config(self.CONFIG), tmp_path)
+        blob = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        reduced = json.loads(json.dumps(asdict(analysis.reduce_records(traj))))
+        assert {name: blob[name] for name in reduced} == reduced
+        assert "bounds" not in blob
 
 
 class TestConvergenceOrder:

@@ -361,7 +361,7 @@ class TestRunScenario:
         assert (out / "summary.json").exists()
         assert not summary.failed
         assert summary.normalized
-        assert summary.bounds.corridor_ok
+        assert summary.corridor_ok
         lines = (out / "timeseries.csv").read_text().splitlines()
         assert lines[0] == ",".join(cli.CSV_COLUMNS) + ",lp_1,lp_2"
         # .17g round-trips, so every CSV column equals its record field exactly
@@ -632,7 +632,7 @@ class TestMainExitCodes:
         path.write_text(HOT_GAS)
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         blob = json.loads((tmp_path / "o" / "summary.json").read_text())
-        assert blob["bounds"] is None and blob["corridor"] is None
+        assert blob["corridor_ok"] is None and blob["corridor"] is None
         assert blob["mean_theta_range"][0] == pytest.approx(1e-3, rel=0.01)
         assert cli.main(["sweep", "--config", str(path), "--betas", "0.5,1",
                          "--out", str(tmp_path / "s"), "--workers", "1"]) == 0
@@ -708,6 +708,42 @@ class TestVerifyShortReference:
         assert results[0].detail.startswith("mass drift ")
         assert ", energy drift " in results[0].detail
 
+    def test_criterion_4_names_the_config_beta(self, tmp_path, monkeypatch):
+        from lagrangas import acceptance
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        (config_dir / "reference.cfg").write_text(
+            "beta = 2\ninit.kind = cosine\nn_cells = 8\ndt = 2e-3\nt_end = 0.4\n")
+        monkeypatch.setattr(acceptance, "MMS_LEVELS", (8, 16, 32))
+        out = tmp_path / "v"
+        results, observed = acceptance.run_acceptance(config_dir=config_dir, out_dir=out,
+                                                      workers=1, echo=lambda line: None)
+        assert results[3].detail.split("; ")[1].startswith("beta 2: ")
+        assert "beta 1:" not in results[3].detail
+        assert sorted(observed["bounds"]) == ["0.5", "1.5", "2", "2.5"]
+        # --out keeps the outputs of every job
+        assert sorted(path.parent.name for path in out.glob("*/summary.json")) == sorted(
+            ["ref", "rerun", "dt_half", "n512", "refined", "repr512",
+             "beta_0.5", "beta_1.5", "beta_2.5"])
+
+    @pytest.mark.parametrize("section, key", [("bounds", "1.5"), ("lp_sup", "2")])
+    def test_missing_pin_exits_before_any_job(self, tmp_path, monkeypatch, capsys,
+                                              section, key):
+        from lagrangas import acceptance
+
+        def no_jobs(*args):
+            raise AssertionError("a job ran")
+
+        text, pins = acceptance._load_reference(None)
+        del pins[section][key]
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        (config_dir / "reference.cfg").write_text(text)
+        (config_dir / "pins.json").write_text(json.dumps(pins))
+        monkeypatch.setattr(cli, "_fan_out", no_jobs)
+        assert cli.main(["verify", "--dir", str(config_dir)]) == 2
+        assert f"no entry {section}/{key}" in capsys.readouterr().err
+
 
 class TestPins:
     def test_pin_band(self):
@@ -717,6 +753,12 @@ class TestPins:
         assert not _pin_ok(1.06, 1.0)
         assert _pin_ok(-1.0, -1.0)
         assert not _pin_ok(0.8, 1.0)
+
+    def test_packaged_pins_cover_the_packaged_config(self):
+        # every pin that criteria 4 and 9 read, checked without a job
+        from lagrangas.acceptance import _check_pins, _load_reference
+        text, pins = _load_reference(None)
+        _check_pins(cli.parse_config(text), pins)
 
     def test_packaged_reference_loads(self):
         from lagrangas.acceptance import _load_reference

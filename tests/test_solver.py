@@ -398,8 +398,7 @@ class TestCarriedRow:
         t = 0.0
         # one more step than a block holds, so that a fold comes between
         for _ in range(ws.block + 1):
-            row = ws.cur
-            solver._take_step(row.v, row.u, row.theta, t, p, g, scheme, dt, None, ws)
+            solver._take_step(t, dt, scheme, None, ws)
             totals.accept(dt)
             t += dt
             row = ws.cur
@@ -976,7 +975,7 @@ class TestRejectionReplay:
             attempts.append(None)
             if len(attempts) == refused:
                 raise StepRejected("test", "refused after the kernel ran")
-            accepted.append(args[7])
+            accepted.append(args[1])
             return result
 
         patch.setattr(solver, "_take_step", rejecting_after_kernel)
@@ -1012,7 +1011,7 @@ class TestStepSizeChanges:
 
         def logged(*args):
             result = take(*args)
-            accepted.append(args[7])
+            accepted.append(args[1])
             return result
 
         monkeypatch.setattr(solver, "_take_step", logged)
@@ -1065,8 +1064,7 @@ class TestWorkspace:
         totals = solver._RunningTotals(s0, g, p, ws)
 
         def accepted_step():
-            row = ws.cur
-            solver._take_step(row.v, row.u, row.theta, 0.0, p, g, lg.IMEX_BE, dt, None, ws)
+            solver._take_step(0.0, dt, lg.IMEX_BE, None, ws)
             totals.accept(dt)
 
         accepted_step()
