@@ -120,6 +120,8 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
     cfg = cli.parse_config(cfg_text)
     if pins is not None:
         _check_pins(cfg, pins)
+    # the reference run stands for a sweep beta equal to the config's
+    sweep_betas = [b for b in SWEEP_BETAS if b != cfg.params.beta]
     if workers is None:
         import os
         workers = min(2, os.cpu_count() or 1)
@@ -139,7 +141,7 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
             "repr512": cli.refinement_config(cfg, 2 * cfg.n_cells),
         }
         jobs.update((f"beta_{beta:g}", replace(cfg, params=replace(cfg.params, beta=beta)))
-                    for beta in SWEEP_BETAS)
+                    for beta in sweep_betas)
         # costliest first, by cells times steps (LPT scheduling), so that no
         # long job starts last; the results are keyed by tag, so the order
         # changes no outcome
@@ -191,7 +193,7 @@ def run_acceptance(config_dir=None, out_dir=None, workers=None, echo=print):
     # 4: uniform bounds on v and theta over the reference run and the beta sweep
     ok4 = True
     details4 = []
-    for tag, beta in [("ref", cfg.params.beta)] + [(f"beta_{b:g}", b) for b in SWEEP_BETAS]:
+    for tag, beta in [("ref", cfg.params.beta)] + [(f"beta_{b:g}", b) for b in sweep_betas]:
         b = {k: getattr(reduced[tag], k) for k in EXTREMA}
         observed["bounds"][f"{beta:g}"] = b
         ok4 &= (b["inf_v"] >= BOUND_LO and b["inf_theta"] >= BOUND_LO

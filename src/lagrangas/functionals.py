@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Grid, PhysParams, State, Workspace, kinetic_energy
+from .core import Grid, PhysParams, State, Workspace
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,16 @@ def inverse_temperature_moment(s: State, g: Grid, p_exp: float) -> float:
     return float(_sum(s.theta ** (1.0 - p_exp)) * g.dx)
 
 
-def _grad_sq(values: np.ndarray, dx: float) -> float:
-    d = values[1:] - values[:-1]
-    return float(_sum(d * d) / dx)
+def _grad_sq(values: np.ndarray, dx: float):
+    # the squared difference quotients of ``values`` summed times dx, over its
+    # last axis: a float64 of one field, or one per row of a block
+    d = values[..., 1:] - values[..., :-1]
+    return _sum(d * d, -1) / dx
+
+
+def _check_reference(v_star: float, theta_star: float) -> None:
+    if v_star <= 0.0 or theta_star <= 0.0:
+        raise ValueError("reference values must be positive")
 
 
 def h1_deviation(s: State, g: Grid, v_star: float, theta_star: float) -> float:
@@ -145,24 +152,13 @@ def h1_deviation(s: State, g: Grid, v_star: float, theta_star: float) -> float:
     quotients times dx. Zero exactly iff the state equals the constant
     reference in every component.
     """
-    return _h1_deviation(s, g, v_star, theta_star, _gradients(s, g))
-
-
-def _gradients(s: State, g: Grid) -> tuple[float, float, float]:
-    return _grad_sq(s.v, g.dx), _grad_sq(s.u, g.dx), _grad_sq(s.theta, g.dx)
-
-
-def _h1_deviation(s: State, g: Grid, v_star: float, theta_star: float, gradients) -> float:
-    # ``gradients`` are the three squared gradient sums of ``_gradients``
-    if v_star <= 0.0 or theta_star <= 0.0:
-        raise ValueError("reference values must be positive")
+    _check_reference(v_star, theta_star)
     dx = g.dx
-    grad_v, grad_u, grad_theta = gradients
     dv = s.v - v_star
     dth = s.theta - theta_star
-    total = _sum(dv * dv) * dx + grad_v
-    total += _sum(g.node_weights * s.u * s.u) * dx + grad_u
-    total += _sum(dth * dth) * dx + grad_theta
+    total = _sum(dv * dv) * dx + _grad_sq(s.v, dx)
+    total += _sum(g.node_weights * s.u * s.u) * dx + _grad_sq(s.u, dx)
+    total += _sum(dth * dth) * dx + _grad_sq(s.theta, dx)
     return math.sqrt(total)
 
 
@@ -180,34 +176,65 @@ def record(s: State, g: Grid, p: PhysParams, *, int_v_dt: float = 0.0,
     the time-accumulated values come from the caller's running totals, and
     so may ``dissipation_V``, the state's dissipation, when it has it.
 
-    Each field equals its public helper bit for bit (the mass and energy
-    ``check_normalization``); the sums that several fields share, of theta
-    and of the squared gradients, are taken once."""
-    if lp_exponents is None:
-        lp_exponents = default_lp_exponents(p)
+    The one-row case of ``records_from``; each field equals its public
+    helper bit for bit (the mass and energy ``check_normalization``)."""
     if dissipation_V is None:
         dissipation_V = dissipation(s, g, p)
+    return records_from(s.v[None], s.u[None], s.theta[None], (s.t,), g, p,
+                        int_v_dt=(int_v_dt,), repr_err=(repr_err,),
+                        log_damping=(log_damping,), dissipation_V=(dissipation_V,),
+                        lp_exponents=lp_exponents, v_star=v_star, theta_star=theta_star)[0]
+
+
+def records_from(v: np.ndarray, u: np.ndarray, theta: np.ndarray, times, g: Grid,
+                 p: PhysParams, *, int_v_dt, repr_err, log_damping, dissipation_V,
+                 lp_exponents=None, v_star: float = 1.0,
+                 theta_star: float = 1.0) -> list:
+    """``record`` of each row of a block of states, one DiagnosticsRecord per
+    row: the fields (S, N) ``v`` and ``theta`` and (S, N + 1) ``u``, and one
+    value per row in each of ``times``, ``int_v_dt``, ``repr_err``,
+    ``log_damping`` and ``dissipation_V``.
+
+    Every sum, extremum, log and power is taken row-wise over the block, in
+    the order of operations of the one-state helpers, and numpy gives each
+    row the bits of the 1-D call. The sums that several fields share, of
+    theta, of the kinetic energy density and of the squared gradients, are
+    taken once."""
+    _check_reference(v_star, theta_star)
+    if lp_exponents is None:
+        lp_exponents = default_lp_exponents(p)
+    for q in lp_exponents:
+        if q <= 0.0:
+            raise ValueError(f"moment exponent must be positive, got {q}")
     dx = g.dx
-    sum_theta = _sum(s.theta)
-    gradients = _gradients(s, g)
-    min_v, max_v, min_th, max_th = extrema(s)
-    return DiagnosticsRecord(
-        t=s.t,
-        mass=float(_sum(s.v) * dx),
-        total_energy=float(p.c_v * sum_theta * dx) + kinetic_energy(s.u, g),
-        entropy_E=entropy(s, g, p),
-        dissipation_V=float(dissipation_V),
-        int_V_dt=float(int_v_dt),
-        mean_theta=float(sum_theta * dx),
-        min_v=min_v,
-        max_v=max_v,
-        min_theta=min_th,
-        max_theta=max_th,
-        grad_v_sq=gradients[0],
-        grad_u_sq=gradients[1],
-        grad_theta_sq=gradients[2],
-        h1_dev=_h1_deviation(s, g, v_star, theta_star, gradients),
-        repr_err=float(repr_err),
-        log_damping=float(log_damping),
-        lp_moments={float(q): inverse_temperature_moment(s, g, q) for q in lp_exponents},
-    )
+    w = g.node_weights
+    sum_theta = _sum(theta, 1)
+    kinetic = _sum(w * 0.5 * u * u, 1)
+    cells = p.R * (v - np.log(v)) + p.c_v * (theta - np.log(theta))
+    gradients = _grad_sq(v, dx), _grad_sq(u, dx), _grad_sq(theta, dx)
+    dv = v - v_star
+    dth = theta - theta_star
+    h1 = _sum(dv * dv, 1) * dx + gradients[0]
+    h1 += _sum(w * u * u, 1) * dx + gradients[1]
+    h1 += _sum(dth * dth, 1) * dx + gradients[2]
+    columns = (_sum(v, 1) * dx,
+               p.c_v * sum_theta * dx + kinetic * dx,
+               (_sum(cells, 1) + kinetic) * dx,
+               sum_theta * dx,
+               _min(v, 1), _max(v, 1), _min(theta, 1), _max(theta, 1),
+               *gradients,
+               np.sqrt(h1))
+    qs = [float(q) for q in lp_exponents]
+    moments = [(_sum(theta ** (1.0 - q), 1) * dx).tolist() for q in qs]
+    per_row = zip(times, dissipation_V, int_v_dt, repr_err, log_damping,
+                  *(c.tolist() for c in columns))
+    return [
+        DiagnosticsRecord(
+            t=t, mass=mass, total_energy=energy, entropy_E=entropy_E,
+            dissipation_V=float(rate), int_V_dt=float(integral), mean_theta=mean,
+            min_v=min_v, max_v=max_v, min_theta=min_th, max_theta=max_th,
+            grad_v_sq=grad_v, grad_u_sq=grad_u, grad_theta_sq=grad_theta, h1_dev=h1_dev,
+            repr_err=float(err), log_damping=float(log_y),
+            lp_moments={q: m[i] for q, m in zip(qs, moments)})
+        for i, (t, rate, integral, err, log_y, mass, energy, entropy_E, mean, min_v, max_v,
+                min_th, max_th, grad_v, grad_u, grad_theta, h1_dev) in enumerate(per_row)]

@@ -494,6 +494,53 @@ class _RunningTotals:
         self.seconds += time.perf_counter() - started
 
 
+class _Samples:
+    """The samples of one run after its initial state, staged as the rows of
+    a buffer of ``rows`` rows. ``stage`` copies a sample's fields from a
+    workspace row and keeps its time and running totals; ``flush``, which
+    ``stage`` calls when the buffer is full, appends the records of the
+    staged rows to ``records``, computed in one ``functionals.records_from``
+    pass with ``record_args``. ``last_state`` is the last staged sample."""
+
+    def __init__(self, g: Grid, p: PhysParams, rows: int, records: list, **record_args):
+        n = g.n_cells
+        self.g, self.p, self.records, self.record_args = g, p, records, record_args
+        self.v, self.u, self.theta = (np.empty((rows, n)), np.empty((rows, n + 1)),
+                                      np.empty((rows, n)))
+        # (t, int_v_dt, repr_err, log_damping, dissipation_V) of each staged row
+        self.staged = []
+        self.last = None
+
+    def stage(self, t: float, row, int_v_dt: float, repr_err: float, log_damping: float,
+              dissipation: float) -> None:
+        i = len(self.staged)
+        self.v[i] = row.v
+        self.u[i] = row.u
+        self.theta[i] = row.theta
+        self.staged.append((t, int_v_dt, repr_err, log_damping, dissipation))
+        self.last = (t, i)
+        if i + 1 == self.v.shape[0]:
+            self.flush()
+
+    def flush(self) -> None:
+        k = len(self.staged)
+        if k == 0:
+            return
+        times, int_v_dt, repr_err, log_damping, dissipation = zip(*self.staged)
+        self.records.extend(functionals.records_from(
+            self.v[:k], self.u[:k], self.theta[:k], times, self.g, self.p,
+            int_v_dt=int_v_dt, repr_err=repr_err, log_damping=log_damping,
+            dissipation_V=dissipation, **self.record_args))
+        self.staged.clear()
+
+    def last_state(self) -> State | None:
+        # a flush leaves the rows as they are, so the last one outlives it
+        if self.last is None:
+            return None
+        t, i = self.last
+        return State(t=t, v=self.v[i], u=self.u[i], theta=self.theta[i])
+
+
 def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
             sample_every: float, src: Sources | None = None, *,
             lp_exponents=None) -> Trajectory:
@@ -513,11 +560,17 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     Workspace. The running time integral of the dissipation and the volume
     reconstruction accumulators fold in a block of accepted steps at once:
     when it is full, before every sample and before a failure is raised,
-    bit for bit as if they took every step on its own. A State, which
-    copies its fields, is built only to sample and to report a failure.
+    bit for bit as if they took every step on its own. Each sample after
+    ``s0`` copies its row's fields into the next row of a buffer of as many
+    rows as a block, with its time and running totals, and the records of
+    the staged samples are computed in one ``functionals.records_from``
+    pass: when the buffer is full, at the end of the run and before a
+    failure is raised. A State, which copies its fields, is built only for
+    the final state and to report a failure.
 
     ``phase_s`` of the trajectory splits the seconds spent here into
-    ``diagnostics`` (the folds), ``sampling`` and ``kernel`` (the rest).
+    ``diagnostics`` (the folds), ``sampling`` (the initial record, staging
+    and the record passes) and ``kernel`` (the rest).
 
     Raises SimulationFailure, carrying the last accepted state and the
     partial trajectory, when the retry budget is exhausted or a linear solve
@@ -527,7 +580,6 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     tiny = check_run(g.n_cells, s0.t, t_end, sample_every)
 
     started = time.perf_counter()
-    sampling_s = 0.0
     v_star, energy0 = check_normalization(s0, g, p)
     theta_star = energy0 / p.c_v
 
@@ -537,23 +589,15 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
                       initial_state=s0, final_state=s0, min_dt=c.dt,
                       accumulators=totals.acc)
 
-    def sample(state, base):
-        # base is the state's base profile; None at s0, which the
-        # reconstruction gives exactly
-        nonlocal sampling_s
-        sampling_started = time.perf_counter()
-        repr_err = 0.0
-        if base is not None:
-            v_rec = representation.reconstruct_volume(totals.acc, base)
-            repr_err = float(np.max(np.abs(v_rec - state.v) / state.v))
-        traj.records.append(functionals.record(
-            state, g, p, int_v_dt=totals.int_v_dt, repr_err=repr_err,
-            log_damping=totals.acc.log_damping, lp_exponents=lp_exponents,
-            v_star=v_star, theta_star=theta_star, dissipation_V=totals.dissipation))
-        traj.final_state = state
-        sampling_s += time.perf_counter() - sampling_started
+    samples = _Samples(g, p, ws.block, traj.records, lp_exponents=lp_exponents,
+                       v_star=v_star, theta_star=theta_star)
 
     def finish():
+        nonlocal sampling_s
+        sampling_started = time.perf_counter()
+        samples.flush()
+        traj.final_state = samples.last_state() or s0
+        sampling_s += time.perf_counter() - sampling_started
         diagnostics_s = totals.seconds
         traj.phase_s = {"kernel": time.perf_counter() - started - diagnostics_s - sampling_s,
                         "diagnostics": diagnostics_s, "sampling": sampling_s}
@@ -566,7 +610,12 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
                                  last_state=State(t=t, v=row.v, u=row.u, theta=row.theta),
                                  trajectory=traj)
 
-    sample(s0, None)
+    sampling_started = time.perf_counter()
+    traj.records.append(functionals.record(
+        s0, g, p, int_v_dt=totals.int_v_dt, log_damping=totals.acc.log_damping,
+        lp_exponents=lp_exponents, v_star=v_star, theta_star=theta_star,
+        dissipation_V=totals.dissipation))
+    sampling_s = time.perf_counter() - sampling_started
 
     t = t0 = s0.t
     cur_dt = c.dt
@@ -609,8 +658,13 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
                     accepted_at_reduced = 0
 
         totals.fold()
+        sampling_started = time.perf_counter()
         row = ws.cur
-        sample(State(t=t, v=row.v, u=row.u, theta=row.theta), totals.base)
+        v_rec = representation.reconstruct_volume(totals.acc, totals.base)
+        repr_err = float(np.max(np.abs(v_rec - row.v) / row.v))
+        samples.stage(t, row, totals.int_v_dt, repr_err, totals.acc.log_damping,
+                      totals.dissipation)
+        sampling_s += time.perf_counter() - sampling_started
         while t0 + sample_idx * sample_every <= target + tiny:
             sample_idx += 1
 

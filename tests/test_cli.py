@@ -726,6 +726,32 @@ class TestVerifyShortReference:
             ["ref", "rerun", "dt_half", "n512", "refined", "repr512",
              "beta_0.5", "beta_1.5", "beta_2.5"])
 
+    def test_config_beta_in_the_sweep_runs_once(self, tmp_path, monkeypatch):
+        # beta 1.5 is one of SWEEP_BETAS: the reference run stands for it,
+        # so no equal beta_1.5 job runs and criterion 4 names 1.5 once
+        from lagrangas import acceptance
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        (config_dir / "reference.cfg").write_text(
+            "beta = 1.5\ninit.kind = cosine\nn_cells = 8\ndt = 2e-3\nt_end = 0.4\n")
+        monkeypatch.setattr(acceptance, "MMS_LEVELS", (8, 16, 32))
+        fan_out = cli._fan_out
+        tags = []
+
+        def counted(worker, jobs, workers):
+            tags.extend(job[0] for job in jobs)
+            return fan_out(worker, jobs, workers)
+
+        monkeypatch.setattr(cli, "_fan_out", counted)
+        results, observed = acceptance.run_acceptance(config_dir=config_dir, workers=1,
+                                                      echo=lambda line: None)
+        assert sorted(tags) == sorted(["ref", "rerun", "dt_half", "n512", "refined",
+                                       "repr512", "beta_0.5", "beta_2.5"])
+        assert results[3].detail.count("beta 1.5:") == 1
+        assert [part.split(":")[0] for part in results[3].detail.split("; ")[1:]] == [
+            "beta 1.5", "beta 0.5", "beta 2.5"]
+        assert sorted(observed["bounds"]) == ["0.5", "1.5", "2.5"]
+
     @pytest.mark.parametrize("section, key", [("bounds", "1.5"), ("lp_sup", "2")])
     def test_missing_pin_exits_before_any_job(self, tmp_path, monkeypatch, capsys,
                                               section, key):

@@ -255,3 +255,76 @@ class TestRecord:
         r = lg.record(s, g, p)
         assert r.entropy_E >= 0.0
         assert r.dissipation_V >= 0.0
+
+
+class TestRecordsFrom:
+    """``records_from`` computes the records of a block of states in one
+    pass; row i equals ``record`` of state i, and each field its one-state
+    helper, bit for bit."""
+
+    @given(n=st.sampled_from([1, 2, 3, 64, 256, 4097]),
+           beta=st.one_of(st.sampled_from([0.0, 6.0]), st.floats(0.0, 6.0)),
+           R=st.floats(0.2, 5.0), c_v=st.floats(0.2, 5.0), mu=st.floats(0.2, 5.0),
+           lp=st.one_of(st.none(), st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4)),
+           v_star=st.floats(0.5, 2.0), theta_star=st.floats(0.5, 2.0),
+           rows=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+    def test_rows_equal_one_state_records(self, n, beta, R, c_v, mu, lp, v_star,
+                                          theta_star, rows, seed):
+        p = lg.PhysParams(beta=beta, mu_tilde=mu, R=R, c_v=c_v)
+        g = lg.build_grid(n)
+        rng = np.random.default_rng(seed)
+        states = []
+        for i in range(rows):
+            u = rng.normal(0.0, 0.5, n + 1)
+            u[0] = u[-1] = 0.0
+            states.append(make_state(rng.uniform(0.2, 3.0, n), u, rng.uniform(0.1, 4.0, n),
+                                     t=0.37 * i))
+        totals = [tuple(rng.normal(size=3).tolist()) for _ in states]
+        block = functionals.records_from(
+            np.array([s.v for s in states]), np.array([s.u for s in states]),
+            np.array([s.theta for s in states]), [s.t for s in states], g, p,
+            int_v_dt=[a for a, _, _ in totals], repr_err=[b for _, b, _ in totals],
+            log_damping=[c for _, _, c in totals],
+            dissipation_V=[lg.dissipation(s, g, p) for s in states],
+            lp_exponents=lp, v_star=v_star, theta_star=theta_star)
+        assert len(block) == rows
+        exponents = functionals.default_lp_exponents(p) if lp is None else lp
+        for s, (a, b, c), got in zip(states, totals, block):
+            want = lg.record(s, g, p, int_v_dt=a, repr_err=b, log_damping=c,
+                             lp_exponents=lp, v_star=v_star, theta_star=theta_star)
+            for name in functionals.RECORD_FIELDS:
+                assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+            assert repr(got.lp_moments) == repr(want.lp_moments)
+            # and the one-state helpers, which reduce 1-D arrays
+            mass, energy = lg.check_normalization(s, g, p)
+            helpers = {
+                "mass": mass, "total_energy": energy, "entropy_E": lg.entropy(s, g, p),
+                "mean_theta": lg.mean_theta(s, g),
+                "h1_dev": lg.h1_deviation(s, g, v_star, theta_star),
+                **dict(zip(("min_v", "max_v", "min_theta", "max_theta"), lg.extrema(s)))}
+            for name, value in helpers.items():
+                assert repr(getattr(got, name)) == repr(value), name
+            assert repr(got.lp_moments) == repr(
+                {float(q): lg.inverse_temperature_moment(s, g, q) for q in exponents})
+
+    def test_record_is_its_one_row_call(self, monkeypatch, grid64, cosine64, unit_params):
+        calls = []
+        records_from = functionals.records_from
+
+        def counted(v, *args, **kwargs):
+            calls.append(v.shape)
+            return records_from(v, *args, **kwargs)
+
+        monkeypatch.setattr(functionals, "records_from", counted)
+        lg.record(cosine64, grid64, unit_params)
+        assert calls == [(1, 64)]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lp_exponents": (1.0, 0.0)}, "moment exponent must be positive"),
+        ({"v_star": 0.0}, "reference values must be positive")])
+    def test_rejects_bad_arguments(self, grid64, cosine64, unit_params, kwargs, message):
+        s = cosine64
+        with pytest.raises(ValueError, match=message):
+            functionals.records_from(s.v[None], s.u[None], s.theta[None], [0.0], grid64,
+                                     unit_params, int_v_dt=[0.0], repr_err=[0.0],
+                                     log_damping=[0.0], dissipation_V=[0.0], **kwargs)

@@ -926,6 +926,121 @@ class TestAdvanceMatchesAdapters:
         assert_same_totals(traj, traj.final_state, s, acc, totals)
 
 
+def step_chain_records(s0, p, g, dt, t_end, sample_every):
+    """The records of the run ``advance`` takes from ``s0`` when it rejects
+    no step, from a chain of ``step``s over the driver's step sizes, each
+    folded on its own, and ``record`` of the state at each sample time;
+    returns the records and the last state."""
+    tiny = solver.check_run(g.n_cells, s0.t, t_end, sample_every)
+    v_star, energy = lg.check_normalization(s0, g, p)
+    refs = {"v_star": v_star, "theta_star": energy / p.c_v}
+    acc = representation.init_accumulators(s0, g)
+    diss = functionals.dissipation(s0, g, p)
+    int_v = 0.0
+    records = [lg.record(s0, g, p, log_damping=acc.log_damping, dissipation_V=diss, **refs)]
+    s, t, sample_idx = s0, s0.t, 1
+    while t < t_end - tiny:
+        target = min(s0.t + sample_idx * sample_every, t_end)
+        while t < target:
+            dt_try, t = solver._step_size(t, dt, target)
+            s = lg.step(s, p, g, lg.StepControls(dt=dt_try))
+            new = functionals.dissipation(s, g, p)
+            int_v += 0.5 * dt_try * (diss + new)
+            diss = new
+            representation.update_damping(acc, s.u[None], s.theta[None], g, [dt_try])
+            base = representation._base_factor_cached(acc, s.v[None], s.u[None], g)
+            representation.update_history(acc, s.theta[None], base, [dt_try])
+        # the step's State carries s.t + dt; the driver's t lands on the target
+        s = lg.State(t=t, v=s.v, u=s.u, theta=s.theta)
+        v_rec = lg.reconstruct_volume(acc, base[0])
+        records.append(lg.record(s, g, p, int_v_dt=int_v,
+                                 repr_err=float(np.max(np.abs(v_rec - s.v) / s.v)),
+                                 log_damping=acc.log_damping, dissipation_V=diss, **refs))
+        while s0.t + sample_idx * sample_every <= target + tiny:
+            sample_idx += 1
+    return records, s
+
+
+class TestStagedSamples:
+    """``advance`` stages each sample as a row of a buffer of K rows and
+    computes the records of the staged rows in one pass: when the buffer is
+    full, at the end of the run and before a failure is raised. The records
+    are those of the states, bit for bit, and none is lost to a failure."""
+
+    N = 256  # K = 16
+
+    def start(self):
+        p = lg.PhysParams(beta=1.5, R=0.8, c_v=1.4)
+        g = lg.build_grid(self.N)
+        s0 = lg.make_initial_data(
+            lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.2, seed=4),
+            g, p.c_v)
+        return s0, p, g
+
+    @pytest.mark.parametrize("every, steps", [(1, 40), (3, 60)])
+    def test_dense_records_equal_step_chain(self, every, steps):
+        # a sample every step fills the buffer twice and leaves 8 rows for
+        # the end; one every 3 steps fills it once and leaves 4
+        s0, p, g = self.start()
+        assert Workspace(self.N).block == 16
+        t_end, sample_every = steps * DT_EXACT, every * DT_EXACT
+        traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), t_end, sample_every)
+        want, s = step_chain_records(s0, p, g, DT_EXACT, t_end, sample_every)
+        assert len(traj.records) == len(want) == steps // every + 1
+        for got, expected in zip(traj.records, want):
+            assert repr(got) == repr(expected)
+        assert traj.final_state.t == s.t == t_end
+        for name in ("v", "u", "theta"):
+            assert getattr(traj.final_state, name).tobytes() == getattr(s, name).tobytes()
+
+    def test_failure_mid_buffer_keeps_every_sample(self, monkeypatch):
+        # two solves a step: the 46th step breaks down, after 22 samples
+        # (one every 2 steps), of which the buffer has flushed 16 and holds 6
+        s0, p, g = self.start()
+        controls = lg.StepControls(dt=DT_EXACT)
+        monkeypatch.setattr(solver, "_solve_spd_tridiag", tridiag_breaking_after(90))
+        with pytest.raises(SimulationFailure) as exc:
+            lg.advance(s0, p, g, controls, 100 * DT_EXACT, 2 * DT_EXACT)
+        monkeypatch.undo()
+        assert exc.value.last_state.t == 45 * DT_EXACT
+        broken = exc.value.trajectory
+        whole = lg.advance(s0, p, g, controls, 44 * DT_EXACT, 2 * DT_EXACT)
+        assert len(broken.records) == 23
+        assert [repr(r) for r in broken.records] == [repr(r) for r in whole.records]
+        assert broken.final_state.t == whole.final_state.t == 44 * DT_EXACT
+        for name in ("v", "u", "theta"):
+            assert (getattr(broken.final_state, name).tobytes()
+                    == getattr(whole.final_state, name).tobytes())
+
+    def test_failure_before_any_sample_keeps_s0(self, monkeypatch):
+        s0, p, g = self.start()
+        monkeypatch.setattr(solver, "_solve_spd_tridiag", tridiag_breaking_after(6))
+        with pytest.raises(SimulationFailure) as exc:
+            lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), 100 * DT_EXACT,
+                       10 * DT_EXACT)
+        traj = exc.value.trajectory
+        assert [r.t for r in traj.records] == [0.0]
+        assert traj.final_state is s0
+
+    def test_dense_run_records_once_and_builds_one_state(self, monkeypatch):
+        # the initial sample takes the one-state record; every later sample
+        # is a staged row, and only the final state becomes a State
+        counts = {"record": 0, "State": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        s0, p, g = self.start()
+        monkeypatch.setattr(functionals, "record", counted("record", functionals.record))
+        monkeypatch.setattr(solver, "State", counted("State", solver.State))
+        traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), 50 * DT_EXACT, DT_EXACT)
+        assert len(traj.records) == 51
+        assert counts == {"record": 1, "State": 1}
+
+
 class TestRejectionReplay:
     """A rejected attempt writes only into the workspace's spare row:
     replaying the accepted steps by hand gives the same run, bit for bit,
