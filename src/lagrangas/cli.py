@@ -44,6 +44,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _row_format(columns: int, sep: str) -> str:
+    # one "%" format of ``columns`` values, each rendered as _fmt renders it:
+    # "%.17g" % x == format(x, ".17g") for every float, nan, inf and -0.0
+    return sep.join(["%.17g"] * columns)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One scenario. ``seed`` seeds the initial data (``initial.seed`` is
@@ -216,21 +222,22 @@ def write_snapshot(path, state: State, grid: Grid) -> None:
     """Write a state in the tabulated format (x at cell centers; u averaged
     from the adjacent nodes) so it can seed a later run."""
     u_c = 0.5 * (state.u[:-1] + state.u[1:])
+    # zip over the arrays, not over tolist() copies: 4N live floats would
+    # raise a 4096-cell run's peak RSS by 0.5 MB, at no gain in speed
     rows = ["x v u theta"]
-    for j in range(grid.n_cells):
-        rows.append(" ".join(_fmt(val) for val in
-                             (grid.cell_centers[j], state.v[j], u_c[j], state.theta[j])))
+    rows.extend(map(_row_format(4, " ").__mod__,
+                    zip(grid.cell_centers, state.v, u_c, state.theta)))
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
 def _csv_text(traj: solver.Trajectory) -> str:
     lp_exponents = list(traj.records[0].lp_moments)
     header = ",".join(CSV_COLUMNS + tuple(map(functionals.lp_column, lp_exponents)))
+    fmt = _row_format(len(CSV_COLUMNS) + len(lp_exponents), ",")
+    fields = attrgetter(*CSV_COLUMNS)
     out = [header]
     for rec in traj.records:
-        vals = [getattr(rec, name) for name in CSV_COLUMNS]
-        vals.extend(rec.lp_moments[q] for q in lp_exponents)
-        out.append(",".join(_fmt(v) for v in vals))
+        out.append(fmt % (fields(rec) + tuple(rec.lp_moments[q] for q in lp_exponents)))
     return "\n".join(out) + "\n"
 
 

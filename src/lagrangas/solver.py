@@ -675,17 +675,20 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
 _MMS_OMEGA = 2.0 * np.pi
 
 
-def _mms_phi(t: float) -> float:
+def _mms_phi(t):
+    # the amplitude 0.1*exp(-t) at a time or, elementwise, at an array of
+    # times, with the same bits either way
     return 0.1 * np.exp(-t)
 
 
 def manufactured_solution(t: float, g: Grid, p: PhysParams) -> tuple[State, Sources]:
     """Analytic fields and the forcing that makes them an exact solution.
 
-    The fields are 1 + 0.1*exp(-t)*cos(2 pi x) for volume and temperature and
-    0.1*exp(-t)*sin(2 pi x) for velocity; they satisfy both wall conditions
-    and tend to equilibrium. The sources are the closed-form residuals of the
-    three equations evaluated on the respective lattices.
+    The fields are 1 + phi*cos(2 pi x) for volume and temperature and
+    phi*sin(2 pi x) for velocity, with phi = 0.1*exp(-t); they satisfy both
+    wall conditions and tend to equilibrium. The sources are the residuals
+    of the three equations on the respective lattices, in the closed form
+    that ``ManufacturedSources`` derives and evaluates.
     """
     phi = _mms_phi(t)
     v = 1.0 + phi * np.cos(_MMS_OMEGA * g.cell_centers)
@@ -709,10 +712,40 @@ def manufactured_rates(t: float, g: Grid):
 class ManufacturedSources:
     """The sources of the manufactured solution as a function of time.
 
+    With w = 2 pi, c = cos(w x), s = sin(w x) and phi = 0.1*exp(-t), the
+    fields are v = theta = 1 + phi*c and u = phi*s, so u_x = w*phi*c,
+    theta_x = -w*phi*s and theta_xx = -w**2*phi*c. The residuals simplify:
+
+    - cells, volume: s_v = v_t - u_x = -(1 + w)*phi*c;
+    - cells, temperature: with v = theta the heat flux
+      kappa*theta**beta*theta_x/v is kappa*theta**(beta-1)*theta_x, whose
+      divergence is q_x = kappa*theta**(beta-2)*((beta-1)*theta_x**2 +
+      theta*theta_xx), and the work sigma*u_x is mu*u_x**2/theta - R*u_x, so
+      s_theta = -phi*c - (-R*w*phi*c + mu*w**2*(phi*c)**2/theta + q_x)/c_v;
+    - nodes, momentum: sigma = mu*u_x/theta - R, so
+      sigma_x = mu*(u_xx*theta - u_x*theta_x)/theta**2
+      = -mu*w**2*phi*s/theta**2 (R drops out and the phi**2 terms cancel),
+      and s_u = u_t - sigma_x = phi*s*(mu*w**2/theta**2 - 1), zero at the
+      walls.
+
+    The grid's profiles c and s on both lattices are built once, and the
+    gas's constants once as 0-d factors of phi*c and phi*s, not folded into
+    profiles: a block of phi*c times a 0-d operand is a plain array pass,
+    where phi times a profile broadcasts a column over a row. With
+    ``volume`` = -(1 + w), ``linear`` = R*w/c_v - 1, ``work`` = mu*w**2/c_v,
+    ``flux`` = -kappa*w**2/c_v, ``flux_sq`` = kappa*(beta-1)*w**2/c_v and
+    ``viscous`` = mu*w**2:
+
+        s_v = volume*(phi*c)
+        s_theta = linear*(phi*c) - work*(phi*c)**2/theta
+                  - theta**(beta-2)*(flux*(phi*c)*theta + flux_sq*(phi*s)**2)
+        s_u = (phi*s)*(viscous/theta**2 - 1)
+
     ``rows`` evaluates them at a sequence of times, one row per time. Each
     row equals the one-row evaluation at its time bit for bit: phi comes
-    from ``_mms_phi`` for each time, and every other expression is
-    elementwise, broadcast over the rows.
+    from one ``_mms_phi`` call over the times, which gives the bits of one
+    call per time, and every other expression is elementwise, broadcast
+    over the rows.
 
     ``plan`` names the times of the next steps and evaluates them as one
     ``block``. Calling the object with one of them returns its stored row;
@@ -722,11 +755,18 @@ class ManufacturedSources:
 
     def __init__(self, g: Grid, p: PhysParams):
         omega = _MMS_OMEGA
+        w2 = omega ** 2
         self.cos_c = np.cos(omega * g.cell_centers)
         self.sin_c = np.sin(omega * g.cell_centers)
         self.cos_n = np.cos(omega * g.nodes)
         self.sin_n = np.sin(omega * g.nodes)
-        self.p = p
+        self.volume = _operand(-(1.0 + omega))
+        self.linear = _operand(p.R * omega / p.c_v - 1.0)
+        self.work = _operand(p.mu_tilde * w2 / p.c_v)
+        self.flux = _operand(-p.kappa_tilde * w2 / p.c_v)
+        self.flux_sq = _operand(p.kappa_tilde * (p.beta - 1.0) * w2 / p.c_v)
+        self.viscous = _operand(p.mu_tilde * w2)
+        self.exponent = p.beta - 2.0
         self.plan(())
 
     def plan(self, times) -> None:
@@ -735,34 +775,34 @@ class ManufacturedSources:
 
     def rows(self, times):
         """(s_v, s_u, s_theta) at each of ``times``, one row per time."""
-        omega = _MMS_OMEGA
-        cos_c, sin_c, cos_n, sin_n = self.cos_c, self.sin_c, self.cos_n, self.sin_n
-        p = self.p
-        kappa, mu, R, beta = p.kappa_tilde, p.mu_tilde, p.R, p.beta
-        phi = np.array([_mms_phi(t) for t in times])[:, None]
+        phi = _mms_phi(np.array(times, dtype=float))[:, None]
 
-        # cells, where v = theta: volume equation v_t - u_x, and temperature
-        # equation theta_t - (heat flux divergence + work terms)/c_v
-        th = 1.0 + phi * cos_c
-        u_x = omega * phi * cos_c
-        th_x = -omega * phi * sin_c
-        th_xx = -(omega ** 2) * phi * cos_c
-        th_beta = _pow(th, beta)
-        q_x = (kappa * (beta * _pow(th, beta - 1.0) * th_x ** 2 + th_beta * th_xx) / th
-               - kappa * th_beta * th_x * th_x / th ** 2)
-        rate = (-R * th * u_x / th + mu * u_x ** 2 / th + q_x) / p.c_v
-        v_t = -phi * cos_c
-        s_v = v_t - u_x
-        s_theta = v_t - rate
+        # cells, where v = theta = 1 + phi*c
+        phi_c = phi * self.cos_c
+        theta = phi_c + _ONE
+        s_v = phi_c * self.volume
+        heat = phi * self.sin_c
+        heat *= heat
+        heat *= self.flux_sq
+        flux = phi_c * theta
+        flux *= self.flux
+        heat += flux
+        # into heat, never into the power: _pow(theta, 1.0) is theta itself
+        heat *= _pow(theta, self.exponent)
+        work = phi_c * phi_c
+        work *= self.work
+        work /= theta
+        work += heat
+        s_theta = phi_c * self.linear
+        s_theta -= work
 
-        # nodes: momentum equation u_t - d/dx of (mu*u_x - R*theta)/v
-        th = 1.0 + phi * cos_n
-        u_x = omega * phi * cos_n
-        th_x = -omega * phi * sin_n
-        u_xx = -(omega ** 2) * phi * sin_n
-        sigma_x = ((mu * u_xx - R * th_x) / th
-                   - (mu * u_x - R * th) * th_x / th ** 2)
-        s_u = -phi * sin_n - sigma_x
+        # nodes, where theta = 1 + phi*c as well
+        theta_sq = phi * self.cos_n
+        theta_sq += _ONE
+        theta_sq *= theta_sq
+        s_u = np.divide(self.viscous, theta_sq, out=theta_sq)
+        s_u -= _ONE
+        s_u *= phi * self.sin_n
         s_u[:, 0] = s_u[:, -1] = 0.0
         return s_v, s_u, s_theta
 

@@ -4,17 +4,19 @@ import os
 import string
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import lagrangas as lg
-from lagrangas import cli, solver
+from lagrangas import acceptance, cli, solver
 from lagrangas.errors import ConfigError, ConstructionError, ParamError, SimulationFailure
 
-from conftest import tridiag_breaking_after
+from conftest import make_state, tridiag_breaking_after
 
 MINIMAL = "beta=1\ninit.kind=cosine\nn_cells=256\ndt=1e-4\nt_end=20\n"
 
@@ -337,6 +339,34 @@ class TestParseConfig:
             assert again.initial.table_path == kind.partition(":")[2]
 
 
+# nan, infinities, signed zeros, subnormals, the extremes and a few
+# ordinary values
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -1e-310,
+                  2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  0.1, 1.0 / 3.0, -2.5, 1e22, 123456789.0]
+
+
+def test_csv_text_renders_each_value_as_fmt():
+    # one "%" format per row gives the bytes of _fmt per value, for Python
+    # floats and numpy scalars alike
+    names = cli.CSV_COLUMNS
+    records = []
+    for i in range(len(SPECIAL_FLOATS)):
+        vals = [SPECIAL_FLOATS[(i + j) % len(SPECIAL_FLOATS)] for j in range(len(names) + 2)]
+        fields = dict(zip(names, vals))
+        fields["t"] = np.float64(fields["t"])
+        records.append(lg.DiagnosticsRecord(
+            **fields, log_damping=0.0,
+            lp_moments={0.5: np.float64(vals[-2]), 2.0: vals[-1]}))
+    lines = cli._csv_text(SimpleNamespace(records=records)).split("\n")
+    assert lines[0] == ",".join(names) + ",lp_0.5,lp_2"
+    assert lines[-1] == "" and len(lines) == len(records) + 2
+    for line, rec in zip(lines[1:], records):
+        vals = [getattr(rec, name) for name in names] + [rec.lp_moments[0.5],
+                                                        rec.lp_moments[2.0]]
+        assert line == ",".join(cli._fmt(v) for v in vals)
+
+
 class TestRunScenario:
     def test_equilibrium_run(self, tmp_path):
         cfg = cli.parse_config(EQUILIBRIUM_QUICK)
@@ -449,6 +479,22 @@ class TestRunScenario:
                 lg.InitialSpec(kind="custom_table", table_path=str(snap)), grid)
         assert np.array_equal(restarted.v, s.v)
         assert np.array_equal(restarted.theta, s.theta)
+
+    def test_snapshot_text_renders_each_value_as_fmt(self, tmp_path):
+        # one "%" format per row gives the bytes of _fmt per value
+        values = np.array(SPECIAL_FLOATS)
+        n = len(values)
+        grid = lg.build_grid(n)
+        u = np.zeros(n + 1)
+        u[1::2] = values[:(n + 1) // 2]
+        s = make_state(values, u, values[::-1])
+        path = tmp_path / "snap.txt"
+        cli.write_snapshot(path, s, grid)
+        u_c = 0.5 * (s.u[:-1] + s.u[1:])
+        want = ["x v u theta"] + [
+            " ".join(cli._fmt(x) for x in (grid.cell_centers[j], s.v[j], u_c[j], s.theta[j]))
+            for j in range(n)]
+        assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
     def test_failure_writes_partial_outputs(self, tmp_path):
         # explicit scheme with dt so far above the stability bound that the
@@ -587,6 +633,17 @@ class TestConvergence:
         errs = report["reconstruction_errors"]
         assert errs[8] > errs[16] > errs[32]
         assert all(r > 1.0 for r in report["reconstruction_ratios"])
+
+    @pytest.mark.parametrize("gas", [{}, dict(mu_tilde=1.3, kappa_tilde=0.8, R=1.1, c_v=0.9)],
+                             ids=["unit", "other"])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.5, 6.0])
+    def test_mms_orders_at_other_betas(self, beta, gas):
+        # criterion 8's check at betas and constants other than the
+        # reference's, on the reference's dt/dx^2 (N = 256, dt = 1e-4)
+        cfg = cli.parse_config("n_cells = 256\ndt = 1e-4\n")
+        cfg = replace(cfg, params=lg.PhysParams(beta=beta, **gas))
+        orders = cli.mms_orders({n: cli.mms_error(cfg, n) for n in (32, 64, 128)})
+        assert all(o >= acceptance.MMS_ORDER_MIN for o in orders.values()), orders
 
 
 class TestMainExitCodes:

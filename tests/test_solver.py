@@ -134,6 +134,49 @@ class TestSpatialRhs:
             lg.Sources(np.zeros(n), bad, np.zeros(n))
 
 
+MMS_OMEGA = 2.0 * np.pi
+
+# non-unit (mu, kappa, R, c_v), so that no constant of the sources is 1
+OTHER_GAS = dict(mu_tilde=1.3, kappa_tilde=0.8, R=1.1, c_v=0.9)
+
+
+def term_by_term_sources(g, p, times):
+    """(s_v, s_u, s_theta) at each of ``times``: the residuals of the three
+    equations written out term by term, as the equations state them and
+    without using v = theta, from phi per time. The oracle for the closed
+    form of ``ManufacturedSources.rows``."""
+    omega = MMS_OMEGA
+    cos_c, sin_c = np.cos(omega * g.cell_centers), np.sin(omega * g.cell_centers)
+    cos_n, sin_n = np.cos(omega * g.nodes), np.sin(omega * g.nodes)
+    kappa, mu, R, beta = p.kappa_tilde, p.mu_tilde, p.R, p.beta
+    phi = np.array([0.1 * np.exp(-t) for t in times])[:, None]
+
+    # cells: volume equation v_t - u_x, and temperature equation
+    # theta_t - (heat flux divergence + work terms)/c_v
+    th = 1.0 + phi * cos_c
+    u_x = omega * phi * cos_c
+    th_x = -omega * phi * sin_c
+    th_xx = -(omega ** 2) * phi * cos_c
+    th_beta = th ** beta
+    q_x = (kappa * (beta * th ** (beta - 1.0) * th_x ** 2 + th_beta * th_xx) / th
+           - kappa * th_beta * th_x * th_x / th ** 2)
+    rate = (-R * th * u_x / th + mu * u_x ** 2 / th + q_x) / p.c_v
+    v_t = -phi * cos_c
+    s_v = v_t - u_x
+    s_theta = v_t - rate
+
+    # nodes: momentum equation u_t - d/dx of (mu*u_x - R*theta)/v
+    th = 1.0 + phi * cos_n
+    u_x = omega * phi * cos_n
+    th_x = -omega * phi * sin_n
+    u_xx = -(omega ** 2) * phi * sin_n
+    sigma_x = ((mu * u_xx - R * th_x) / th
+               - (mu * u_x - R * th) * th_x / th ** 2)
+    s_u = -phi * sin_n - sigma_x
+    s_u[:, 0] = s_u[:, -1] = 0.0
+    return s_v, s_u, s_theta
+
+
 class TestManufacturedSolution:
     def test_values_at_t_zero(self, unit_params):
         g = lg.build_grid(128)
@@ -257,6 +300,78 @@ class TestManufacturedSolution:
         _, src = solver.manufactured_solution(t, g, p)
         s_u_grid = np.interp(x, g.nodes, src.s_u)
         assert np.allclose(s_u_fd, s_u_grid, atol=5e-6)
+
+
+    def test_phi_over_an_array_equals_phi_per_time(self):
+        # rows takes phi for a whole block from one call over its times
+        times = np.random.default_rng(23).uniform(0.0, 50.0, 20000)
+        per_time = [solver._mms_phi(t) for t in times.tolist()]
+        assert np.array_equal(solver._mms_phi(times), per_time)
+
+    @pytest.mark.parametrize("gas", [{}, OTHER_GAS], ids=["unit", "other"])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 6.0])
+    def test_closed_form_matches_term_by_term(self, beta, gas):
+        # theta**(beta-2) is numpy's power at beta 2 (exponent 0), at 1 (-1)
+        # and elsewhere, and theta itself at beta 3, where writing into the
+        # power would overwrite theta. The error is scaled by phi*w**2, the
+        # size of the sources' largest terms, not by the row: at N = 2 the
+        # cell cosines are about 6e-17, and two correct formulas differ by a
+        # few percent of the s_theta values there.
+        p = lg.PhysParams(beta=beta, **gas)
+        times = np.linspace(0.0, 6.0, 41).tolist()
+        scale = 0.1 * np.exp(-np.array(times))[:, None] * MMS_OMEGA ** 2
+        for n in (2, 3, 64, 256):
+            g = lg.build_grid(n)
+            got = solver.ManufacturedSources(g, p).rows(times)
+            want = term_by_term_sources(g, p, times)
+            for name, a, b in zip(("s_v", "s_u", "s_theta"), got, want):
+                assert a.shape == b.shape
+                worst = np.max(np.abs(a - b) / scale)
+                assert worst <= 1e-14, (n, name, worst)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.5, 6.0])
+    def test_all_sources_from_finite_differences(self, beta):
+        # independent derivation of all three residuals at non-unit
+        # constants: central differences of the analytic fields in time and,
+        # in space, of the fluxes the equations take the divergence of, the
+        # stress (mu*u_x - R*theta)/v and the heat flux
+        # kappa*theta**beta*theta_x/v, each built from differenced fields;
+        # the work sigma*u_x is evaluated on its own
+        p = lg.PhysParams(beta=beta, **OTHER_GAS)
+        t, h, h_t = 0.4, 1e-4, 1e-5
+
+        def fields(tt, x):
+            phi = 0.1 * np.exp(-tt)
+            c, s_ = np.cos(MMS_OMEGA * x), np.sin(MMS_OMEGA * x)
+            return 1 + phi * c, phi * s_, 1 + phi * c
+
+        def d_dt(i, x):
+            return (fields(t + h_t, x)[i] - fields(t - h_t, x)[i]) / (2 * h_t)
+
+        def d_dx(f, x):
+            return (f(x + h) - f(x - h)) / (2 * h)
+
+        def u_x(x):
+            return d_dx(lambda y: fields(t, y)[1], x)
+
+        def sigma(x):
+            v, _, th = fields(t, x)
+            return (p.mu_tilde * u_x(x) - p.R * th) / v
+
+        def heat_flux(x):
+            v, _, th = fields(t, x)
+            return p.kappa_tilde * th ** p.beta * d_dx(lambda y: fields(t, y)[2], x) / v
+
+        g = lg.build_grid(12)
+        xc, xn = g.cell_centers, g.nodes
+        want = (d_dt(0, xc) - u_x(xc),
+                d_dt(1, xn) - d_dx(sigma, xn),
+                d_dt(2, xc) - (d_dx(heat_flux, xc) + sigma(xc) * u_x(xc)) / p.c_v)
+        got = solver.ManufacturedSources(g, p).rows((t,))
+        scale = 0.1 * np.exp(-t) * MMS_OMEGA ** 2
+        for name, a, b in zip(("s_v", "s_u", "s_theta"), got, want):
+            worst = np.max(np.abs(a[0] - b)) / scale
+            assert worst <= 1e-6, (name, worst)
 
 
 class TestStepControls:
