@@ -9,14 +9,11 @@ summary.json. Identical config and seed give a byte-identical CSV.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
 from pathlib import Path
@@ -362,6 +359,10 @@ def _fan_out(worker, jobs, workers: int) -> list:
     pool's unfinished jobs with it, and none of them is rerun: WorkerDied
     then carries the results of the jobs that finished.
     """
+    # imported here, not with the module: only sweep and verify fan out
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     pool = None
     if workers > 1:
         try:
@@ -445,12 +446,12 @@ def mms_error(cfg: RunConfig, n_cells: int, t_end: float = 0.5):
     grid = build_grid(n_cells)
     params = cfg.params
     dt = refinement_config(cfg, n_cells, t_end).dt
-    s0, _ = solver.manufactured_solution(0.0, grid, params)
+    s0 = solver.manufactured_state(0.0, grid)
     controls = solver.StepControls(dt=dt, scheme=cfg.scheme)
     src = solver.ManufacturedSources(grid, params)
     traj = solver.advance(s0, params, grid, controls, t_end, t_end, src)
     final = traj.final_state
-    exact, _ = solver.manufactured_solution(final.t, grid, params)
+    exact = solver.manufactured_state(final.t, grid)
     return (float(np.max(np.abs(final.v - exact.v))),
             float(np.max(np.abs(final.u - exact.u))),
             float(np.max(np.abs(final.theta - exact.theta))))
@@ -562,6 +563,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line parses arguments
+
     parser = argparse.ArgumentParser(
         prog="lagrangas",
         description="1D viscous heat-conducting gas in mass coordinates: "

@@ -193,9 +193,12 @@ class Workspace:
     ``base``, ``cells``, ``faces``, ``nodes``, ``steps`` and ``ratios`` are
     scratch for a fold, ``block`` rows of n, n, n - 1, n + 1, 1 and 1
     floats, and ``step_cells`` and ``step_faces`` three rows of n and n - 1
-    floats for a kernel; any function may overwrite them. ``step_views``
-    holds the shifted views of them that the IMEX kernel reads, and
-    ``ratio_ops`` the 0-d views of ``ratios``, one a row, built once.
+    floats for a kernel; any function may overwrite them. ``step_kf`` holds
+    the IMEX kernel's n + 1 face conductivities of the temperature system:
+    the kernel writes the n - 1 interior faces, and the walls' two faces
+    stay zero. ``step_views`` holds the shifted views of these that the
+    IMEX kernel reads, ``ratio_ops`` the 0-d views of ``ratios`` and
+    ``cell_rows`` the rows of both ``cells`` blocks, built once.
     ``scalars`` is left to the solver, which keeps the 0-d operands of the
     run that steps in the workspace there.
     """
@@ -219,13 +222,15 @@ class Workspace:
         self.steps = np.empty(k)
         self.ratios = np.empty(k)
         self.ratio_ops = tuple(self.ratios[i, ...] for i in range(k))
+        self.cell_rows = tuple(tuple(cells) for cells in self.cells)
         self.scalars = None
         self.step_cells = tuple(np.empty((3, n)))
         self.step_faces = tuple(np.empty((3, n - 1)))
+        self.step_kf = kf = np.zeros(n + 1)
         inv_v, work, _ = self.step_cells
-        _, work_f2, kf = self.step_faces
+        _, work_f2, _ = self.step_faces
         self.step_views = (inv_v[:-1], inv_v[1:], inv_v[1:-1], work[:-1], work[1:],
-                           work[1:-1], work_f2[:-1], kf[:-1], kf[1:])
+                           work_f2[:-1], kf[1:-1], kf[:-1], kf[1:])
         self._rows = [_Rows(self, i) for i in range(rows)]
         self._banks = (_Rows(self, slice(0, k)), _Rows(self, slice(k, rows)))
         # the first block fills bank 0 from the last row of bank 1

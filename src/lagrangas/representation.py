@@ -45,10 +45,13 @@ def velocity_integral(u: np.ndarray, g: Grid, out: np.ndarray, ws: Workspace) ->
 
 def damping_integrand(u: np.ndarray, theta: np.ndarray, g: Grid, ws: Workspace) -> list:
     """Mass total of u^2 + theta (trapezoid nodes + cell sum) of each row of
-    a block of states; ``ws`` lends scratch."""
+    a block of states; ``ws`` lends scratch.
+
+    Every row of u must vanish at both walls, as a state's velocity does.
+    The trapezoid weight is 1/2 there, where it multiplies zeros, and 1
+    inside, so the squares are summed unweighted with the same bits."""
     rows = u.shape[0]
-    kinetic = np.multiply(g.node_weights, u, out=ws.nodes[:rows])
-    kinetic *= u
+    kinetic = np.multiply(u, u, ws.nodes[:rows])
     dx = g.dx
     return [k * dx + t * dx for k, t in zip(np.add.reduce(kinetic, axis=1).tolist(),
                                             np.add.reduce(theta, axis=1).tolist())]
@@ -175,11 +178,13 @@ def update_history(acc: ReprAccumulators, theta: np.ndarray, base: np.ndarray,
     np.multiply(acc.last_integrand, half_dts[0], prev_terms[0])
     np.multiply(f[:-1], half_dts[1:], prev_terms[1:])
     acc.last_integrand[...] = f[-1]
-    new_terms = np.multiply(f, half_dts, f)
-    # the ratios reach the loop as the 0-d views ws.ratio_ops
+    np.multiply(f, half_dts, f)  # the new terms, over f
+    # the ratios reach the loop as the 0-d views ws.ratio_ops, and the terms
+    # as the row views ws.cell_rows of their blocks
     ws.ratios[:rows] = acc.damping_ratios
     history = acc.scaled_history
-    for ratio, prev, new in zip(ws.ratio_ops, prev_terms, new_terms):
+    prev_rows, new_rows = ws.cell_rows
+    for ratio, prev, new in zip(ws.ratio_ops, prev_rows, new_rows[:rows]):
         history += prev
         history *= ratio
         history += new

@@ -43,8 +43,6 @@ def _load_flapack():
 
 
 _ptsv = _load_flapack().dptsv
-# ndarray.min without the Python wrapper it goes through; NaN propagates
-_min = np.minimum.reduce
 
 # After a rejection, dt is halved; the nominal dt is restored once this many
 # consecutive steps have been accepted at the reduced value.
@@ -68,6 +66,13 @@ FINAL_POSITIVITY = "final_positivity"
 # A time within TIME_TOLERANCE * max(1, |t_end|) of t_end or of a sample
 # time counts as on it.
 TIME_TOLERANCE = 1e-12
+
+
+def _above_floor(x: np.ndarray):
+    # True when every entry of x exceeds POSITIVITY_FLOOR. argmin gives the
+    # index of the smallest entry or of the first NaN, so a NaN fails too;
+    # at small N it costs less than a min-reduction.
+    return x[x.argmin()] > POSITIVITY_FLOOR
 
 
 @dataclass(frozen=True)
@@ -289,16 +294,15 @@ def _imex_kernel(t, dt, src, ws):
     cur, out = ws.cur, ws.nxt
     v, theta = cur.v, cur.theta
     inv_v, work, work2 = ws.step_cells
-    work_f, _, kf = ws.step_faces
-    inv_lo, inv_hi, inv_in, work_lo, work_hi, work_in, off, kf_lo, kf_hi = ws.step_views
+    work_f, _, su_dt = ws.step_faces
+    inv_lo, inv_hi, inv_in, work_lo, work_hi, off, kf, kf_lo, kf_hi = ws.step_views
 
     # volume first, explicitly, so both solves see the new geometry
     v_new = np.multiply(cur.ux, sc.dt, out.v)
     v_new += v
     if s is not None:
         v_new += np.multiply(s.s_v, sc.dt, work)
-    # written so that NaN fails the check too
-    if not _min(v_new) > POSITIVITY_FLOOR:
+    if not _above_floor(v_new):
         raise StepRejected(VOLUME_FLOOR, "volume fell to the positivity floor")
     np.divide(_ONE, v_new, inv_v)
 
@@ -315,7 +319,7 @@ def _imex_kernel(t, dt, src, ws):
     rhs *= sc.dt_dx
     np.subtract(cur.u_in, rhs, rhs)
     if s is not None:
-        rhs += np.multiply(s.s_u[1:-1], sc.dt, kf)
+        rhs += np.multiply(s.s_u[1:-1], sc.dt, su_dt)
     _solve_spd_tridiag(diag, off, rhs)
     ux_new = np.subtract(out.u_hi, out.u_lo, out.ux)
     ux_new /= sc.dx
@@ -334,16 +338,14 @@ def _imex_kernel(t, dt, src, ws):
     theta_new = np.add(theta, heating, out.theta)
     if s is not None:
         theta_new += np.multiply(s.s_theta, sc.dt, work)
-    # each row couples through the faces beside it; the walls conduct nothing
-    diag2 = work
-    np.add(kf_lo, kf_hi, work_in)
-    diag2[0] = kf[0]
-    diag2[-1] = kf[-1]
+    # each row couples through the faces beside it; the walls' faces are
+    # zeros that conduct nothing, and 0 + k is k exactly
+    diag2 = np.add(kf_lo, kf_hi, work)
     diag2 *= sc.lam
     diag2 += _ONE
     off2 = np.multiply(kf, sc.neg_lam, work_f)
     _solve_spd_tridiag(diag2, off2, theta_new)
-    if not _min(theta_new) > POSITIVITY_FLOOR:
+    if not _above_floor(theta_new):
         raise StepRejected(TEMPERATURE_FLOOR, "temperature fell to the positivity floor")
 
 
@@ -363,7 +365,7 @@ def _rk2_kernel(t, dt, src, ws):
     vm = v + 0.5 * dt * dv
     um = u + 0.5 * dt * du
     tm = theta + 0.5 * dt * dtheta
-    if not (vm.min() > POSITIVITY_FLOOR and tm.min() > POSITIVITY_FLOOR):
+    if not (_above_floor(vm) and _above_floor(tm)):
         raise StepRejected(MIDPOINT_POSITIVITY, "midpoint stage violated positivity")
 
     dv, du, dtheta = rates(vm, um, tm, t + 0.5 * dt)
@@ -371,7 +373,7 @@ def _rk2_kernel(t, dt, src, ws):
     u_new = u + dt * du
     u_new[0] = u_new[-1] = 0.0
     theta_new = theta + dt * dtheta
-    if not (v_new.min() > POSITIVITY_FLOOR and theta_new.min() > POSITIVITY_FLOOR):
+    if not (_above_floor(v_new) and _above_floor(theta_new)):
         raise StepRejected(FINAL_POSITIVITY, "state violated positivity after the step")
     out = ws.nxt
     out.v[...] = v_new
@@ -684,19 +686,23 @@ def _mms_phi(t):
 def manufactured_solution(t: float, g: Grid, p: PhysParams) -> tuple[State, Sources]:
     """Analytic fields and the forcing that makes them an exact solution.
 
-    The fields are 1 + phi*cos(2 pi x) for volume and temperature and
-    phi*sin(2 pi x) for velocity, with phi = 0.1*exp(-t); they satisfy both
-    wall conditions and tend to equilibrium. The sources are the residuals
-    of the three equations on the respective lattices, in the closed form
-    that ``ManufacturedSources`` derives and evaluates.
+    The fields are those of ``manufactured_state``. The sources are the
+    residuals of the three equations on the respective lattices, in the
+    closed form that ``ManufacturedSources`` derives and evaluates.
     """
+    return manufactured_state(t, g), ManufacturedSources(g, p)(t)
+
+
+def manufactured_state(t: float, g: Grid) -> State:
+    """The manufactured fields on the grid at time t: 1 + phi*cos(2 pi x)
+    for volume and temperature and phi*sin(2 pi x) for velocity, with phi =
+    0.1*exp(-t). They satisfy both wall conditions and tend to equilibrium."""
     phi = _mms_phi(t)
     v = 1.0 + phi * np.cos(_MMS_OMEGA * g.cell_centers)
     theta = v.copy()
     u = phi * np.sin(_MMS_OMEGA * g.nodes)
     u[0] = u[-1] = 0.0
-    exact = State(t=t, v=v, u=u, theta=theta)
-    return exact, ManufacturedSources(g, p)(t)
+    return State(t=t, v=v, u=u, theta=theta)
 
 
 def manufactured_rates(t: float, g: Grid):

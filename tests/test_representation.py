@@ -4,6 +4,7 @@ import pytest
 
 import lagrangas as lg
 from lagrangas import representation as rep
+from lagrangas.core import Workspace
 
 
 def dense_base_oracle(s, s0, g, refine=400):
@@ -113,6 +114,34 @@ class TestDampingUpdate:
         assert np.all(ly <= -t + 0.01 * t)
         y5 = np.exp(traj.column("log_damping")[-1])
         assert np.exp(-10.0) <= y5 <= np.exp(-5.0)
+
+
+def weighted_damping_integrand(u, theta, g):
+    """The damping integrand with the trapezoid node weights written out."""
+    kinetic = g.node_weights * u * u
+    return [k * g.dx + t * g.dx for k, t in zip(np.add.reduce(kinetic, axis=1).tolist(),
+                                                np.add.reduce(theta, axis=1).tolist())]
+
+
+class TestDampingIntegrand:
+    # the walls' weight 1/2 multiplies zeros, so the unweighted squares give
+    # the same bits; -0.0 squares to +0.0 either way
+    @pytest.mark.parametrize("n", [2, 3, 256, 4097])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_trapezoid_weighted_sum(self, n, seed):
+        g = lg.build_grid(n)
+        rows = 4
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.uniform(-8, 3, (rows, 1))
+        u = rng.standard_normal((rows, n + 1)) * scales
+        # every pair of signed zeros at the walls, and one row all zeros
+        u[:, 0] = [0.0, -0.0, 0.0, -0.0]
+        u[:, -1] = [0.0, 0.0, -0.0, -0.0]
+        u[3, 1:-1] = -0.0
+        theta = rng.uniform(1e-3, 10.0, (rows, n))
+        got = rep.damping_integrand(u, theta, g, Workspace(n, rows))
+        want = weighted_damping_integrand(u, theta, g)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestHistoryUpdate:

@@ -721,6 +721,62 @@ class TestRejectionReasons:
         assert exc.value.reason == reason
 
 
+FLOOR = solver.POSITIVITY_FLOOR
+
+
+class TestFloorCheck:
+    """A NaN or an entry at POSITIVITY_FLOOR fails a positivity check
+    wherever it sits, and an entry just above the floor passes.
+
+    From the uniform state v = theta = 2*FLOOR, u = 0, a source entry
+    (value - 2*FLOOR) / h, with h the stage's step, makes the checked field
+    equal ``value`` in that cell exactly: h is a power of two, and u stays
+    0, so nothing else moves the cell. At this dt the temperature system is
+    the identity to the last bit, while a NaN in its right-hand side makes
+    NaN values with finite pivots."""
+
+    N = 16
+    DT = 2.0 ** -110
+
+    @pytest.mark.parametrize("cell", [0, 7, 15])
+    @pytest.mark.parametrize("value, accepted", [(np.nan, False), (FLOOR, False),
+                                                 (np.nextafter(FLOOR, 1.0), True)],
+                             ids=["nan", "at_floor", "above_floor"])
+    @pytest.mark.parametrize("scheme, late, field, reason", [
+        (lg.IMEX_BE, True, "s_v", solver.VOLUME_FLOOR),
+        (lg.IMEX_BE, True, "s_theta", solver.TEMPERATURE_FLOOR),
+        (lg.EXPLICIT_RK2, False, "s_v", solver.MIDPOINT_POSITIVITY),
+        (lg.EXPLICIT_RK2, False, "s_theta", solver.MIDPOINT_POSITIVITY),
+        # the midpoint stage reads the sources at t, the final one at t + dt/2
+        (lg.EXPLICIT_RK2, True, "s_v", solver.FINAL_POSITIVITY),
+        (lg.EXPLICIT_RK2, True, "s_theta", solver.FINAL_POSITIVITY),
+    ])
+    def test_reason_or_acceptance(self, scheme, late, field, reason, value, accepted, cell):
+        n, dt = self.N, self.DT
+        g, p = lg.build_grid(n), lg.PhysParams(beta=1.0)
+        s = make_state(np.full(n, 2 * FLOOR), np.zeros(n + 1), np.full(n, 2 * FLOOR))
+        h = dt if scheme == lg.IMEX_BE or late else 0.5 * dt
+        zero = lg.Sources(np.zeros(n), np.zeros(n + 1), np.zeros(n))
+        fields = {"s_v": np.zeros(n), "s_u": np.zeros(n + 1), "s_theta": np.zeros(n)}
+        fields[field][cell] = (value - 2 * FLOOR) / h
+        bad = lg.Sources(**fields)
+        assert np.isnan(value) or 2 * FLOOR + h * fields[field][cell] == value
+
+        def sources(t):
+            return bad if (t > 0.0) == late else zero
+
+        c = lg.StepControls(dt=dt, scheme=scheme)
+        if accepted:
+            out = lg.step(s, p, g, c, sources)
+            if late:
+                checked = out.v if field == "s_v" else out.theta
+                assert checked[cell] == value
+        else:
+            with pytest.raises(StepRejected) as exc:
+                lg.step(s, p, g, c, sources)
+            assert exc.value.reason == reason
+
+
 class TestSchemeConsistency:
     def test_first_order_agreement(self, grid64, cosine64, unit_params):
         diffs = []
