@@ -441,7 +441,10 @@ def mms_error(cfg: RunConfig, n_cells: int, t_end: float = 0.5):
     """Integrate the forced problem on n_cells cells and return max-norm
     errors (v, u, theta) against the exact fields at t_end.
 
-    dt follows the dt/dx^2 policy of ``refinement_config``.
+    dt follows the dt/dx^2 policy of ``refinement_config``. The run reads
+    nothing but its final state, so it takes no samples
+    (``sample_every=None``) and folds no diagnostics; it calls
+    ``solver.advance`` through the module, once.
     """
     grid = build_grid(n_cells)
     params = cfg.params
@@ -449,7 +452,7 @@ def mms_error(cfg: RunConfig, n_cells: int, t_end: float = 0.5):
     s0 = solver.manufactured_state(0.0, grid)
     controls = solver.StepControls(dt=dt, scheme=cfg.scheme)
     src = solver.ManufacturedSources(grid, params)
-    traj = solver.advance(s0, params, grid, controls, t_end, t_end, src)
+    traj = solver.advance(s0, params, grid, controls, t_end, None, src)
     final = traj.final_state
     exact = solver.manufactured_state(final.t, grid)
     return (float(np.max(np.abs(final.v - exact.v))),

@@ -185,10 +185,11 @@ class Workspace:
     ``nxt`` views the row the next kernel writes and ``cur`` that of the
     last accepted or ``load``ed state, whose ``ux`` and ``knum`` the kernel
     reads instead of recomputing them; a rejected attempt overwrites neither.
-    ``accept(dt)`` moves ``cur`` onto ``nxt`` and keeps the step's size in
-    ``dt``. A block, the steps accepted since the last ``fold``, fills one
-    bank forward from its first row while the other bank holds the state it
-    started from; ``fold`` switches banks, and no row is copied.
+    ``accept(dt)`` moves ``cur`` onto ``nxt``, keeps the step's size in
+    ``dt`` and writes the row's ``thf`` and ``knum``. A block, the steps
+    accepted since the last ``fold``, fills one bank forward from its first
+    row while the other bank holds the state it started from; ``fold``
+    switches banks, and no row is copied.
 
     ``base``, ``cells``, ``faces``, ``nodes``, ``steps`` and ``ratios`` are
     scratch for a fold, ``block`` rows of n, n, n - 1, n + 1, 1 and 1
@@ -200,7 +201,8 @@ class Workspace:
     IMEX kernel reads, ``ratio_ops`` the 0-d views of ``ratios`` and
     ``cell_rows`` the rows of both ``cells`` blocks, built once.
     ``scalars`` is left to the solver, which keeps the 0-d operands of the
-    run that steps in the workspace there.
+    run that steps in the workspace there before the first ``accept``: its
+    ``p`` and ``kappa`` give ``knum``.
     """
 
     def __init__(self, n_cells: int, block: int | None = None):
@@ -256,8 +258,11 @@ class Workspace:
 
     def accept(self, dt: float) -> _Rows:
         """Make the kernel's last output, a step of size ``dt``, the
-        accepted state; returns its row."""
+        accepted state, and write its ``thf`` and ``knum``, which the next
+        kernel reads; returns its row."""
         cur = self.cur = self.nxt
+        sc = self.scalars
+        _numerator_from(cur.theta_lo, cur.theta_hi, sc.p.beta, sc.kappa, cur.thf, cur.knum)
         self.dt[cur.index] = dt
         self.filled += 1
         if self.filled < self.block:

@@ -24,8 +24,8 @@ from importlib.machinery import PathFinder
 import numpy as np
 
 from . import functionals, representation
-from .core import (_HALF, _ONE, Grid, PhysParams, State, Workspace, _numerator_from,
-                   _operand, _pow, check_normalization, validate_state)
+from .core import (_HALF, _ONE, Grid, PhysParams, State, Workspace, _frozen, _operand,
+                   _pow, check_normalization, validate_state)
 from .errors import NumericalBreakdown, ParamError, SimulationFailure, StepRejected
 
 
@@ -95,17 +95,19 @@ def _check_cells(n_cells: int) -> None:
         raise ParamError("n_cells", f"time stepping requires at least 2 cells, got {n_cells}")
 
 
-def check_run(n_cells: int, t0: float, t_end: float, sample_every: float) -> float:
+def check_run(n_cells: int, t0: float, t_end: float, sample_every: float | None) -> float:
     """Check the run controls of ``advance`` and return its time tolerance,
-    TIME_TOLERANCE * max(1, |t_end|). Raises ParamError naming ``n_cells``,
-    ``t_end`` or ``sample_every``: a cadence below the tolerance would keep
-    the driver counting past the sample times near each landing."""
+    TIME_TOLERANCE * max(1, |t_end|). ``sample_every`` is None (no samples)
+    or a cadence of at least the tolerance: a smaller one would keep the
+    driver counting past the sample times near each landing. Raises
+    ParamError naming ``n_cells``, ``t_end`` or ``sample_every``."""
     _check_cells(n_cells)
     if not (math.isfinite(t_end) and t_end > t0):
         raise ParamError("t_end", f"t_end = {t_end} must be finite and exceed the "
                          f"initial time {t0}")
     tiny = TIME_TOLERANCE * max(1.0, abs(t_end))
-    if not (math.isfinite(sample_every) and sample_every >= tiny):
+    if sample_every is not None and not (math.isfinite(sample_every)
+                                         and sample_every >= tiny):
         raise ParamError("sample_every", f"sample_every must be finite and at least "
                          f"{tiny:g}, got {sample_every}")
     return tiny
@@ -117,6 +119,7 @@ class Sources:
 
     Used by the manufactured-solution machinery; zero for physical runs.
     s_u must vanish at the boundary nodes so the wall condition survives.
+    Like a State, it keeps read-only copies of the caller's arrays.
     """
 
     s_v: np.ndarray
@@ -124,17 +127,17 @@ class Sources:
     s_theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "s_v", np.asarray(self.s_v, dtype=float))
-        object.__setattr__(self, "s_u", np.asarray(self.s_u, dtype=float))
-        object.__setattr__(self, "s_theta", np.asarray(self.s_theta, dtype=float))
+        object.__setattr__(self, "s_v", _frozen(self.s_v))
+        object.__setattr__(self, "s_u", _frozen(self.s_u))
+        object.__setattr__(self, "s_theta", _frozen(self.s_theta))
         if self.s_u[0] != 0.0 or self.s_u[-1] != 0.0:
             raise ValueError("s_u must vanish at the boundary nodes")
 
 
 def _source_row(s_v, s_u, s_theta) -> Sources:
-    # a row of ManufacturedSources.rows as Sources, without the conversion
-    # and the wall check of Sources.__post_init__: rows gives float arrays
-    # and zeroes s_u at the walls itself
+    # a row of ManufacturedSources.rows as Sources, without the copies and
+    # the wall check of Sources.__post_init__: the row stays a view of the
+    # block, and rows zeroes s_u at the walls itself
     row = object.__new__(Sources)
     row.__dict__.update(s_v=s_v, s_u=s_u, s_theta=s_theta)
     return row
@@ -392,6 +395,15 @@ def _take_step(t, dt, scheme, src, ws):
     _KERNELS[scheme](t, dt, src, ws)
 
 
+def _workspace(s: State, p: PhysParams, g: Grid, block: int | None = None) -> Workspace:
+    """A Workspace to step from ``s`` in: the run's scalar operands built
+    from (p, g) and ``s`` loaded into the row a first step reads."""
+    ws = Workspace(g.n_cells, block)
+    ws.scalars = _Scalars(p, g)
+    ws.load(s, g, p)
+    return ws
+
+
 def step(s: State, p: PhysParams, g: Grid, c: StepControls,
          src: Sources | None = None) -> State:
     """One step of size c.dt with the scheme c.scheme.
@@ -401,9 +413,7 @@ def step(s: State, p: PhysParams, g: Grid, c: StepControls,
     stability bound; ParamError naming ``n_cells`` on a grid of one cell.
     """
     _check_cells(g.n_cells)
-    ws = Workspace(g.n_cells, 1)
-    ws.scalars = _Scalars(p, g)
-    ws.load(s, g, p)
+    ws = _workspace(s, p, g, 1)
     _take_step(s.t, c.dt, c.scheme, src, ws)
     return State(t=s.t + c.dt, v=ws.nxt.v, u=ws.nxt.u, theta=ws.nxt.theta)
 
@@ -415,7 +425,10 @@ class Trajectory:
 
     ``rejections`` counts the rejected steps by StepRejected reason, and
     ``min_dt`` is the smallest nominal dt the run reached: c.dt, or the
-    smallest a rejection halved it to."""
+    smallest a rejection halved it to. A run without samples
+    (``sample_every=None``) keeps no diagnostics: ``records`` is empty,
+    ``accumulators`` is None and ``final_state`` is the state at t_end (or
+    ``initial_state`` in the trajectory of a failure)."""
 
     grid: Grid
     params: PhysParams
@@ -445,32 +458,23 @@ class Trajectory:
 
 class _RunningTotals:
     """The running time integral of the dissipation and the reconstruction
-    accumulators of one run, folded in once per block of accepted steps.
+    accumulators of one run from ``s0``, which ``ws`` holds loaded with the
+    run's scalar operands (``_workspace``).
 
-    ``accept`` takes a step the kernel has written into ``ws.nxt``. It
-    computes only what the next kernel reads, and folds the block in when
-    the block is full; ``fold`` folds in a partial block. After a fold,
-    ``dissipation`` and ``base`` hold the dissipation and the base profile
-    of the last accepted state. ``seconds`` is the time spent folding. The
-    run's scalar operands are ``ws.scalars``, which this makes.
+    ``fold`` folds in the steps ``ws`` accepted since the last fold, if
+    any: ``advance`` calls it when a block is full, before every sample and
+    before a failure is raised. After a fold, ``dissipation`` and ``base``
+    hold the dissipation and the base profile of the last accepted state.
+    ``seconds`` is the time spent folding.
     """
 
     def __init__(self, s0: State, g: Grid, p: PhysParams, ws: Workspace):
-        self.g, self.p, self.ws = g, p, ws
-        ws.scalars = self.scalars = _Scalars(p, g)
-        ws.load(s0, g, p)
+        self.g, self.ws = g, ws
         self.acc = representation.init_accumulators(s0, g, ws)
         self.dissipation = functionals.dissipation(s0, g, p)
         self.int_v_dt = 0.0
         self.base = None
         self.seconds = 0.0
-
-    def accept(self, dt: float) -> None:
-        row = self.ws.accept(dt)
-        _numerator_from(row.theta_lo, row.theta_hi, self.p.beta, self.scalars.kappa,
-                        row.thf, row.knum)
-        if self.ws.full:
-            self.fold()
 
     def fold(self) -> None:
         if not self.ws.filled:
@@ -480,7 +484,7 @@ class _RunningTotals:
         block = ws.pending()
         dts = block.dt.tolist()  # Python floats for the scalar recurrences
         rates = functionals.dissipation_from(block.ux, block.vf, block.v, block.theta,
-                                             block.thf, block.knum, g, self.scalars.mu, ws)
+                                             block.thf, block.knum, g, ws.scalars.mu, ws)
         # the scalar recurrences run one step after the other, as they would
         # step by step
         prev, total = self.dissipation, self.int_v_dt
@@ -544,9 +548,10 @@ class _Samples:
 
 
 def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
-            sample_every: float, src: Sources | None = None, *,
+            sample_every: float | None, src: Sources | None = None, *,
             lp_exponents=None) -> Trajectory:
-    """Integrate from ``s0`` to ``t_end``, sampling diagnostics on the way.
+    """Integrate from ``s0`` to ``t_end``, sampling diagnostics on the way
+    every ``sample_every``, or, when it is None, sampling nothing.
 
     The reference states of the diagnostics are v_star, the mass of ``s0``,
     and theta_star, its total energy over c_v.
@@ -570,6 +575,13 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     failure is raised. A State, which copies its fields, is built only for
     the final state and to report a failure.
 
+    Without samples the run takes the same steps to t_end, its one
+    landing, with the same rejections, but builds no accumulators, no
+    record and no sample buffer, and never folds: a full block only
+    switches banks. Its trajectory holds no records and no accumulators;
+    ``final_state``, the step counts, ``min_dt`` and ``phase_s`` are kept.
+    ``lp_exponents`` is then unused.
+
     ``phase_s`` of the trajectory splits the seconds spent here into
     ``diagnostics`` (the folds), ``sampling`` (the initial record, staging
     and the record passes) and ``kernel`` (the rest).
@@ -585,39 +597,46 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     v_star, energy0 = check_normalization(s0, g, p)
     theta_star = energy0 / p.c_v
 
-    ws = Workspace(g.n_cells)
-    totals = _RunningTotals(s0, g, p, ws)
+    ws = _workspace(s0, p, g)
     traj = Trajectory(grid=g, params=p, v_star=v_star, theta_star=theta_star,
-                      initial_state=s0, final_state=s0, min_dt=c.dt,
-                      accumulators=totals.acc)
-
-    samples = _Samples(g, p, ws.block, traj.records, lp_exponents=lp_exponents,
-                       v_star=v_star, theta_star=theta_star)
+                      initial_state=s0, final_state=s0, min_dt=c.dt)
+    sampling_s = 0.0
+    if sample_every is None:
+        totals = samples = None
+        fold = ws.fold
+    else:
+        totals = _RunningTotals(s0, g, p, ws)
+        traj.accumulators = totals.acc
+        fold = totals.fold
+        samples = _Samples(g, p, ws.block, traj.records, lp_exponents=lp_exponents,
+                           v_star=v_star, theta_star=theta_star)
+        sampling_started = time.perf_counter()
+        traj.records.append(functionals.record(
+            s0, g, p, int_v_dt=totals.int_v_dt, log_damping=totals.acc.log_damping,
+            lp_exponents=lp_exponents, v_star=v_star, theta_star=theta_star,
+            dissipation_V=totals.dissipation))
+        sampling_s = time.perf_counter() - sampling_started
 
     def finish():
         nonlocal sampling_s
-        sampling_started = time.perf_counter()
-        samples.flush()
-        traj.final_state = samples.last_state() or s0
-        sampling_s += time.perf_counter() - sampling_started
-        diagnostics_s = totals.seconds
+        diagnostics_s = 0.0
+        if samples is not None:
+            sampling_started = time.perf_counter()
+            samples.flush()
+            traj.final_state = samples.last_state() or s0
+            sampling_s += time.perf_counter() - sampling_started
+            diagnostics_s = totals.seconds
         traj.phase_s = {"kernel": time.perf_counter() - started - diagnostics_s - sampling_s,
                         "diagnostics": diagnostics_s, "sampling": sampling_s}
 
     def failure(message):
-        totals.fold()
+        if totals is not None:
+            totals.fold()
         row = ws.cur
         finish()
         return SimulationFailure(message,
                                  last_state=State(t=t, v=row.v, u=row.u, theta=row.theta),
                                  trajectory=traj)
-
-    sampling_started = time.perf_counter()
-    traj.records.append(functionals.record(
-        s0, g, p, int_v_dt=totals.int_v_dt, log_damping=totals.acc.log_damping,
-        lp_exponents=lp_exponents, v_star=v_star, theta_star=theta_star,
-        dissipation_V=totals.dissipation))
-    sampling_s = time.perf_counter() - sampling_started
 
     t = t0 = s0.t
     cur_dt = c.dt
@@ -625,7 +644,7 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     sample_idx = 1
 
     while t < t_end - tiny:
-        target = min(t0 + sample_idx * sample_every, t_end)
+        target = t_end if samples is None else min(t0 + sample_idx * sample_every, t_end)
 
         # integrate to the target exactly, clamping the last step onto it
         while t < target:
@@ -648,7 +667,9 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
             except NumericalBreakdown as exc:
                 raise failure(f"step at t = {t} broke down: {exc}") from exc
 
-            totals.accept(dt_try)
+            ws.accept(dt_try)
+            if ws.full:
+                fold()
             t = t_new
             traj.n_steps += 1
             rejected_in_row = 0
@@ -659,9 +680,13 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
                     cur_dt = min(c.dt, _dt_bound(c.scheme, row.v, row.theta, p, g))
                     accepted_at_reduced = 0
 
+        row = ws.cur
+        if samples is None:
+            # the one landing, t_end
+            traj.final_state = State(t=t, v=row.v, u=row.u, theta=row.theta)
+            break
         totals.fold()
         sampling_started = time.perf_counter()
-        row = ws.cur
         v_rec = representation.reconstruct_volume(totals.acc, totals.base)
         repr_err = float(np.max(np.abs(v_rec - row.v) / row.v))
         samples.stage(t, row, totals.int_v_dt, repr_err, totals.acc.log_damping,

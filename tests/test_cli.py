@@ -646,6 +646,48 @@ class TestConvergence:
         assert all(o >= acceptance.MMS_ORDER_MIN for o in orders.values()), orders
 
 
+class TestMmsErrorSteps:
+    """The benchmark counts the steps of ``mms_error`` by wrapping
+    ``solver.advance``: ``mms_error`` must call it through the module, once,
+    and its trajectory's n_steps must count every kernel call. Its errors
+    are those of the same run sampled at t_end."""
+
+    @pytest.mark.parametrize("beta", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_one_advance_counts_every_step(self, monkeypatch, n, beta):
+        # the reference's dt/dx^2 (N = 256, dt = 1e-4)
+        cfg = cli.parse_config("n_cells = 256\ndt = 1e-4\n")
+        cfg = replace(cfg, params=lg.PhysParams(beta=beta))
+        advance, take = solver.advance, solver._take_step
+        trajectories, kernel_calls = [], []
+
+        def counting_advance(*args, **kwargs):
+            trajectories.append(advance(*args, **kwargs))
+            return trajectories[-1]
+
+        def counting_kernel(*args):
+            kernel_calls.append(None)
+            return take(*args)
+
+        monkeypatch.setattr(solver, "advance", counting_advance)
+        monkeypatch.setattr(solver, "_take_step", counting_kernel)
+        errors = cli.mms_error(cfg, n)
+        monkeypatch.undo()
+        traj, = trajectories
+        assert traj.n_steps == len(kernel_calls) > 0
+        assert traj.records == []
+
+        grid = lg.build_grid(n)
+        controls = lg.StepControls(dt=cli.refinement_config(cfg, n, 0.5).dt)
+        sampled = lg.advance(solver.manufactured_state(0.0, grid), cfg.params, grid, controls,
+                             0.5, 0.5, solver.ManufacturedSources(grid, cfg.params))
+        exact = solver.manufactured_state(sampled.final_state.t, grid)
+        assert sampled.n_steps == traj.n_steps
+        assert errors == tuple(
+            float(np.max(np.abs(getattr(sampled.final_state, name) - getattr(exact, name))))
+            for name in ("v", "u", "theta"))
+
+
 class TestMainExitCodes:
     def test_run_ok(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"

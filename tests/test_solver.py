@@ -374,6 +374,37 @@ class TestManufacturedSolution:
             assert worst <= 1e-6, (name, worst)
 
 
+class TestSources:
+    def test_is_a_value(self):
+        # read-only copies: writing into the caller's arrays afterwards
+        # leaves the Sources as it was built
+        arrays = [np.full(4, 0.5), np.zeros(5), np.full(4, -0.25)]
+        src = lg.Sources(*arrays)
+        for a in arrays:
+            a[...] = 7.0
+        assert src.s_v.tolist() == [0.5] * 4
+        assert src.s_u.tolist() == [0.0] * 5
+        assert src.s_theta.tolist() == [-0.25] * 4
+        for name in ("s_v", "s_u", "s_theta"):
+            field = getattr(src, name)
+            assert field.dtype == float and not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[1] = 1.0
+
+    def test_converts_sequences_and_checks_the_walls(self):
+        assert lg.Sources([1, 2], [0, 3, 0], [4, 5]).s_u.tolist() == [0.0, 3.0, 0.0]
+        with pytest.raises(ValueError, match="s_u"):
+            lg.Sources(np.zeros(2), np.array([0.0, 1.0, 1e-300]), np.zeros(2))
+
+    def test_planned_rows_stay_views(self):
+        g = lg.build_grid(8)
+        src = solver.ManufacturedSources(g, lg.PhysParams(beta=1.5))
+        src.plan([0.25, 0.5])
+        row = src(0.5)
+        for got, block in zip((row.s_v, row.s_u, row.s_theta), src.block):
+            assert np.shares_memory(got, block[1])
+
+
 class TestStepControls:
     @pytest.mark.parametrize("kwargs, field", [
         (dict(dt=-1.0), "dt"), (dict(dt=1e-3, scheme="leapfrog"), "scheme")])
@@ -508,13 +539,15 @@ class TestCarriedRow:
             lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.1,
                            seed=n), g, p.c_v)
         dt = min(DT_EXACT, 0.5 * solver._dt_bound(scheme, s0.v, s0.theta, p, g))
-        ws = Workspace(n)
+        ws = solver._workspace(s0, p, g)
         totals = solver._RunningTotals(s0, g, p, ws)
         t = 0.0
         # one more step than a block holds, so that a fold comes between
         for _ in range(ws.block + 1):
             solver._take_step(t, dt, scheme, None, ws)
-            totals.accept(dt)
+            ws.accept(dt)
+            if ws.full:
+                totals.fold()
             t += dt
             row = ws.cur
             fresh = Workspace(n, 1).load(
@@ -1212,6 +1245,25 @@ class TestStagedSamples:
         assert counts == {"record": 1, "State": 1}
 
 
+def rejecting_attempt(patch, refused):
+    """Refuse the ``refused``-th step attempt from now on, after its kernel
+    ran in full; returns the list of the accepted steps' sizes, which grows
+    as they are taken."""
+    take = solver._take_step
+    attempts, accepted = [], []
+
+    def rejecting_after_kernel(*args):
+        result = take(*args)
+        attempts.append(None)
+        if len(attempts) == refused:
+            raise StepRejected("test", "refused after the kernel ran")
+        accepted.append(args[1])
+        return result
+
+    patch.setattr(solver, "_take_step", rejecting_after_kernel)
+    return accepted
+
+
 class TestRejectionReplay:
     """A rejected attempt writes only into the workspace's spare row:
     replaying the accepted steps by hand gives the same run, bit for bit,
@@ -1253,18 +1305,7 @@ class TestRejectionReplay:
                                seed=4), g)
             src = None
         take = solver._take_step
-        attempts, accepted = [], []
-
-        def rejecting_after_kernel(*args):
-            # the kernel runs in full, then one attempt is refused
-            result = take(*args)
-            attempts.append(None)
-            if len(attempts) == refused:
-                raise StepRejected("test", "refused after the kernel ran")
-            accepted.append(args[1])
-            return result
-
-        patch.setattr(solver, "_take_step", rejecting_after_kernel)
+        accepted = rejecting_attempt(patch, refused)
         blocks = counting_source_blocks(patch)
         t_end = steps * DT_EXACT
         traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), t_end, t_end / 2, src)
@@ -1276,6 +1317,161 @@ class TestRejectionReplay:
         s, acc, totals = replay(s0, p, g, accepted, src)
         assert_same_totals(traj, traj.final_state, s, acc, totals)
         return planned
+
+
+def forced_start(kind, g, p):
+    """(s0, src) of a run with no sources, a constant ``Sources``, a
+    callable that returns Sources, or fresh ``ManufacturedSources``."""
+    if kind == "manufactured":
+        return solver.manufactured_state(0.0, g), solver.ManufacturedSources(g, p)
+    s0 = lg.make_initial_data(
+        lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.2,
+                       seed=g.n_cells), g, p.c_v)
+    if kind == "none":
+        return s0, None
+    s_u = 0.05 * np.sin(np.pi * g.nodes)
+    s_u[0] = s_u[-1] = 0.0
+    const = lg.Sources(0.05 * np.cos(2.0 * np.pi * g.cell_centers), s_u,
+                       0.1 * np.sin(2.0 * np.pi * g.cell_centers) ** 2)
+    if kind == "constant":
+        return s0, const
+    return s0, lambda t: lg.Sources(np.exp(-t) * const.s_v, np.exp(-t) * const.s_u,
+                                    np.exp(-t) * const.s_theta)
+
+
+def assert_same_run(bare, sampled):
+    """A run without samples and the same run sampled only at t_end end in
+    the same state, bit for bit, after the same steps."""
+    assert bare.records == [] and bare.accumulators is None
+    assert bare.final_state.t == sampled.final_state.t
+    for name in ("v", "u", "theta"):
+        assert (getattr(bare.final_state, name).tobytes()
+                == getattr(sampled.final_state, name).tobytes())
+        assert not getattr(bare.final_state, name).flags.writeable
+    assert (bare.n_steps, bare.rejections, bare.min_dt) == (
+        sampled.n_steps, sampled.rejections, sampled.min_dt)
+
+
+class TestWithoutSamples:
+    """``advance(..., sample_every=None)`` takes the steps that a run
+    sampled only at t_end takes, with the same landings, source plans and
+    rejections, and ends in the same state; it computes no diagnostics."""
+
+    P = lg.PhysParams(beta=1.5, mu_tilde=0.7, kappa_tilde=1.3, R=1.1, c_v=0.9)
+    DIAGNOSTICS = ((representation, "init_accumulators"), (functionals, "dissipation"),
+                   (functionals, "dissipation_from"), (functionals, "records_from"),
+                   (representation, "update_damping"),
+                   (representation, "_base_factor_cached"),
+                   (representation, "update_history"))
+
+    def controls(self, scheme, s0, g):
+        dt = min(DT_EXACT, 0.5 * solver._dt_bound(scheme, s0.v, s0.theta, self.P, g))
+        return lg.StepControls(dt=dt, scheme=scheme)
+
+    @pytest.mark.parametrize("kind", ["none", "constant", "callable", "manufactured"])
+    @pytest.mark.parametrize("scheme", solver.SCHEMES)
+    @pytest.mark.parametrize("n", [2, 3, 64, 4097])
+    def test_equals_the_run_sampled_at_t_end(self, n, scheme, kind):
+        # past one full block (K = 64 up to 64 cells, 1 at 4097), and a
+        # last step shortened onto t_end
+        g = lg.build_grid(n)
+        runs = []
+        for sample_every in (None, "t_end"):
+            s0, src = forced_start(kind, g, self.P)
+            c = self.controls(scheme, s0, g)
+            t_end = (70.5 if n <= 64 else 6.5) * c.dt
+            runs.append(lg.advance(s0, self.P, g, c, t_end,
+                                   t_end if sample_every else None, src))
+        bare, sampled = runs
+        assert_same_run(bare, sampled)
+        assert bare.final_state.t == t_end
+        assert bare.n_steps == (71 if n <= 64 else 7)
+
+    @pytest.mark.parametrize("n, steps, refused, forced", [
+        (48, 30, 7, False), (48, 160, 65, True), (4097, 8, 3, False), (4097, 8, 3, True)])
+    def test_forced_rejection_equals_the_sampled_run(self, monkeypatch, n, steps, refused,
+                                                     forced):
+        # inside a block, just after a full one, and in blocks of one step
+        g = lg.build_grid(n)
+        runs = []
+        for sampled in (False, True):
+            s0, src = forced_start("manufactured" if forced else "none", g, self.P)
+            t_end = steps * DT_EXACT
+            with monkeypatch.context() as patch:
+                accepted = rejecting_attempt(patch, refused)
+                runs.append(lg.advance(s0, self.P, g, lg.StepControls(dt=DT_EXACT), t_end,
+                                       t_end if sampled else None, src))
+            assert runs[-1].n_steps == len(accepted) > steps
+        assert runs[0].rejections == {"test": 1}
+        assert_same_run(*runs)
+
+    @pytest.mark.parametrize("scheme", solver.SCHEMES)
+    def test_no_diagnostics_work(self, monkeypatch, scheme):
+        calls = {}
+        for module, name in self.DIAGNOSTICS:
+            calls[name] = 0
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        g = lg.build_grid(64)  # K = 64: two full blocks and a partial one
+        s0, src = forced_start("manufactured", g, self.P)
+        c = self.controls(scheme, s0, g)
+        t_end = 150.5 * c.dt
+        traj = lg.advance(s0, self.P, g, c, t_end, None, src)
+        assert traj.n_steps == 151
+        assert set(calls.values()) == {0}, calls
+        assert traj.records == [] and traj.accumulators is None
+        assert traj.phase_s["diagnostics"] == traj.phase_s["sampling"] == 0.0
+        assert traj.phase_s["kernel"] > 0.0
+        # the counters see the sampled run's calls
+        s0, src = forced_start("manufactured", g, self.P)
+        lg.advance(s0, self.P, g, c, t_end, t_end, src)
+        assert 0 not in calls.values(), calls
+
+    def test_breakdown_carries_the_last_accepted_state(self, monkeypatch, grid64, cosine64,
+                                                      unit_params):
+        # two solves per step: the 21st step breaks down
+        c = lg.StepControls(dt=DT_EXACT)
+        want = lg.advance(cosine64, unit_params, grid64, c, 20 * DT_EXACT, None).final_state
+        monkeypatch.setattr(solver, "_solve_spd_tridiag", tridiag_breaking_after(40))
+        with pytest.raises(SimulationFailure) as exc:
+            lg.advance(cosine64, unit_params, grid64, c, 1.0, None)
+        assert isinstance(exc.value.__cause__, NumericalBreakdown)
+        last = exc.value.last_state
+        assert last.t == exc.value.t == want.t == 20 * DT_EXACT
+        for name in ("v", "u", "theta"):
+            assert getattr(last, name).tobytes() == getattr(want, name).tobytes()
+            assert not getattr(last, name).flags.writeable
+        traj = exc.value.trajectory
+        assert traj.n_steps == 20
+        assert traj.records == [] and traj.accumulators is None
+        # no sample was reached, so the trajectory ends where it started
+        assert traj.final_state is cosine64
+
+
+class TestCheckRun:
+    def test_none_is_taken(self):
+        assert solver.check_run(64, 0.0, 0.5, None) == solver.TIME_TOLERANCE
+        assert solver.check_run(2, 1.0, 3.0, None) == 3.0 * solver.TIME_TOLERANCE
+
+    @pytest.mark.parametrize("t_end, cadence", [
+        (0.01, 0.0), (0.01, -0.0), (0.01, -1.0), (0.01, float("nan")), (0.01, float("inf")),
+        (0.01, float("-inf")), (0.01, 1e-300), (0.01, 9e-13), (1e3, 1e-12)])
+    def test_refused_cadences_stay_refused(self, t_end, cadence):
+        with pytest.raises(ParamError) as exc:
+            solver.check_run(64, 0.0, t_end, cadence)
+        assert exc.value.field == "sample_every"
+
+    @pytest.mark.parametrize("n, t0, t_end, field", [
+        (1, 0.0, 1.0, "n_cells"), (64, 0.0, 0.0, "t_end"), (64, 1.0, 0.5, "t_end"),
+        (64, 0.0, float("nan"), "t_end"), (64, 0.0, float("inf"), "t_end")])
+    def test_none_excuses_no_other_control(self, n, t0, t_end, field):
+        with pytest.raises(ParamError) as exc:
+            solver.check_run(n, t0, t_end, None)
+        assert exc.value.field == field
 
 
 class TestStepSizeChanges:
@@ -1345,13 +1541,14 @@ class TestWorkspace:
         g = lg.build_grid(n)
         s0 = lg.make_initial_data(
             lg.InitialSpec(kind="cosine", a_v=0.1, a_u=0.1, a_theta=0.1), g)
-        ws = Workspace(n)
+        ws = solver._workspace(s0, p, g)
         assert ws.block == 1
         totals = solver._RunningTotals(s0, g, p, ws)
 
         def accepted_step():
             solver._take_step(0.0, dt, lg.IMEX_BE, None, ws)
-            totals.accept(dt)
+            ws.accept(dt)
+            totals.fold()
 
         accepted_step()
         accepted_step()
@@ -1371,6 +1568,9 @@ class TestWorkspace:
         # is tagged with its step number
         rng = np.random.default_rng(k)
         ws = Workspace(3, k)
+        # accept writes thf and knum from theta; at beta = 1 and kappa = 1
+        # both equal theta, so a tagged row keeps its tag
+        ws.scalars = solver._Scalars(lg.PhysParams(beta=1.0), lg.build_grid(3))
         fields = ("v", "u", "theta", "ux", "vf", "thf", "knum")
 
         def write(row, tag):
