@@ -193,13 +193,17 @@ class Workspace:
 
     ``base``, ``cells``, ``faces``, ``nodes``, ``steps`` and ``ratios`` are
     scratch for a fold, ``block`` rows of n, n, n - 1, n + 1, 1 and 1
-    floats, and ``step_cells`` and ``step_faces`` three rows of n and n - 1
-    floats for a kernel; any function may overwrite them. ``step_kf`` holds
-    the IMEX kernel's n + 1 face conductivities of the temperature system:
-    the kernel writes the n - 1 interior faces, and the walls' two faces
-    stay zero. ``step_views`` holds the shifted views of these that the
-    IMEX kernel reads, ``ratio_ops`` the 0-d views of ``ratios`` and
-    ``cell_rows`` the rows of both ``cells`` blocks, built once.
+    floats, and ``step_cells`` and ``step_faces`` three rows of n and two
+    of n - 1 floats for a kernel; any function may overwrite them.
+    ``step_sources`` holds three rows of n, n - 1 and n floats, which no
+    other buffer aliases: the increments s_v*dt, s_u[1:-1]*dt and
+    s_theta*dt of an IMEX step whose sources are not taken from a plan
+    (``solver._sources_at``). ``step_kf`` holds the IMEX kernel's n + 1
+    face conductivities of the temperature system: the kernel writes the
+    n - 1 interior faces, and the walls' two faces stay zero.
+    ``step_views`` holds the shifted views of these that the IMEX kernel
+    reads, ``ratio_ops`` the 0-d views of ``ratios`` and ``cell_rows`` the
+    rows of both ``cells`` blocks, built once.
     ``scalars`` is left to the solver, which keeps the 0-d operands of the
     run that steps in the workspace there before the first ``accept``: its
     ``p`` and ``kappa`` give ``knum``.
@@ -227,10 +231,11 @@ class Workspace:
         self.cell_rows = tuple(tuple(cells) for cells in self.cells)
         self.scalars = None
         self.step_cells = tuple(np.empty((3, n)))
-        self.step_faces = tuple(np.empty((3, n - 1)))
+        self.step_faces = tuple(np.empty((2, n - 1)))
+        self.step_sources = (np.empty(n), np.empty(n - 1), np.empty(n))
         self.step_kf = kf = np.zeros(n + 1)
         inv_v, work, _ = self.step_cells
-        _, work_f2, _ = self.step_faces
+        _, work_f2 = self.step_faces
         self.step_views = (inv_v[:-1], inv_v[1:], inv_v[1:-1], work[:-1], work[1:],
                            work_f2[:-1], kf[1:-1], kf[:-1], kf[1:])
         self._rows = [_Rows(self, i) for i in range(rows)]

@@ -143,10 +143,32 @@ def _source_row(s_v, s_u, s_theta) -> Sources:
     return row
 
 
-def _sources_at(src, t):
+def _fields_at(src, t):
+    # the Sources of src at time t: src itself when it is constant, else
+    # what it returns
     if src is None or isinstance(src, Sources):
         return src
     return src(t)
+
+
+def _sources_at(src, t, dt, ws):
+    """The increments (s_v*dt, s_u[1:-1]*dt, s_theta*dt) that an IMEX step
+    of size dt adds for the sources ``src`` at time t, or None without
+    sources. A time that ``ManufacturedSources.plan`` holds with this same
+    dt gives its stored rows; any other source is scaled into
+    ``ws.step_sources``, bit for bit the planned values."""
+    if src is None:
+        return None
+    if isinstance(src, ManufacturedSources):
+        planned = src.increments.get(t)
+        if planned is not None and planned[0] == dt:
+            return planned[1]
+    s = _fields_at(src, t)
+    inc_v, inc_u_in, inc_theta = inc = ws.step_sources
+    np.multiply(s.s_v, dt, inc_v)
+    np.multiply(s.s_u[1:-1], dt, inc_u_in)
+    np.multiply(s.s_theta, dt, inc_theta)
+    return inc
 
 
 def _solve_spd_tridiag(diag, off, rhs):
@@ -238,15 +260,17 @@ def _step_size(t, dt, target):
 
 
 def _step_times(t, dt, target, count):
-    """The times t + dt_try at which the next ``count`` steps from t, or
-    fewer, look up their sources when none is rejected; none passes
+    """(times, dts) of the next ``count`` steps from t, or fewer, when none
+    is rejected: the times t + dt_try at which they look up their sources
+    and the sizes dt_try that ``_step_size`` gives them; no time passes
     target."""
-    times = []
+    times, dts = [], []
     while t < target and len(times) < count:
         dt_try, t_new = _step_size(t, dt, target)
         times.append(t + dt_try)
+        dts.append(dt_try)
         t = t_new
-    return times
+    return times, dts
 
 
 class _Scalars:
@@ -292,19 +316,19 @@ def _imex_kernel(t, dt, src, ws):
     # The views of rows and scratch come prebuilt with the Workspace, each ufunc
     # takes its ``out`` by position, and every scalar operand is a 0-d array of
     # ws.scalars: a step builds no view, parses no keyword and converts no float.
-    s = _sources_at(src, t + dt)
+    inc = _sources_at(src, t + dt, dt, ws)
     sc = ws.scalars.at(dt)
     cur, out = ws.cur, ws.nxt
     v, theta = cur.v, cur.theta
     inv_v, work, work2 = ws.step_cells
-    work_f, _, su_dt = ws.step_faces
+    work_f = ws.step_faces[0]
     inv_lo, inv_hi, inv_in, work_lo, work_hi, off, kf, kf_lo, kf_hi = ws.step_views
 
     # volume first, explicitly, so both solves see the new geometry
     v_new = np.multiply(cur.ux, sc.dt, out.v)
     v_new += v
-    if s is not None:
-        v_new += np.multiply(s.s_v, sc.dt, work)
+    if inc is not None:
+        v_new += inc[0]
     if not _above_floor(v_new):
         raise StepRejected(VOLUME_FLOOR, "volume fell to the positivity floor")
     np.divide(_ONE, v_new, inv_v)
@@ -321,8 +345,8 @@ def _imex_kernel(t, dt, src, ws):
     rhs = np.subtract(work_hi, work_lo, out.u_in)
     rhs *= sc.dt_dx
     np.subtract(cur.u_in, rhs, rhs)
-    if s is not None:
-        rhs += np.multiply(s.s_u[1:-1], sc.dt, su_dt)
+    if inc is not None:
+        rhs += inc[1]
     _solve_spd_tridiag(diag, off, rhs)
     ux_new = np.subtract(out.u_hi, out.u_lo, out.ux)
     ux_new /= sc.dx
@@ -339,8 +363,8 @@ def _imex_kernel(t, dt, src, ws):
     heating *= inv_v
     heating *= sc.dt_cv
     theta_new = np.add(theta, heating, out.theta)
-    if s is not None:
-        theta_new += np.multiply(s.s_theta, sc.dt, work)
+    if inc is not None:
+        theta_new += inc[2]
     # each row couples through the faces beside it; the walls' faces are
     # zeros that conduct nothing, and 0 + k is k exactly
     diag2 = np.add(kf_lo, kf_hi, work)
@@ -362,7 +386,7 @@ def _rk2_kernel(t, dt, src, ws):
                            f"dt = {dt} exceeds the explicit stability bound {dt_stab}")
 
     def rates(vv, uu, tt, when):
-        return spatial_rhs(vv, uu, tt, p, g, _sources_at(src, when))
+        return spatial_rhs(vv, uu, tt, p, g, _fields_at(src, when))
 
     dv, du, dtheta = rates(v, u, theta, t)
     vm = v + 0.5 * dt * dv
@@ -560,9 +584,11 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     A rejected step halves dt and retries, up to c.max_retries times in a
     row; the nominal dt is restored after RECOVERY_STEPS accepted steps,
     capped for the explicit scheme at its stability bound at that state.
-    ManufacturedSources are planned for the times of the next
-    ``core.block_length`` steps, which they evaluate at once; a step whose
-    time was not planned, after a rejection or a change of dt, plans again.
+    ManufacturedSources are planned for the times and sizes of the next
+    ``core.block_length`` steps, which they evaluate at once into rows and
+    into the increments of each step, its rows times its dt, that an IMEX
+    step adds; a step whose time was not planned, after a rejection or a
+    change of dt, plans again.
     The kernels write each step into the next row of a block of the run's
     Workspace. The running time integral of the dissipation and the volume
     reconstruction accumulators fold in a block of accepted steps at once:
@@ -650,7 +676,7 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
         while t < target:
             dt_try, t_new = _step_size(t, cur_dt, target)
             if isinstance(src, ManufacturedSources) and t + dt_try not in src.index:
-                src.plan(_step_times(t, cur_dt, target, ws.block))
+                src.plan(*_step_times(t, cur_dt, target, ws.block))
 
             try:
                 _take_step(t, dt_try, c.scheme, src, ws)
@@ -782,6 +808,11 @@ class ManufacturedSources:
     ``block``. Calling the object with one of them returns its stored row;
     any other time is evaluated as a one-row block. A stored row depends
     only on its time, so a plan left from an earlier run is never wrong.
+    ``plan`` also takes each step's size dt and keeps, in ``increments``,
+    the step's time mapped to (dt, (s_v*dt, s_u[1:-1]*dt, s_theta*dt)):
+    the rows times their own dt, which is all an IMEX step adds. A stored
+    increment depends on its time and its dt, and ``solver._sources_at``
+    takes it only for a step of that same dt.
     """
 
     def __init__(self, g: Grid, p: PhysParams):
@@ -798,11 +829,18 @@ class ManufacturedSources:
         self.flux_sq = _operand(p.kappa_tilde * (p.beta - 1.0) * w2 / p.c_v)
         self.viscous = _operand(p.mu_tilde * w2)
         self.exponent = p.beta - 2.0
-        self.plan(())
+        self.plan((), ())
 
-    def plan(self, times) -> None:
+    def plan(self, times, dts) -> None:
+        """Evaluate the sources at ``times``, the times of the next steps,
+        into ``block``, with ``index`` giving each time's row, and keep
+        each step's increments, its rows times its size from ``dts``, in
+        ``increments``."""
         self.index = {t: i for i, t in enumerate(times)}
-        self.block = self.rows(times)
+        self.block = s_v, s_u, s_theta = self.rows(times)
+        scale = np.array(dts, dtype=float)[:, None]
+        rows = zip(s_v * scale, s_u[:, 1:-1] * scale, s_theta * scale)
+        self.increments = dict(zip(times, zip(dts, rows)))
 
     def rows(self, times):
         """(s_v, s_u, s_theta) at each of ``times``, one row per time."""

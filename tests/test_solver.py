@@ -233,7 +233,7 @@ class TestManufacturedSolution:
         times = np.cumsum(np.random.default_rng(3).uniform(1e-5, 3e-2, 64)).tolist()
         for block in (times[:1], times[:7], times):
             assert_lookups_equal_rows(block)
-            src.plan(block)
+            src.plan(block, np.diff(block, prepend=0.0).tolist())
             assert_lookups_equal_rows(block)
             outside = [t + 1e-6 for t in block]
             assert not set(outside) & set(src.index)
@@ -399,7 +399,7 @@ class TestSources:
     def test_planned_rows_stay_views(self):
         g = lg.build_grid(8)
         src = solver.ManufacturedSources(g, lg.PhysParams(beta=1.5))
-        src.plan([0.25, 0.5])
+        src.plan([0.25, 0.5], [0.25, 0.25])
         row = src(0.5)
         for got, block in zip((row.s_v, row.s_u, row.s_theta), src.block):
             assert np.shares_memory(got, block[1])
@@ -1452,6 +1452,143 @@ class TestWithoutSamples:
         assert traj.final_state is cosine64
 
 
+class TestPlannedIncrements:
+    """An IMEX step adds its sources as three increments, each row times
+    the step's dt. ``ManufacturedSources.plan`` stores them for the planned
+    steps; any other source, and a planned time stored with another dt, is
+    scaled into the workspace per step. Either way a run is the same, bit
+    for bit."""
+
+    GAS = dict(mu_tilde=0.7, kappa_tilde=1.3, R=1.1, c_v=0.9)
+
+    def start(self, n, beta):
+        p = lg.PhysParams(beta=beta, **self.GAS)
+        g = lg.build_grid(n)
+        return solver.manufactured_state(0.0, g), p, g
+
+    @pytest.mark.parametrize("refused", [None, 9], ids=["accepted", "refused"])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5, 6.0])
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_planned_run_equals_the_callable_run(self, monkeypatch, n, beta, refused):
+        # a callable is never planned; t_end is no multiple of dt, so the
+        # last step is clamped onto it. The refused ninth attempt halves dt,
+        # which plans again at dt/2, and the dt restored after
+        # RECOVERY_STEPS steps looks up times that plan holds for dt/2
+        s0, p, g = self.start(n, beta)
+        c = lg.StepControls(dt=DT_EXACT)
+        t_end = 40.5 * DT_EXACT
+        rows = []
+        runs = []
+        for planned in (True, False):
+            src = solver.ManufacturedSources(g, p)
+            with monkeypatch.context() as patch:
+                if refused:
+                    rejecting_attempt(patch, refused)
+                patch.setattr(solver, "_source_row", counting(solver._source_row, rows))
+                runs.append(lg.advance(s0, p, g, c, t_end, None,
+                                       src if planned else (lambda t: src(t))))
+            if planned:
+                # every planned step takes its stored increments, and only
+                # the steps at a time stored with dt/2 evaluate a row
+                assert (len(rows) > 0) == bool(refused)
+        got, want = runs
+        assert got.final_state.t == want.final_state.t == t_end
+        for name in ("v", "u", "theta"):
+            assert (getattr(got.final_state, name).tobytes()
+                    == getattr(want.final_state, name).tobytes())
+        assert (got.n_steps, got.min_dt, got.rejections) == (
+            want.n_steps, want.min_dt, want.rejections)
+        assert got.n_steps == (41 if refused is None else 46)
+        assert got.min_dt == (DT_EXACT if refused is None else DT_EXACT / 2)
+
+    @pytest.mark.parametrize("first, second", [(1.0, 0.5), (0.5, 1.0)])
+    def test_reused_sources_equal_fresh_ones(self, first, second):
+        # within one plan of K = 64 steps: the second run looks up times
+        # that the first run's plan holds for another dt
+        s0, p, g = self.start(64, 2.5)
+        shared = solver.ManufacturedSources(g, p)
+        t_end = 20.5 * DT_EXACT
+        for scale in (first, second):
+            c = lg.StepControls(dt=scale * DT_EXACT)
+            got = lg.advance(s0, p, g, c, t_end, None, shared)
+            want = lg.advance(s0, p, g, c, t_end, None, solver.ManufacturedSources(g, p))
+            assert got.n_steps == want.n_steps
+            for name in ("v", "u", "theta"):
+                assert (getattr(got.final_state, name).tobytes()
+                        == getattr(want.final_state, name).tobytes())
+
+    def test_increments_of_another_dt_are_never_used(self):
+        s0, p, g = self.start(8, 1.5)
+        src = solver.ManufacturedSources(g, p)
+        src.plan([0.5, 0.75], [0.25, 0.25])
+        ws = Workspace(8)
+        row = src(0.5)
+
+        def scaled(dt):
+            return row.s_v * dt, row.s_u[1:-1] * dt, row.s_theta * dt
+
+        planned = solver._sources_at(src, 0.5, 0.25, ws)
+        assert planned is src.increments[0.5][1]
+        other = solver._sources_at(src, 0.5, 0.125, ws)
+        assert other is ws.step_sources
+        for inc, dt in ((planned, 0.25), (other, 0.125)):
+            for got, want in zip(inc, scaled(dt)):
+                assert got.tobytes() == want.tobytes()
+        assert solver._sources_at(None, 0.5, 0.25, ws) is None
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5, 6.0])
+    def test_steps_equal_the_planned_run(self, beta):
+        # step looks its sources up at times no plan holds; advance plans
+        # them, the first step included
+        s0, p, g = self.start(64, beta)
+        c = lg.StepControls(dt=DT_EXACT)
+        traj = lg.advance(s0, p, g, c, 5 * DT_EXACT, None, solver.ManufacturedSources(g, p))
+        first = lg.advance(s0, p, g, c, DT_EXACT, None, solver.ManufacturedSources(g, p))
+        s = s0
+        for i in range(5):
+            s = lg.step(s, p, g, c, solver.ManufacturedSources(g, p))
+            if i == 0:
+                assert s.t == first.final_state.t
+                for name in ("v", "u", "theta"):
+                    assert (getattr(s, name).tobytes()
+                            == getattr(first.final_state, name).tobytes())
+        assert s.t == traj.final_state.t
+        for name in ("v", "u", "theta"):
+            assert getattr(s, name).tobytes() == getattr(traj.final_state, name).tobytes()
+
+    @pytest.mark.parametrize("refused", [None, 7], ids=["accepted", "refused"])
+    @pytest.mark.parametrize("kind", ["none", "manufactured"])
+    def test_one_lookup_per_attempt(self, monkeypatch, kind, refused):
+        # the sources' trace point is called once per IMEX attempt, a
+        # refused one included, and the planned path builds no Sources;
+        # after a refusal the restored dt finds times planned at dt/2 and
+        # evaluates their rows
+        g = lg.build_grid(48)
+        p = lg.PhysParams(beta=1.5)
+        s0, src = forced_start(kind, g, p)
+        lookups, attempts, rows, checks = [], [], [], []
+        monkeypatch.setattr(solver, "_sources_at", counting(solver._sources_at, lookups))
+        monkeypatch.setattr(solver, "_take_step", counting(solver._take_step, attempts))
+        monkeypatch.setattr(solver, "_source_row", counting(solver._source_row, rows))
+        monkeypatch.setattr(solver.Sources, "__post_init__",
+                            counting(solver.Sources.__post_init__, checks))
+        if refused:
+            rejecting_attempt(monkeypatch, refused)
+        traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), 30.5 * DT_EXACT, None, src)
+        assert traj.n_rejected == (1 if refused else 0)
+        assert len(lookups) == len(attempts) == traj.n_steps + traj.n_rejected
+        assert checks == []
+        assert (len(rows) > 0) == (kind == "manufactured" and bool(refused))
+
+
+def counting(fn, calls):
+    """``fn``, appending None to ``calls`` at each call."""
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestCheckRun:
     def test_none_is_taken(self):
         assert solver.check_run(64, 0.0, 0.5, None) == solver.TIME_TOLERANCE
@@ -1534,32 +1671,42 @@ class TestScalarOperandBinding:
 class TestWorkspace:
     def test_warm_step_allocates_no_array(self):
         # an accepted IMEX step with the fold of its block, as advance takes
-        # them, allocates less than one 4096-float array; at 4096 cells a
+        # them, allocates less than one 4096-float array, without sources
+        # and with manufactured sources that a plan holds; at 4096 cells a
         # block is one step, so every step is folded in at once
         n, dt = 4096, 1e-4
         p = lg.PhysParams(beta=1.5)
         g = lg.build_grid(n)
-        s0 = lg.make_initial_data(
+        cosine = lg.make_initial_data(
             lg.InitialSpec(kind="cosine", a_v=0.1, a_u=0.1, a_theta=0.1), g)
-        ws = solver._workspace(s0, p, g)
-        assert ws.block == 1
-        totals = solver._RunningTotals(s0, g, p, ws)
+        manufactured = solver.ManufacturedSources(g, p)
+        times, dts = solver._step_times(0.0, dt, 1.0, 3)
+        manufactured.plan(times, dts)
+        for s0, src in ((cosine, None), (solver.manufactured_state(0.0, g), manufactured)):
+            ws = solver._workspace(s0, p, g)
+            assert ws.block == 1
+            totals = solver._RunningTotals(s0, g, p, ws)
+            for row in ws.step_sources:
+                row.fill(np.nan)
+            starts = iter([0.0] + times)
 
-        def accepted_step():
-            solver._take_step(0.0, dt, lg.IMEX_BE, None, ws)
-            ws.accept(dt)
-            totals.fold()
+            def accepted_step():
+                solver._take_step(next(starts), dt, lg.IMEX_BE, src, ws)
+                ws.accept(dt)
+                totals.fold()
 
-        accepted_step()
-        accepted_step()
-        tracemalloc.start()
-        try:
             accepted_step()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert ws.filled == 0 and totals.base is not None
-        assert peak < 8 * n
+            accepted_step()
+            tracemalloc.start()
+            try:
+                accepted_step()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert ws.filled == 0 and totals.base is not None
+            assert peak < 8 * n
+            # the planned steps scaled nothing into the workspace
+            assert all(np.isnan(row).all() for row in ws.step_sources)
 
     @pytest.mark.parametrize("k", [1, 4, 64])
     def test_blocks_fill_forward_from_their_start(self, k):
