@@ -197,8 +197,9 @@ class Workspace:
     of n - 1 floats for a kernel; any function may overwrite them.
     ``step_sources`` holds three rows of n, n - 1 and n floats, which no
     other buffer aliases: the increments s_v*dt, s_u[1:-1]*dt and
-    s_theta*dt of an IMEX step whose sources are not taken from a plan
-    (``solver._sources_at``). ``step_kf`` holds the IMEX kernel's n + 1
+    s_theta*dt of an IMEX step whose sources are a Sources or a callable
+    (``solver._sources_at``); ManufacturedSources keep theirs in their own
+    plan. ``step_kf`` holds the IMEX kernel's n + 1
     face conductivities of the temperature system: the kernel writes the
     n - 1 interior faces, and the walls' two faces stay zero.
     ``step_views`` holds the shifted views of these that the IMEX kernel

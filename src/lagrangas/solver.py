@@ -20,6 +20,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from importlib.machinery import PathFinder
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -134,15 +135,6 @@ class Sources:
             raise ValueError("s_u must vanish at the boundary nodes")
 
 
-def _source_row(s_v, s_u, s_theta) -> Sources:
-    # a row of ManufacturedSources.rows as Sources, without the copies and
-    # the wall check of Sources.__post_init__: the row stays a view of the
-    # block, and rows zeroes s_u at the walls itself
-    row = object.__new__(Sources)
-    row.__dict__.update(s_v=s_v, s_u=s_u, s_theta=s_theta)
-    return row
-
-
 def _fields_at(src, t):
     # the Sources of src at time t: src itself when it is constant, else
     # what it returns
@@ -154,15 +146,14 @@ def _fields_at(src, t):
 def _sources_at(src, t, dt, ws):
     """The increments (s_v*dt, s_u[1:-1]*dt, s_theta*dt) that an IMEX step
     of size dt adds for the sources ``src`` at time t, or None without
-    sources. A time that ``ManufacturedSources.plan`` holds with this same
-    dt gives its stored rows; any other source is scaled into
-    ``ws.step_sources``, bit for bit the planned values."""
+    sources. ManufacturedSources give them from their plan, which they
+    make for the next ``ws.block`` steps when it lacks (t, dt); any other
+    source is scaled into ``ws.step_sources``, bit for bit the planned
+    values."""
     if src is None:
         return None
     if isinstance(src, ManufacturedSources):
-        planned = src.increments.get(t)
-        if planned is not None and planned[0] == dt:
-            return planned[1]
+        return src.increments_at(t, dt, ws.block)
     s = _fields_at(src, t)
     inc_v, inc_u_in, inc_theta = inc = ws.step_sources
     np.multiply(s.s_v, dt, inc_v)
@@ -257,20 +248,6 @@ def _step_size(t, dt, target):
     if remaining <= dt * (1.0 + 1e-9):
         return remaining, target
     return dt, t + dt
-
-
-def _step_times(t, dt, target, count):
-    """(times, dts) of the next ``count`` steps from t, or fewer, when none
-    is rejected: the times t + dt_try at which they look up their sources
-    and the sizes dt_try that ``_step_size`` gives them; no time passes
-    target."""
-    times, dts = [], []
-    while t < target and len(times) < count:
-        dt_try, t_new = _step_size(t, dt, target)
-        times.append(t + dt_try)
-        dts.append(dt_try)
-        t = t_new
-    return times, dts
 
 
 class _Scalars:
@@ -584,11 +561,6 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     A rejected step halves dt and retries, up to c.max_retries times in a
     row; the nominal dt is restored after RECOVERY_STEPS accepted steps,
     capped for the explicit scheme at its stability bound at that state.
-    ManufacturedSources are planned for the times and sizes of the next
-    ``core.block_length`` steps, which they evaluate at once into rows and
-    into the increments of each step, its rows times its dt, that an IMEX
-    step adds; a step whose time was not planned, after a rejection or a
-    change of dt, plans again.
     The kernels write each step into the next row of a block of the run's
     Workspace. The running time integral of the dissipation and the volume
     reconstruction accumulators fold in a block of accepted steps at once:
@@ -675,9 +647,6 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
         # integrate to the target exactly, clamping the last step onto it
         while t < target:
             dt_try, t_new = _step_size(t, cur_dt, target)
-            if isinstance(src, ManufacturedSources) and t + dt_try not in src.index:
-                src.plan(*_step_times(t, cur_dt, target, ws.block))
-
             try:
                 _take_step(t, dt_try, c.scheme, src, ws)
             except StepRejected as exc:
@@ -802,17 +771,14 @@ class ManufacturedSources:
     row equals the one-row evaluation at its time bit for bit: phi comes
     from one ``_mms_phi`` call over the times, which gives the bits of one
     call per time, and every other expression is elementwise, broadcast
-    over the rows.
+    over the rows. Calling the object evaluates one row into a Sources.
 
-    ``plan`` names the times of the next steps and evaluates them as one
-    ``block``. Calling the object with one of them returns its stored row;
-    any other time is evaluated as a one-row block. A stored row depends
-    only on its time, so a plan left from an earlier run is never wrong.
-    ``plan`` also takes each step's size dt and keeps, in ``increments``,
-    the step's time mapped to (dt, (s_v*dt, s_u[1:-1]*dt, s_theta*dt)):
-    the rows times their own dt, which is all an IMEX step adds. A stored
-    increment depends on its time and its dt, and ``solver._sources_at``
-    takes it only for a step of that same dt.
+    An IMEX step of size dt adds (s_v*dt, s_u[1:-1]*dt, s_theta*dt) at
+    the time it ends, and ``increments_at`` gives these from a plan: one
+    step size ``dt`` and ``increments``, which maps the end time of each
+    planned step of that size to its rows times dt. A stored increment
+    depends only on its time and dt, so a plan left from an earlier run is
+    never wrong.
     """
 
     def __init__(self, g: Grid, p: PhysParams):
@@ -829,18 +795,26 @@ class ManufacturedSources:
         self.flux_sq = _operand(p.kappa_tilde * (p.beta - 1.0) * w2 / p.c_v)
         self.viscous = _operand(p.mu_tilde * w2)
         self.exponent = p.beta - 2.0
-        self.plan((), ())
+        self.dt = None
+        self.increments = {}
 
-    def plan(self, times, dts) -> None:
-        """Evaluate the sources at ``times``, the times of the next steps,
-        into ``block``, with ``index`` giving each time's row, and keep
-        each step's increments, its rows times its size from ``dts``, in
-        ``increments``."""
-        self.index = {t: i for i, t in enumerate(times)}
-        self.block = s_v, s_u, s_theta = self.rows(times)
-        scale = np.array(dts, dtype=float)[:, None]
-        rows = zip(s_v * scale, s_u[:, 1:-1] * scale, s_theta * scale)
-        self.increments = dict(zip(times, zip(dts, rows)))
+    def increments_at(self, t: float, dt: float, count: int):
+        """The increments of the step of size dt that ends at t. Unless the
+        plan holds t with this dt, first plan ``count`` steps of size dt
+        from t, at the times t, t + dt, (t + dt) + dt, ..., summed as
+        ``advance`` sums them."""
+        if dt == self.dt:
+            planned = self.increments.get(t)
+            if planned is not None:
+                return planned
+        times = list(accumulate(repeat(dt, count - 1), initial=t))
+        s_v, s_u, s_theta = self.rows(times)
+        s_u = s_u[:, 1:-1]
+        for block in (s_v, s_u, s_theta):
+            block *= dt
+        self.dt = dt
+        self.increments = dict(zip(times, zip(s_v, s_u, s_theta)))
+        return self.increments[t]
 
     def rows(self, times):
         """(s_v, s_u, s_theta) at each of ``times``, one row per time."""
@@ -876,10 +850,5 @@ class ManufacturedSources:
         return s_v, s_u, s_theta
 
     def __call__(self, t: float) -> Sources:
-        i = self.index.get(t)
-        if i is None:
-            s_v, s_u, s_theta = self.rows((t,))
-            i = 0
-        else:
-            s_v, s_u, s_theta = self.block
-        return _source_row(s_v[i], s_u[i], s_theta[i])
+        s_v, s_u, s_theta = self.rows((t,))
+        return Sources(s_v[0], s_u[0], s_theta[0])

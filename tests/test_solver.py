@@ -210,45 +210,51 @@ class TestManufacturedSolution:
     @pytest.mark.parametrize("n", [2, 3, 64])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 2.5, 6.0])
     def test_block_rows_equal_single_times(self, beta, n):
-        # every row of a block of step times is the one-row evaluation at
-        # its time, bit for bit, for the exponents numpy's power takes fast
-        # paths for and for a block of one row; a lookup returns that row
-        # whether its time is planned, outside the plan, or in a plan that
-        # an earlier run left on the object
+        # every row of a block of times is the one-row evaluation at its
+        # time, bit for bit, for the exponents numpy's power takes fast
+        # paths for and for a block of one row; every planned increment is
+        # that row times the plan's dt, whether the plan is fresh or one
+        # that an earlier run left on the object
         p = lg.PhysParams(beta=beta, mu_tilde=1.3, kappa_tilde=0.8, R=1.1, c_v=0.9)
         g = lg.build_grid(n)
         src = solver.ManufacturedSources(g, p)
         one_row = solver.ManufacturedSources(g, p)
 
-        def assert_lookups_equal_rows(times):
+        def assert_rows_equal_single_times(times):
             s_v, s_u, s_theta = src.rows(times)
             assert s_v.shape == s_theta.shape == (len(times), n)
             assert s_u.shape == (len(times), n + 1)
             for i, t in enumerate(times):
-                for one in (src(t), one_row(t)):
-                    assert np.array_equal(s_v[i], one.s_v)
-                    assert np.array_equal(s_u[i], one.s_u)
-                    assert np.array_equal(s_theta[i], one.s_theta)
+                one = one_row(t)
+                assert np.array_equal(s_v[i], one.s_v)
+                assert np.array_equal(s_u[i], one.s_u)
+                assert np.array_equal(s_theta[i], one.s_theta)
+
+        def assert_increments_equal_scaled_rows():
+            dt = src.dt
+            for t, inc in src.increments.items():
+                one = one_row(t)
+                for got, want in zip(inc, (one.s_v, one.s_u[1:-1], one.s_theta)):
+                    assert got.tobytes() == (want * dt).tobytes()
 
         times = np.cumsum(np.random.default_rng(3).uniform(1e-5, 3e-2, 64)).tolist()
         for block in (times[:1], times[:7], times):
-            assert_lookups_equal_rows(block)
-            src.plan(block, np.diff(block, prepend=0.0).tolist())
-            assert_lookups_equal_rows(block)
-            outside = [t + 1e-6 for t in block]
-            assert not set(outside) & set(src.index)
-            assert_lookups_equal_rows(outside)
+            assert_rows_equal_single_times(block)
+        for t, dt, count in [(0.25, 0.25, 1), (times[6], 3e-3, 7), (times[0], 1e-5, 64)]:
+            src.increments_at(t, dt, count)
+            assert src.dt == dt and len(src.increments) == count
+            assert_increments_equal_scaled_rows()
 
         s0, _ = solver.manufactured_solution(0.0, g, p)
         controls = lg.StepControls(dt=DT_EXACT / 16)
         lg.advance(s0, p, g, controls, 10 * controls.dt, 10 * controls.dt, src)
-        assert len(src.index) == 10
-        assert_lookups_equal_rows(list(src.index))
+        assert src.dt == controls.dt and len(src.increments) == Workspace(n).block
+        assert_increments_equal_scaled_rows()
 
-    def test_rows_reach_the_kernel_unconverted(self, monkeypatch):
-        # rows already zeroes s_u at the walls, so a looked-up row is a
-        # Sources view of the block, not converted and checked again; a
-        # Sources built by a caller still is
+    def test_runs_build_no_sources(self, monkeypatch):
+        # an IMEX run reads its planned increments and builds no Sources;
+        # a call of the object builds one, converted and checked as a
+        # caller's Sources is
         g = lg.build_grid(16)
         p = lg.PhysParams(beta=1.5)
         src = solver.ManufacturedSources(g, p)
@@ -265,10 +271,7 @@ class TestManufacturedSolution:
         traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), 8 * DT_EXACT,
                           4 * DT_EXACT, src)
         assert traj.n_steps == 8 and checks == []
-        row = src(traj.final_state.t)
-        assert isinstance(row, solver.Sources)
-        assert np.shares_memory(row.s_u, src.block[1])
-        lg.Sources(row.s_v, row.s_u, row.s_theta)
+        assert isinstance(src(traj.final_state.t), solver.Sources)
         assert len(checks) == 1
 
     def test_sources_from_finite_differences(self, unit_params):
@@ -396,13 +399,22 @@ class TestSources:
         with pytest.raises(ValueError, match="s_u"):
             lg.Sources(np.zeros(2), np.array([0.0, 1.0, 1e-300]), np.zeros(2))
 
-    def test_planned_rows_stay_views(self):
+    def test_manufactured_rows_are_read_only(self):
+        # at a time a run planned and at one it did not: a write into a
+        # returned row raises, and a later call returns the same values
         g = lg.build_grid(8)
-        src = solver.ManufacturedSources(g, lg.PhysParams(beta=1.5))
-        src.plan([0.25, 0.5], [0.25, 0.25])
-        row = src(0.5)
-        for got, block in zip((row.s_v, row.s_u, row.s_theta), src.block):
-            assert np.shares_memory(got, block[1])
+        p = lg.PhysParams(beta=1.5)
+        src = solver.ManufacturedSources(g, p)
+        s0 = solver.manufactured_state(0.0, g)
+        lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), 4 * DT_EXACT, None, src)
+        for t in (2 * DT_EXACT, 0.3):
+            row = src(t)
+            for name in ("s_v", "s_u", "s_theta"):
+                field = getattr(row, name)
+                assert not field.flags.writeable
+                with pytest.raises(ValueError):
+                    field[1] = 99.0
+                assert getattr(src(t), name).tobytes() == field.tobytes()
 
 
 class TestStepControls:
@@ -965,8 +977,8 @@ class TestAdvance:
         assert traj.records[-1].t == 0.05
 
     def test_forced_explicit_run_matches_steps(self):
-        # the explicit scheme looks its sources up at t, which the plan
-        # holds after the first step, and at t + dt/2, which it never holds
+        # the explicit scheme evaluates its sources at t and at t + dt/2,
+        # one row each, in advance as in step
         p = lg.PhysParams(beta=1.5)
         g = lg.build_grid(32)
         s0, _ = solver.manufactured_solution(0.0, g, p)
@@ -1118,11 +1130,11 @@ class TestAdvanceMatchesAdapters:
         s, acc, totals = replay(s0, p, g, [DT_EXACT] * steps, src)
 
         if forced:
-            # the planned blocks take every step's sources once: K steps or
-            # fewer at a time, up to each sample
+            # every plan holds K steps, and the step after the last one a
+            # plan holds makes the next; a sample time, on the sum of the
+            # steps' sizes, makes none
             k = Workspace(n).block
-            per_sample = np.diff(traj.times / DT_EXACT).round().astype(int)
-            assert blocks == [min(k, left) for m in per_sample for left in range(m, 0, -k)]
+            assert blocks == [k] * -(-steps // k)
 
         assert traj.n_steps == steps
         assert traj.times.tolist() == [k * t_end / samples for k in range(samples + 1)]
@@ -1278,15 +1290,14 @@ class TestRejectionReplay:
                 self.check(patch, n, steps, refused)
 
     def test_forced_rejection_plans_again(self, monkeypatch):
-        # the retry after a rejection looks its sources up at a time the
-        # plan does not hold, so the driver plans again from there; the run
-        # is still the step-by-step one
+        # the retry after a rejection looks its sources up with a dt the
+        # plan was not made for, and so does the dt restored after it, so
+        # each plans again from there; the run is still the step-by-step one
         with monkeypatch.context() as patch:
             blocks = self.check(patch, 48, 30, 7, forced=True)
-        # 15 steps to the first sample, the seventh refused; 18 half steps
-        # from there; the restored dt lands on times that plan holds; then
-        # 15 steps to the end
-        assert blocks == [15, 18, 15]
+        # K = 64: the first plan, the half steps from the refused seventh,
+        # and the restored dt to the end
+        assert blocks == [64] * 3
         with monkeypatch.context() as patch:
             blocks = self.check(patch, 4097, 8, 3, forced=True)
         # blocks of one step: two steps, the refused third, ten half steps
@@ -1454,10 +1465,10 @@ class TestWithoutSamples:
 
 class TestPlannedIncrements:
     """An IMEX step adds its sources as three increments, each row times
-    the step's dt. ``ManufacturedSources.plan`` stores them for the planned
-    steps; any other source, and a planned time stored with another dt, is
-    scaled into the workspace per step. Either way a run is the same, bit
-    for bit."""
+    the step's dt. ``ManufacturedSources.increments_at`` gives them from its
+    plan, which it makes for the workspace's ``block`` steps only when the
+    plan lacks the step's time or dt; any other source is scaled into the
+    workspace per step. Either way a run is the same, bit for bit."""
 
     GAS = dict(mu_tilde=0.7, kappa_tilde=1.3, R=1.1, c_v=0.9)
 
@@ -1466,31 +1477,35 @@ class TestPlannedIncrements:
         g = lg.build_grid(n)
         return solver.manufactured_state(0.0, g), p, g
 
-    @pytest.mark.parametrize("refused", [None, 9], ids=["accepted", "refused"])
+    @pytest.mark.parametrize("case", ["accepted", "refused", "sampled"])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5, 6.0])
     @pytest.mark.parametrize("n", [2, 3, 64])
-    def test_planned_run_equals_the_callable_run(self, monkeypatch, n, beta, refused):
+    def test_planned_run_equals_the_callable_run(self, monkeypatch, n, beta, case):
         # a callable is never planned; t_end is no multiple of dt, so the
         # last step is clamped onto it. The refused ninth attempt halves dt,
         # which plans again at dt/2, and the dt restored after
-        # RECOVERY_STEPS steps looks up times that plan holds for dt/2
+        # RECOVERY_STEPS steps plans again at dt. The sampled run lands on
+        # sample times that are no multiple of dt: each landing plans for
+        # its own step size, and the step after it plans again at dt.
         s0, p, g = self.start(n, beta)
         c = lg.StepControls(dt=DT_EXACT)
         t_end = 40.5 * DT_EXACT
-        rows = []
+        sample_every = 4.3 * DT_EXACT if case == "sampled" else None
+        one_rows, fields = [], []
         runs = []
         for planned in (True, False):
             src = solver.ManufacturedSources(g, p)
             with monkeypatch.context() as patch:
-                if refused:
-                    rejecting_attempt(patch, refused)
-                patch.setattr(solver, "_source_row", counting(solver._source_row, rows))
-                runs.append(lg.advance(s0, p, g, c, t_end, None,
+                if case == "refused":
+                    rejecting_attempt(patch, 9)
+                if planned:
+                    patch.setattr(solver.ManufacturedSources, "__call__",
+                                  counting(solver.ManufacturedSources.__call__, one_rows))
+                    patch.setattr(solver, "_fields_at", counting(solver._fields_at, fields))
+                runs.append(lg.advance(s0, p, g, c, t_end, sample_every,
                                        src if planned else (lambda t: src(t))))
-            if planned:
-                # every planned step takes its stored increments, and only
-                # the steps at a time stored with dt/2 evaluate a row
-                assert (len(rows) > 0) == bool(refused)
+        # every planned step, after a refusal too, takes stored increments
+        assert one_rows == fields == []
         got, want = runs
         assert got.final_state.t == want.final_state.t == t_end
         for name in ("v", "u", "theta"):
@@ -1498,8 +1513,10 @@ class TestPlannedIncrements:
                     == getattr(want.final_state, name).tobytes())
         assert (got.n_steps, got.min_dt, got.rejections) == (
             want.n_steps, want.min_dt, want.rejections)
-        assert got.n_steps == (41 if refused is None else 46)
-        assert got.min_dt == (DT_EXACT if refused is None else DT_EXACT / 2)
+        assert list(map(repr, got.records)) == list(map(repr, want.records))
+        assert len(got.records) == (11 if case == "sampled" else 0)
+        assert got.n_steps == {"accepted": 41, "refused": 46, "sampled": 47}[case]
+        assert got.min_dt == (DT_EXACT / 2 if case == "refused" else DT_EXACT)
 
     @pytest.mark.parametrize("first, second", [(1.0, 0.5), (0.5, 1.0)])
     def test_reused_sources_equal_fresh_ones(self, first, second):
@@ -1517,29 +1534,58 @@ class TestPlannedIncrements:
                 assert (getattr(got.final_state, name).tobytes()
                         == getattr(want.final_state, name).tobytes())
 
-    def test_increments_of_another_dt_are_never_used(self):
+    def test_increments_of_another_dt_are_never_used(self, monkeypatch):
+        # a plan is made only on a miss and holds the workspace's block of
+        # steps; a time the plan holds with another dt plans again at that
+        # dt, and nothing is scaled into the workspace
         s0, p, g = self.start(8, 1.5)
         src = solver.ManufacturedSources(g, p)
-        src.plan([0.5, 0.75], [0.25, 0.25])
-        ws = Workspace(8)
-        row = src(0.5)
+        ws = Workspace(8, 2)
+        for row in ws.step_sources:
+            row.fill(np.nan)
+        row = solver.ManufacturedSources(g, p)(0.5)
+        blocks = counting_source_blocks(monkeypatch)
 
         def scaled(dt):
             return row.s_v * dt, row.s_u[1:-1] * dt, row.s_theta * dt
 
         planned = solver._sources_at(src, 0.5, 0.25, ws)
-        assert planned is src.increments[0.5][1]
+        assert (src.dt, list(src.increments), blocks) == (0.25, [0.5, 0.75], [2])
+        assert solver._sources_at(src, 0.5, 0.25, ws) is planned
+        assert solver._sources_at(src, 0.75, 0.25, ws) is src.increments[0.75]
+        assert blocks == [2]
         other = solver._sources_at(src, 0.5, 0.125, ws)
-        assert other is ws.step_sources
+        assert (src.dt, list(src.increments), blocks) == (0.125, [0.5, 0.625], [2, 2])
         for inc, dt in ((planned, 0.25), (other, 0.125)):
             for got, want in zip(inc, scaled(dt)):
                 assert got.tobytes() == want.tobytes()
+        assert all(np.isnan(row).all() for row in ws.step_sources)
         assert solver._sources_at(None, 0.5, 0.25, ws) is None
+
+    def test_explicit_scheme_plans_nothing(self, monkeypatch):
+        # the midpoint step evaluates one row at t and one at t + dt/2
+        s0, p, g = self.start(16, 1.5)
+        src = solver.ManufacturedSources(g, p)
+        blocks = counting_source_blocks(monkeypatch)
+        c = lg.StepControls(dt=DT_EXACT / 16, scheme=lg.EXPLICIT_RK2)
+        traj = lg.advance(s0, p, g, c, 10 * c.dt, None, src)
+        assert (traj.n_steps, traj.n_rejected) == (10, 0)
+        assert blocks == [1] * 20
+        assert src.dt is None and src.increments == {}
+
+    def test_step_plans_one_step(self, monkeypatch):
+        s0, p, g = self.start(64, 1.5)
+        src = solver.ManufacturedSources(g, p)
+        blocks = counting_source_blocks(monkeypatch)
+        c = lg.StepControls(dt=DT_EXACT)
+        s = lg.step(s0, p, g, c, src)
+        assert blocks == [1]
+        assert (src.dt, list(src.increments)) == (c.dt, [s.t])
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.5, 6.0])
     def test_steps_equal_the_planned_run(self, beta):
-        # step looks its sources up at times no plan holds; advance plans
-        # them, the first step included
+        # step plans its one step; advance plans a block of K = 64 steps,
+        # the first step included
         s0, p, g = self.start(64, beta)
         c = lg.StepControls(dt=DT_EXACT)
         traj = lg.advance(s0, p, g, c, 5 * DT_EXACT, None, solver.ManufacturedSources(g, p))
@@ -1560,16 +1606,18 @@ class TestPlannedIncrements:
     @pytest.mark.parametrize("kind", ["none", "manufactured"])
     def test_one_lookup_per_attempt(self, monkeypatch, kind, refused):
         # the sources' trace point is called once per IMEX attempt, a
-        # refused one included, and the planned path builds no Sources;
-        # after a refusal the restored dt finds times planned at dt/2 and
-        # evaluates their rows
+        # refused one included, and the planned path builds no Sources and
+        # evaluates no single row, also after a refusal and at the dt
+        # restored after it
         g = lg.build_grid(48)
         p = lg.PhysParams(beta=1.5)
         s0, src = forced_start(kind, g, p)
-        lookups, attempts, rows, checks = [], [], [], []
+        lookups, attempts, one_rows, fields, checks = [], [], [], [], []
         monkeypatch.setattr(solver, "_sources_at", counting(solver._sources_at, lookups))
         monkeypatch.setattr(solver, "_take_step", counting(solver._take_step, attempts))
-        monkeypatch.setattr(solver, "_source_row", counting(solver._source_row, rows))
+        monkeypatch.setattr(solver.ManufacturedSources, "__call__",
+                            counting(solver.ManufacturedSources.__call__, one_rows))
+        monkeypatch.setattr(solver, "_fields_at", counting(solver._fields_at, fields))
         monkeypatch.setattr(solver.Sources, "__post_init__",
                             counting(solver.Sources.__post_init__, checks))
         if refused:
@@ -1577,8 +1625,7 @@ class TestPlannedIncrements:
         traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), 30.5 * DT_EXACT, None, src)
         assert traj.n_rejected == (1 if refused else 0)
         assert len(lookups) == len(attempts) == traj.n_steps + traj.n_rejected
-        assert checks == []
-        assert (len(rows) > 0) == (kind == "manufactured" and bool(refused))
+        assert checks == one_rows == fields == []
 
 
 def counting(fn, calls):
@@ -1673,15 +1720,16 @@ class TestWorkspace:
         # an accepted IMEX step with the fold of its block, as advance takes
         # them, allocates less than one 4096-float array, without sources
         # and with manufactured sources that a plan holds; at 4096 cells a
-        # block is one step, so every step is folded in at once
+        # block is one step, so every step is folded in at once (and a run
+        # would plan every step on its own)
         n, dt = 4096, 1e-4
         p = lg.PhysParams(beta=1.5)
         g = lg.build_grid(n)
         cosine = lg.make_initial_data(
             lg.InitialSpec(kind="cosine", a_v=0.1, a_u=0.1, a_theta=0.1), g)
         manufactured = solver.ManufacturedSources(g, p)
-        times, dts = solver._step_times(0.0, dt, 1.0, 3)
-        manufactured.plan(times, dts)
+        manufactured.increments_at(dt, dt, 3)
+        times = list(manufactured.increments)
         for s0, src in ((cosine, None), (solver.manufactured_state(0.0, g), manufactured)):
             ws = solver._workspace(s0, p, g)
             assert ws.block == 1
