@@ -126,9 +126,9 @@ def mean_theta(s: State, g: Grid) -> float:
 
 
 def inverse_temperature_moment(s: State, g: Grid, p_exp: float) -> float:
-    """Cell sum of theta**(1 - p) for a positive moment exponent p."""
-    if p_exp <= 0.0:
-        raise ValueError(f"moment exponent must be positive, got {p_exp}")
+    """Cell sum of theta**(1 - p) for a positive, finite moment exponent p."""
+    if not (math.isfinite(p_exp) and p_exp > 0.0):
+        raise ValueError(f"moment exponent must be positive and finite, got {p_exp}")
     return float(_sum(s.theta ** (1.0 - p_exp)) * g.dx)
 
 
@@ -140,8 +140,8 @@ def _grad_sq(values: np.ndarray, dx: float):
 
 
 def _check_reference(v_star: float, theta_star: float) -> None:
-    if v_star <= 0.0 or theta_star <= 0.0:
-        raise ValueError("reference values must be positive")
+    if not all(math.isfinite(x) and x > 0.0 for x in (v_star, theta_star)):
+        raise ValueError("reference values must be positive and finite")
 
 
 def h1_deviation(s: State, g: Grid, v_star: float, theta_star: float) -> float:
@@ -204,8 +204,8 @@ def records_from(v: np.ndarray, u: np.ndarray, theta: np.ndarray, times, g: Grid
     if lp_exponents is None:
         lp_exponents = default_lp_exponents(p)
     for q in lp_exponents:
-        if q <= 0.0:
-            raise ValueError(f"moment exponent must be positive, got {q}")
+        if not (math.isfinite(q) and q > 0.0):
+            raise ValueError(f"moment exponent must be positive and finite, got {q}")
     dx = g.dx
     w = g.node_weights
     sum_theta = _sum(theta, 1)

@@ -457,25 +457,51 @@ class Trajectory:
         return self.column("t")
 
 
-class _RunningTotals:
-    """The running time integral of the dissipation and the reconstruction
-    accumulators of one run from ``s0``, which ``ws`` holds loaded with the
-    run's scalar operands (``_workspace``).
+class _Diagnostics:
+    """The diagnostics of one sampled run from ``s0``, which ``ws`` holds
+    loaded with the run's scalar operands (``_workspace``): the running time
+    integral of the dissipation, the volume reconstruction accumulators
+    ``acc`` and the records, which it appends to ``records``: that of
+    ``s0`` on construction, the others as samples. Every record pass takes
+    ``record_args``.
+
+    The running integral and the accumulators fold in a block of accepted
+    steps at once: when it is full, before every sample and before a
+    failure is raised, bit for bit as if they took every step on its own.
+    Each sample after ``s0`` copies its row's fields into the next row of a
+    buffer of as many rows as a block, with its time and running totals,
+    and the records of the staged samples are computed in one
+    ``functionals.records_from`` pass: when the buffer is full, at the end
+    of the run and before a failure is raised.
 
     ``fold`` folds in the steps ``ws`` accepted since the last fold, if
-    any: ``advance`` calls it when a block is full, before every sample and
-    before a failure is raised. After a fold, ``dissipation`` and ``base``
-    hold the dissipation and the base profile of the last accepted state.
-    ``seconds`` is the time spent folding.
+    any; after it, ``dissipation`` and ``base`` hold the dissipation and the
+    base profile of the last accepted state. ``sample(t)`` folds and stages
+    the sample of ``ws.cur`` at t, and ``flush`` folds and appends the
+    records of the staged rows. ``last_state`` is the last staged sample.
+    ``fold_s`` and ``sample_s`` are the seconds spent folding and sampling
+    (the initial record, staging and the record passes).
     """
 
-    def __init__(self, s0: State, g: Grid, p: PhysParams, ws: Workspace):
-        self.g, self.ws = g, ws
+    def __init__(self, s0: State, g: Grid, p: PhysParams, ws: Workspace, records: list,
+                 **record_args):
+        n, rows = g.n_cells, ws.block
+        self.g, self.p, self.ws, self.records, self.record_args = g, p, ws, records, record_args
         self.acc = representation.init_accumulators(s0, g, ws)
-        self.dissipation = functionals.dissipation(s0, g, p)
         self.int_v_dt = 0.0
         self.base = None
-        self.seconds = 0.0
+        self.v, self.u, self.theta = (np.empty((rows, n)), np.empty((rows, n + 1)),
+                                      np.empty((rows, n)))
+        # (t, int_v_dt, repr_err, log_damping, dissipation_V) of each staged row
+        self.staged = []
+        self.last = None
+        self.fold_s = 0.0
+        started = time.perf_counter()
+        first = functionals.record(s0, g, p, int_v_dt=self.int_v_dt,
+                                   log_damping=self.acc.log_damping, **record_args)
+        records.append(first)
+        self.dissipation = first.dissipation_V
+        self.sample_s = time.perf_counter() - started
 
     def fold(self) -> None:
         if not self.ws.filled:
@@ -498,47 +524,38 @@ class _RunningTotals:
         representation.update_history(acc, block.theta, base, block.dt)
         self.base = base[-1]
         ws.fold()
-        self.seconds += time.perf_counter() - started
+        self.fold_s += time.perf_counter() - started
 
-
-class _Samples:
-    """The samples of one run after its initial state, staged as the rows of
-    a buffer of ``rows`` rows. ``stage`` copies a sample's fields from a
-    workspace row and keeps its time and running totals; ``flush``, which
-    ``stage`` calls when the buffer is full, appends the records of the
-    staged rows to ``records``, computed in one ``functionals.records_from``
-    pass with ``record_args``. ``last_state`` is the last staged sample."""
-
-    def __init__(self, g: Grid, p: PhysParams, rows: int, records: list, **record_args):
-        n = g.n_cells
-        self.g, self.p, self.records, self.record_args = g, p, records, record_args
-        self.v, self.u, self.theta = (np.empty((rows, n)), np.empty((rows, n + 1)),
-                                      np.empty((rows, n)))
-        # (t, int_v_dt, repr_err, log_damping, dissipation_V) of each staged row
-        self.staged = []
-        self.last = None
-
-    def stage(self, t: float, row, int_v_dt: float, repr_err: float, log_damping: float,
-              dissipation: float) -> None:
+    def sample(self, t: float) -> None:
+        self.fold()
+        started = time.perf_counter()
+        row = self.ws.cur
+        v_rec = representation.reconstruct_volume(self.acc, self.base)
+        repr_err = float(np.max(np.abs(v_rec - row.v) / row.v))
         i = len(self.staged)
         self.v[i] = row.v
         self.u[i] = row.u
         self.theta[i] = row.theta
-        self.staged.append((t, int_v_dt, repr_err, log_damping, dissipation))
+        self.staged.append((t, self.int_v_dt, repr_err, self.acc.log_damping,
+                            self.dissipation))
         self.last = (t, i)
+        self.sample_s += time.perf_counter() - started
         if i + 1 == self.v.shape[0]:
             self.flush()
 
     def flush(self) -> None:
+        self.fold()
         k = len(self.staged)
         if k == 0:
             return
+        started = time.perf_counter()
         times, int_v_dt, repr_err, log_damping, dissipation = zip(*self.staged)
         self.records.extend(functionals.records_from(
             self.v[:k], self.u[:k], self.theta[:k], times, self.g, self.p,
             int_v_dt=int_v_dt, repr_err=repr_err, log_damping=log_damping,
             dissipation_V=dissipation, **self.record_args))
         self.staged.clear()
+        self.sample_s += time.perf_counter() - started
 
     def last_state(self) -> State | None:
         # a flush leaves the rows as they are, so the last one outlives it
@@ -562,16 +579,9 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     row; the nominal dt is restored after RECOVERY_STEPS accepted steps,
     capped for the explicit scheme at its stability bound at that state.
     The kernels write each step into the next row of a block of the run's
-    Workspace. The running time integral of the dissipation and the volume
-    reconstruction accumulators fold in a block of accepted steps at once:
-    when it is full, before every sample and before a failure is raised,
-    bit for bit as if they took every step on its own. Each sample after
-    ``s0`` copies its row's fields into the next row of a buffer of as many
-    rows as a block, with its time and running totals, and the records of
-    the staged samples are computed in one ``functionals.records_from``
-    pass: when the buffer is full, at the end of the run and before a
-    failure is raised. A State, which copies its fields, is built only for
-    the final state and to report a failure.
+    Workspace, and one ``_Diagnostics`` folds the blocks, stages the samples
+    and computes their records. A State, which copies its fields, is built
+    only for the final state and to report a failure.
 
     Without samples the run takes the same steps to t_end, its one
     landing, with the same rejections, but builds no accumulators, no
@@ -598,38 +608,22 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     ws = _workspace(s0, p, g)
     traj = Trajectory(grid=g, params=p, v_star=v_star, theta_star=theta_star,
                       initial_state=s0, final_state=s0, min_dt=c.dt)
-    sampling_s = 0.0
-    if sample_every is None:
-        totals = samples = None
-        fold = ws.fold
-    else:
-        totals = _RunningTotals(s0, g, p, ws)
-        traj.accumulators = totals.acc
-        fold = totals.fold
-        samples = _Samples(g, p, ws.block, traj.records, lp_exponents=lp_exponents,
-                           v_star=v_star, theta_star=theta_star)
-        sampling_started = time.perf_counter()
-        traj.records.append(functionals.record(
-            s0, g, p, int_v_dt=totals.int_v_dt, log_damping=totals.acc.log_damping,
-            lp_exponents=lp_exponents, v_star=v_star, theta_star=theta_star,
-            dissipation_V=totals.dissipation))
-        sampling_s = time.perf_counter() - sampling_started
+    diag = None
+    if sample_every is not None:
+        diag = _Diagnostics(s0, g, p, ws, traj.records, lp_exponents=lp_exponents,
+                            v_star=v_star, theta_star=theta_star)
+        traj.accumulators = diag.acc
 
     def finish():
-        nonlocal sampling_s
-        diagnostics_s = 0.0
-        if samples is not None:
-            sampling_started = time.perf_counter()
-            samples.flush()
-            traj.final_state = samples.last_state() or s0
-            sampling_s += time.perf_counter() - sampling_started
-            diagnostics_s = totals.seconds
-        traj.phase_s = {"kernel": time.perf_counter() - started - diagnostics_s - sampling_s,
-                        "diagnostics": diagnostics_s, "sampling": sampling_s}
+        fold_s = sample_s = 0.0
+        if diag is not None:
+            diag.flush()
+            traj.final_state = diag.last_state() or s0
+            fold_s, sample_s = diag.fold_s, diag.sample_s
+        traj.phase_s = {"kernel": time.perf_counter() - started - fold_s - sample_s,
+                        "diagnostics": fold_s, "sampling": sample_s}
 
     def failure(message):
-        if totals is not None:
-            totals.fold()
         row = ws.cur
         finish()
         return SimulationFailure(message,
@@ -642,7 +636,7 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     sample_idx = 1
 
     while t < t_end - tiny:
-        target = t_end if samples is None else min(t0 + sample_idx * sample_every, t_end)
+        target = t_end if diag is None else min(t0 + sample_idx * sample_every, t_end)
 
         # integrate to the target exactly, clamping the last step onto it
         while t < target:
@@ -664,7 +658,7 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
 
             ws.accept(dt_try)
             if ws.full:
-                fold()
+                (ws if diag is None else diag).fold()
             t = t_new
             traj.n_steps += 1
             rejected_in_row = 0
@@ -675,18 +669,12 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
                     cur_dt = min(c.dt, _dt_bound(c.scheme, row.v, row.theta, p, g))
                     accepted_at_reduced = 0
 
-        row = ws.cur
-        if samples is None:
+        if diag is None:
             # the one landing, t_end
+            row = ws.cur
             traj.final_state = State(t=t, v=row.v, u=row.u, theta=row.theta)
             break
-        totals.fold()
-        sampling_started = time.perf_counter()
-        v_rec = representation.reconstruct_volume(totals.acc, totals.base)
-        repr_err = float(np.max(np.abs(v_rec - row.v) / row.v))
-        samples.stage(t, row, totals.int_v_dt, repr_err, totals.acc.log_damping,
-                      totals.dissipation)
-        sampling_s += time.perf_counter() - sampling_started
+        diag.sample(t)
         while t0 + sample_idx * sample_every <= target + tiny:
             sample_idx += 1
 

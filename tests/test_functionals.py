@@ -112,6 +112,11 @@ class TestInverseTemperatureMoment:
         with pytest.raises(ValueError):
             lg.inverse_temperature_moment(equilibrium64, grid64, 0.0)
 
+    def test_requires_finite_exponent(self, grid64, equilibrium64):
+        for q in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                lg.inverse_temperature_moment(equilibrium64, grid64, q)
+
 
 class TestH1Deviation:
     def test_zero_at_reference(self, grid64, equilibrium64):
@@ -180,6 +185,13 @@ class TestRecord:
         assert r.h1_dev == 0.0
         assert r.mass == 1.0
         assert r.total_energy == 1.0
+
+    @pytest.mark.parametrize("kwargs", [{"lp_exponents": (float("nan"), float("inf"))},
+                                        {"v_star": float("nan")}])
+    def test_no_non_finite_argument_reaches_a_record(self, grid64, cosine64, unit_params,
+                                                     kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            lg.record(cosine64, grid64, unit_params, **kwargs)
 
     def test_determinism(self, grid64, cosine64, unit_params):
         a = lg.record(cosine64, grid64, unit_params)
@@ -321,7 +333,11 @@ class TestRecordsFrom:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"lp_exponents": (1.0, 0.0)}, "moment exponent must be positive"),
-        ({"v_star": 0.0}, "reference values must be positive")])
+        ({"v_star": 0.0}, "reference values must be positive"),
+        ({"lp_exponents": (float("nan"), float("inf"))}, "moment exponent"),
+        ({"lp_exponents": (1.0, float("inf"))}, "moment exponent"),
+        ({"v_star": float("nan")}, "reference values"),
+        ({"theta_star": float("inf")}, "reference values")])
     def test_rejects_bad_arguments(self, grid64, cosine64, unit_params, kwargs, message):
         s = cosine64
         with pytest.raises(ValueError, match=message):

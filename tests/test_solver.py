@@ -552,14 +552,14 @@ class TestCarriedRow:
                            seed=n), g, p.c_v)
         dt = min(DT_EXACT, 0.5 * solver._dt_bound(scheme, s0.v, s0.theta, p, g))
         ws = solver._workspace(s0, p, g)
-        totals = solver._RunningTotals(s0, g, p, ws)
+        diag = solver._Diagnostics(s0, g, p, ws, [])
         t = 0.0
         # one more step than a block holds, so that a fold comes between
         for _ in range(ws.block + 1):
             solver._take_step(t, dt, scheme, None, ws)
             ws.accept(dt)
             if ws.full:
-                totals.fold()
+                diag.fold()
             t += dt
             row = ws.cur
             fresh = Workspace(n, 1).load(
@@ -857,6 +857,18 @@ class TestAdvance:
         with pytest.raises(ValueError):
             lg.advance(equilibrium64, unit_params, grid64,
                        lg.StepControls(dt=1e-3), 1.0, 0.0)
+
+    @pytest.mark.parametrize("q", [float("nan"), float("inf")])
+    def test_non_finite_exponent_refused_before_a_step(self, grid64, cosine64, unit_params,
+                                                      monkeypatch, q):
+        # the initial record refuses it, so no record holds a NaN or inf moment
+        def stepped(*args):
+            raise AssertionError("advance stepped")
+
+        monkeypatch.setattr(solver, "_take_step", stepped)
+        with pytest.raises(ValueError, match="moment exponent"):
+            lg.advance(cosine64, unit_params, grid64, lg.StepControls(dt=1e-3), 0.01,
+                       0.005, lp_exponents=(q,))
 
     def test_cadence_below_time_tolerance(self, grid64, equilibrium64, unit_params,
                                           monkeypatch):
@@ -1239,9 +1251,12 @@ class TestStagedSamples:
         assert traj.final_state is s0
 
     def test_dense_run_records_once_and_builds_one_state(self, monkeypatch):
-        # the initial sample takes the one-state record; every later sample
-        # is a staged row, and only the final state becomes a State
-        counts = {"record": 0, "State": 0}
+        # the initial sample takes the one-state record, whose pass computes
+        # the one dissipation of s0; every later sample is a staged row, the
+        # 50 of them in ceil(50 / 16) passes, and only the final state
+        # becomes a State
+        counts = dict.fromkeys(("record", "State", "dissipation", "init_accumulators",
+                                "records_from"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -1250,11 +1265,15 @@ class TestStagedSamples:
             return wrapper
 
         s0, p, g = self.start()
-        monkeypatch.setattr(functionals, "record", counted("record", functionals.record))
-        monkeypatch.setattr(solver, "State", counted("State", solver.State))
+        for module, name in ((functionals, "record"), (solver, "State"),
+                             (functionals, "dissipation"),
+                             (representation, "init_accumulators"),
+                             (functionals, "records_from")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         traj = lg.advance(s0, p, g, lg.StepControls(dt=DT_EXACT), 50 * DT_EXACT, DT_EXACT)
         assert len(traj.records) == 51
-        assert counts == {"record": 1, "State": 1}
+        assert counts == {"record": 1, "State": 1, "dissipation": 1, "init_accumulators": 1,
+                          "records_from": 5}
 
 
 def rejecting_attempt(patch, refused):
@@ -1733,7 +1752,7 @@ class TestWorkspace:
         for s0, src in ((cosine, None), (solver.manufactured_state(0.0, g), manufactured)):
             ws = solver._workspace(s0, p, g)
             assert ws.block == 1
-            totals = solver._RunningTotals(s0, g, p, ws)
+            diag = solver._Diagnostics(s0, g, p, ws, [])
             for row in ws.step_sources:
                 row.fill(np.nan)
             starts = iter([0.0] + times)
@@ -1741,7 +1760,7 @@ class TestWorkspace:
             def accepted_step():
                 solver._take_step(next(starts), dt, lg.IMEX_BE, src, ws)
                 ws.accept(dt)
-                totals.fold()
+                diag.fold()
 
             accepted_step()
             accepted_step()
@@ -1751,7 +1770,7 @@ class TestWorkspace:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert ws.filled == 0 and totals.base is not None
+            assert ws.filled == 0 and diag.base is not None
             assert peak < 8 * n
             # the planned steps scaled nothing into the workspace
             assert all(np.isnan(row).all() for row in ws.step_sources)
