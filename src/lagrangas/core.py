@@ -205,9 +205,16 @@ class Workspace:
     ``step_views`` holds the shifted views of these that the IMEX kernel
     reads, ``ratio_ops`` the 0-d views of ``ratios`` and ``cell_rows`` the
     rows of both ``cells`` blocks, built once.
-    ``scalars`` is left to the solver, which keeps the 0-d operands of the
-    run that steps in the workspace there before the first ``accept``: its
-    ``p`` and ``kappa`` give ``knum``.
+
+    A run enters through ``load(s, g, p)``, which keeps its grid ``g`` and
+    gas ``p`` and their scalar operands as 0-d float64 arrays, which a
+    ufunc takes as they are where it converts a Python float on every call:
+    ``R``, ``mu`` (mu_tilde), ``kappa`` (kappa_tilde) and ``dx``.
+    ``at(dt)`` refills the operands of the step size in place when dt
+    changes: ``step_dt``, ``coef`` and ``neg_coef`` (+-dt*mu_tilde/dx**2),
+    ``dt_dx``, ``dt_cv`` and ``lam`` and ``neg_lam`` (+-dt/(c_v*dx**2)),
+    each from the expression that gave the float operand. A workspace that
+    only lends scratch needs no ``load``.
     """
 
     def __init__(self, n_cells: int, block: int | None = None):
@@ -230,7 +237,9 @@ class Workspace:
         self.ratios = np.empty(k)
         self.ratio_ops = tuple(self.ratios[i, ...] for i in range(k))
         self.cell_rows = tuple(tuple(cells) for cells in self.cells)
-        self.scalars = None
+        self.g = self.p = self.R = self.mu = self.kappa = self.dx = self._at_dt = None
+        (self.step_dt, self.coef, self.neg_coef, self.dt_dx, self.dt_cv, self.lam,
+         self.neg_lam) = (np.empty(()) for _ in range(7))
         self.step_cells = tuple(np.empty((3, n)))
         self.step_faces = tuple(np.empty((2, n - 1)))
         self.step_sources = (np.empty(n), np.empty(n - 1), np.empty(n))
@@ -247,28 +256,46 @@ class Workspace:
         self.fold()
 
     def load(self, s: State, g: Grid, p: PhysParams) -> _Rows:
-        """Copy the fields of ``s`` into ``cur``, the row a first step reads,
+        """Make (g, p) the run that steps here, with its scalar operands,
+        copy the fields of ``s`` into ``cur``, the row a first step reads,
         and write there what a step and the dissipation read from them: the
         cell velocity gradient ``ux``, the face means ``vf`` and ``thf`` and
         ``knum``; returns that row."""
+        self.g, self.p = g, p
+        self.R, self.mu, self.kappa = (_operand(p.R), _operand(p.mu_tilde),
+                                       _operand(p.kappa_tilde))
+        self.dx = g.dx_ops[0]
+        self._at_dt = None
         row = self.cur
         row.v[...] = s.v
         row.u[...] = s.u
         row.theta[...] = s.theta
         np.subtract(row.u_hi, row.u_lo, row.ux)
-        row.ux /= g.dx_ops[0]
+        row.ux /= self.dx
         np.add(row.v_lo, row.v_hi, row.vf)
         row.vf *= _HALF
-        _numerator_from(row.theta_lo, row.theta_hi, p.beta, p.kappa_tilde, row.thf, row.knum)
+        _numerator_from(row.theta_lo, row.theta_hi, p.beta, self.kappa, row.thf, row.knum)
         return row
+
+    def at(self, dt: float) -> None:
+        """Fill the operands of a step of size dt, unless they hold it."""
+        if dt != self._at_dt:
+            p, dx = self.p, self.g.dx
+            coef = dt * p.mu_tilde / (dx * dx)
+            lam = dt / (p.c_v * dx * dx)
+            self.step_dt[()] = dt
+            self.coef[()], self.neg_coef[()] = coef, -coef
+            self.dt_dx[()] = dt / dx
+            self.dt_cv[()] = dt / p.c_v
+            self.lam[()], self.neg_lam[()] = lam, -lam
+            self._at_dt = dt
 
     def accept(self, dt: float) -> _Rows:
         """Make the kernel's last output, a step of size ``dt``, the
         accepted state, and write its ``thf`` and ``knum``, which the next
         kernel reads; returns its row."""
         cur = self.cur = self.nxt
-        sc = self.scalars
-        _numerator_from(cur.theta_lo, cur.theta_hi, sc.p.beta, sc.kappa, cur.thf, cur.knum)
+        _numerator_from(cur.theta_lo, cur.theta_hi, self.p.beta, self.kappa, cur.thf, cur.knum)
         self.dt[cur.index] = dt
         self.filled += 1
         if self.filled < self.block:

@@ -91,26 +91,25 @@ def dissipation(s: State, g: Grid, p: PhysParams) -> float:
     ws = Workspace(g.n_cells, 1)
     row = ws.load(s, g, p)
     return dissipation_from(row.ux[None], row.vf[None], row.v[None], row.theta[None],
-                            row.thf[None], row.knum[None], g, p.mu_tilde, ws)[0]
+                            row.thf[None], row.knum[None], ws)[0]
 
 
 def dissipation_from(ux: np.ndarray, vf: np.ndarray, v: np.ndarray, theta: np.ndarray,
-                     thf: np.ndarray, knum: np.ndarray, g: Grid, mu,
-                     ws: Workspace) -> list:
+                     thf: np.ndarray, knum: np.ndarray, ws: Workspace) -> list:
     """``dissipation`` of each row of a block of states, from its cell
     velocity gradient ``ux``, the face means ``vf`` of ``v`` and ``thf`` of
     ``theta``, and ``knum`` = kappa_tilde * thf**beta, all of which the
-    time stepping has already computed; one value per row. ``mu`` is
-    mu_tilde, a float or a 0-d array; ``ws`` lends scratch.
+    time stepping has already computed; one value per row. The grid and
+    mu_tilde are those ``ws`` was loaded with, and ``ws`` lends scratch.
     """
     rows = ux.shape[0]
-    dx = g.dx
-    shear = np.multiply(ux, mu, ws.cells[0][:rows])
+    dx = ws.g.dx
+    shear = np.multiply(ux, ws.mu, ws.cells[0][:rows])
     shear *= ux
     shear /= np.multiply(v, theta, ws.cells[1][:rows])
     shears = np.add.reduce(shear, axis=1).tolist()
     dth = np.subtract(theta[:, 1:], theta[:, :-1], ws.faces[0][:rows])
-    dth /= g.dx_ops[0]
+    dth /= ws.dx
     thermal = np.multiply(knum, dth, ws.faces[1][:rows])
     thermal *= dth
     # dth is spent: it takes the denominator vf * thf * thf

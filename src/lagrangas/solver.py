@@ -78,7 +78,8 @@ def _above_floor(x: np.ndarray):
 
 @dataclass(frozen=True)
 class StepControls:
-    """Time-stepping knobs; raises ParamError naming ``dt`` or ``scheme``."""
+    """Time-stepping knobs; raises ParamError naming ``dt``, ``scheme`` or
+    ``max_retries``, which must be an int (not a bool) of at least 0."""
 
     dt: float
     scheme: str = IMEX_BE
@@ -89,6 +90,10 @@ class StepControls:
             raise ParamError("dt", f"dt must be positive and finite, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise ParamError("scheme", f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        retries = self.max_retries
+        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+            raise ParamError("max_retries", f"max_retries must be a non-negative integer, "
+                             f"got {retries!r}")
 
 
 def _check_cells(n_cells: int) -> None:
@@ -98,15 +103,17 @@ def _check_cells(n_cells: int) -> None:
 
 def check_run(n_cells: int, t0: float, t_end: float, sample_every: float | None) -> float:
     """Check the run controls of ``advance`` and return its time tolerance,
-    TIME_TOLERANCE * max(1, |t_end|). ``sample_every`` is None (no samples)
-    or a cadence of at least the tolerance: a smaller one would keep the
-    driver counting past the sample times near each landing. Raises
-    ParamError naming ``n_cells``, ``t_end`` or ``sample_every``."""
+    TIME_TOLERANCE * max(1, |t_end|). ``t_end`` must be finite and exceed
+    t0 by more than the tolerance, or the driver would count the run as
+    landed on t_end at t0 and take no step. ``sample_every`` is None (no
+    samples) or a cadence of at least the tolerance: a smaller one would
+    keep the driver counting past the sample times near each landing.
+    Raises ParamError naming ``n_cells``, ``t_end`` or ``sample_every``."""
     _check_cells(n_cells)
-    if not (math.isfinite(t_end) and t_end > t0):
-        raise ParamError("t_end", f"t_end = {t_end} must be finite and exceed the "
-                         f"initial time {t0}")
     tiny = TIME_TOLERANCE * max(1.0, abs(t_end))
+    if not (math.isfinite(t_end) and t_end - t0 > tiny):
+        raise ParamError("t_end", f"t_end = {t_end} must be finite and exceed the "
+                         f"initial time {t0} by more than {tiny:g}")
     if sample_every is not None and not (math.isfinite(sample_every)
                                          and sample_every >= tiny):
         raise ParamError("sample_every", f"sample_every must be finite and at least "
@@ -250,51 +257,17 @@ def _step_size(t, dt, target):
     return dt, t + dt
 
 
-class _Scalars:
-    """The scalar operands of one run's IMEX steps as 0-d float64 arrays,
-    which a ufunc takes as they are where it converts a Python float on
-    every call: the run's constants, built once from (p, g), and the values
-    of the step size, which ``at`` refills in place when dt changes, each
-    from the expression that gave the float operand."""
-
-    __slots__ = ("p", "g", "R", "mu", "kappa", "dx", "last_dt", "dt", "coef",
-                 "neg_coef", "dt_dx", "dt_cv", "lam", "neg_lam")
-
-    def __init__(self, p: PhysParams, g: Grid):
-        self.p, self.g = p, g
-        self.R, self.mu, self.kappa = (_operand(p.R), _operand(p.mu_tilde),
-                                       _operand(p.kappa_tilde))
-        self.dx = g.dx_ops[0]
-        self.last_dt = None
-        (self.dt, self.coef, self.neg_coef, self.dt_dx, self.dt_cv, self.lam,
-         self.neg_lam) = (np.empty(()) for _ in range(7))
-
-    def at(self, dt: float) -> _Scalars:
-        """The operands of a step of size dt."""
-        if dt != self.last_dt:
-            p, dx = self.p, self.g.dx
-            coef = dt * p.mu_tilde / (dx * dx)
-            lam = dt / (p.c_v * dx * dx)
-            self.dt[()] = dt
-            self.coef[()], self.neg_coef[()] = coef, -coef
-            self.dt_dx[()] = dt / dx
-            self.dt_cv[()] = dt / p.c_v
-            self.lam[()], self.neg_lam[()] = lam, -lam
-            self.last_dt = dt
-        return self
-
-
 # Both kernels step from ws.cur, the last accepted or loaded row of the run's
 # Workspace ``ws``, into the row ws.nxt: the new state, its cell velocity
 # gradient ``ux`` and the face means ``vf`` of its volume, which the dissipation
-# reads instead of recomputing them. The run's p and g are those of ws.scalars.
+# reads instead of recomputing them. The run's p and g are those ws was loaded with.
 
 def _imex_kernel(t, dt, src, ws):
     # The views of rows and scratch come prebuilt with the Workspace, each ufunc
     # takes its ``out`` by position, and every scalar operand is a 0-d array of
-    # ws.scalars: a step builds no view, parses no keyword and converts no float.
+    # ws: a step builds no view, parses no keyword and converts no float.
     inc = _sources_at(src, t + dt, dt, ws)
-    sc = ws.scalars.at(dt)
+    ws.at(dt)
     cur, out = ws.cur, ws.nxt
     v, theta = cur.v, cur.theta
     inv_v, work, work2 = ws.step_cells
@@ -302,7 +275,7 @@ def _imex_kernel(t, dt, src, ws):
     inv_lo, inv_hi, inv_in, work_lo, work_hi, off, kf, kf_lo, kf_hi = ws.step_views
 
     # volume first, explicitly, so both solves see the new geometry
-    v_new = np.multiply(cur.ux, sc.dt, out.v)
+    v_new = np.multiply(cur.ux, ws.step_dt, out.v)
     v_new += v
     if inc is not None:
         v_new += inc[0]
@@ -314,19 +287,19 @@ def _imex_kernel(t, dt, src, ws):
     # theta, solved in place in the interior of the new velocity;
     # coef = dt * mu_tilde / dx**2
     diag = np.add(inv_lo, inv_hi, work_f)
-    diag *= sc.coef
+    diag *= ws.coef
     diag += _ONE
-    np.multiply(inv_in, sc.neg_coef, off)
-    theta_r = np.multiply(theta, sc.R, work2)
+    np.multiply(inv_in, ws.neg_coef, off)
+    theta_r = np.multiply(theta, ws.R, work2)
     np.multiply(theta_r, inv_v, work)  # the pressure
     rhs = np.subtract(work_hi, work_lo, out.u_in)
-    rhs *= sc.dt_dx
+    rhs *= ws.dt_dx
     np.subtract(cur.u_in, rhs, rhs)
     if inc is not None:
         rhs += inc[1]
     _solve_spd_tridiag(diag, off, rhs)
     ux_new = np.subtract(out.u_hi, out.u_lo, out.ux)
-    ux_new /= sc.dx
+    ux_new /= ws.dx
 
     # implicit temperature: conductivity frozen at the old theta, reaction and
     # viscous heating explicit but evaluated with the new velocity;
@@ -334,20 +307,20 @@ def _imex_kernel(t, dt, src, ws):
     vf = np.add(out.v_lo, out.v_hi, out.vf)
     vf *= _HALF
     np.divide(cur.knum, vf, kf)
-    heating = np.multiply(ux_new, sc.mu, work)
+    heating = np.multiply(ux_new, ws.mu, work)
     heating -= theta_r
     heating *= ux_new
     heating *= inv_v
-    heating *= sc.dt_cv
+    heating *= ws.dt_cv
     theta_new = np.add(theta, heating, out.theta)
     if inc is not None:
         theta_new += inc[2]
     # each row couples through the faces beside it; the walls' faces are
     # zeros that conduct nothing, and 0 + k is k exactly
     diag2 = np.add(kf_lo, kf_hi, work)
-    diag2 *= sc.lam
+    diag2 *= ws.lam
     diag2 += _ONE
-    off2 = np.multiply(kf, sc.neg_lam, work_f)
+    off2 = np.multiply(kf, ws.neg_lam, work_f)
     _solve_spd_tridiag(diag2, off2, theta_new)
     if not _above_floor(theta_new):
         raise StepRejected(TEMPERATURE_FLOOR, "temperature fell to the positivity floor")
@@ -355,7 +328,7 @@ def _imex_kernel(t, dt, src, ws):
 
 def _rk2_kernel(t, dt, src, ws):
     # computes in fresh arrays, and copies the result into ws.nxt
-    p, g = ws.scalars.p, ws.scalars.g
+    p, g = ws.p, ws.g
     v, u, theta = ws.cur.v, ws.cur.u, ws.cur.theta
     dt_stab = _dt_bound(EXPLICIT_RK2, v, theta, p, g)
     if dt > dt_stab:
@@ -396,15 +369,6 @@ def _take_step(t, dt, scheme, src, ws):
     _KERNELS[scheme](t, dt, src, ws)
 
 
-def _workspace(s: State, p: PhysParams, g: Grid, block: int | None = None) -> Workspace:
-    """A Workspace to step from ``s`` in: the run's scalar operands built
-    from (p, g) and ``s`` loaded into the row a first step reads."""
-    ws = Workspace(g.n_cells, block)
-    ws.scalars = _Scalars(p, g)
-    ws.load(s, g, p)
-    return ws
-
-
 def step(s: State, p: PhysParams, g: Grid, c: StepControls,
          src: Sources | None = None) -> State:
     """One step of size c.dt with the scheme c.scheme.
@@ -414,7 +378,8 @@ def step(s: State, p: PhysParams, g: Grid, c: StepControls,
     stability bound; ParamError naming ``n_cells`` on a grid of one cell.
     """
     _check_cells(g.n_cells)
-    ws = _workspace(s, p, g, 1)
+    ws = Workspace(g.n_cells, 1)
+    ws.load(s, g, p)
     _take_step(s.t, c.dt, c.scheme, src, ws)
     return State(t=s.t + c.dt, v=ws.nxt.v, u=ws.nxt.u, theta=ws.nxt.theta)
 
@@ -459,7 +424,7 @@ class Trajectory:
 
 class _Diagnostics:
     """The diagnostics of one sampled run from ``s0``, which ``ws`` holds
-    loaded with the run's scalar operands (``_workspace``): the running time
+    loaded with the run's grid and gas (``Workspace.load``): the running time
     integral of the dissipation, the volume reconstruction accumulators
     ``acc`` and the records, which it appends to ``records``: that of
     ``s0`` on construction, the others as samples. Every record pass takes
@@ -483,10 +448,9 @@ class _Diagnostics:
     (the initial record, staging and the record passes).
     """
 
-    def __init__(self, s0: State, g: Grid, p: PhysParams, ws: Workspace, records: list,
-                 **record_args):
-        n, rows = g.n_cells, ws.block
-        self.g, self.p, self.ws, self.records, self.record_args = g, p, ws, records, record_args
+    def __init__(self, s0: State, ws: Workspace, records: list, **record_args):
+        g, n, rows = ws.g, ws.g.n_cells, ws.block
+        self.ws, self.records, self.record_args = ws, records, record_args
         self.acc = representation.init_accumulators(s0, g, ws)
         self.int_v_dt = 0.0
         self.base = None
@@ -497,7 +461,7 @@ class _Diagnostics:
         self.last = None
         self.fold_s = 0.0
         started = time.perf_counter()
-        first = functionals.record(s0, g, p, int_v_dt=self.int_v_dt,
+        first = functionals.record(s0, g, ws.p, int_v_dt=self.int_v_dt,
                                    log_damping=self.acc.log_damping, **record_args)
         records.append(first)
         self.dissipation = first.dissipation_V
@@ -507,11 +471,11 @@ class _Diagnostics:
         if not self.ws.filled:
             return
         started = time.perf_counter()
-        g, ws, acc = self.g, self.ws, self.acc
-        block = ws.pending()
+        ws, acc = self.ws, self.acc
+        g, block = ws.g, ws.pending()
         dts = block.dt.tolist()  # Python floats for the scalar recurrences
         rates = functionals.dissipation_from(block.ux, block.vf, block.v, block.theta,
-                                             block.thf, block.knum, g, ws.scalars.mu, ws)
+                                             block.thf, block.knum, ws)
         # the scalar recurrences run one step after the other, as they would
         # step by step
         prev, total = self.dissipation, self.int_v_dt
@@ -551,7 +515,7 @@ class _Diagnostics:
         started = time.perf_counter()
         times, int_v_dt, repr_err, log_damping, dissipation = zip(*self.staged)
         self.records.extend(functionals.records_from(
-            self.v[:k], self.u[:k], self.theta[:k], times, self.g, self.p,
+            self.v[:k], self.u[:k], self.theta[:k], times, self.ws.g, self.ws.p,
             int_v_dt=int_v_dt, repr_err=repr_err, log_damping=log_damping,
             dissipation_V=dissipation, **self.record_args))
         self.staged.clear()
@@ -605,12 +569,13 @@ def advance(s0: State, p: PhysParams, g: Grid, c: StepControls, t_end: float,
     v_star, energy0 = check_normalization(s0, g, p)
     theta_star = energy0 / p.c_v
 
-    ws = _workspace(s0, p, g)
+    ws = Workspace(g.n_cells)
+    ws.load(s0, g, p)
     traj = Trajectory(grid=g, params=p, v_star=v_star, theta_star=theta_star,
                       initial_state=s0, final_state=s0, min_dt=c.dt)
     diag = None
     if sample_every is not None:
-        diag = _Diagnostics(s0, g, p, ws, traj.records, lp_exponents=lp_exponents,
+        diag = _Diagnostics(s0, ws, traj.records, lp_exponents=lp_exponents,
                             v_star=v_star, theta_star=theta_star)
         traj.accumulators = diag.acc
 

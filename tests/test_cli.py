@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import lagrangas as lg
-from lagrangas import acceptance, cli, solver
+from lagrangas import acceptance, analysis, cli, solver
 from lagrangas.errors import ConfigError, ConstructionError, ParamError, SimulationFailure
 
 from conftest import make_state, tridiag_breaking_after
@@ -842,10 +842,21 @@ class TestVerifyShortReference:
             return fan_out(worker, jobs, workers)
 
         monkeypatch.setattr(cli, "_fan_out", counted)
+        reduce_records = analysis.reduce_records
+        reductions = []
+
+        def counted_reduce(records):
+            reductions.append(len(records))
+            return reduce_records(records)
+
+        monkeypatch.setattr(analysis, "reduce_records", counted_reduce)
         results, observed = acceptance.run_acceptance(config_dir=config_dir, workers=1,
                                                       echo=lambda line: None)
         assert sorted(tags) == sorted(["ref", "rerun", "dt_half", "n512", "refined",
                                        "repr512", "beta_0.5", "beta_2.5"])
+        # each job's records are reduced once, for its summary; the two
+        # others are the reference's records up to t = 10 and t = 1
+        assert len(reductions) == len(tags) + 2
         assert results[3].detail.count("beta 1.5:") == 1
         assert [part.split(":")[0] for part in results[3].detail.split("; ")[1:]] == [
             "beta 1.5", "beta 0.5", "beta 2.5"]

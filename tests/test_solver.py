@@ -419,7 +419,11 @@ class TestSources:
 
 class TestStepControls:
     @pytest.mark.parametrize("kwargs, field", [
-        (dict(dt=-1.0), "dt"), (dict(dt=1e-3, scheme="leapfrog"), "scheme")])
+        (dict(dt=-1.0), "dt"), (dict(dt=1e-3, scheme="leapfrog"), "scheme"),
+        (dict(dt=1e-3, max_retries=-1), "max_retries"),
+        (dict(dt=1e-3, max_retries=None), "max_retries"),
+        (dict(dt=1e-3, max_retries=True), "max_retries"),
+        (dict(dt=1e-3, max_retries=2.0), "max_retries")])
     def test_errors_name_the_field(self, kwargs, field):
         with pytest.raises(ParamError) as exc:
             lg.StepControls(**kwargs)
@@ -551,8 +555,9 @@ class TestCarriedRow:
             lg.InitialSpec(kind="random_smooth", a_v=0.2, a_u=0.3, a_theta=0.1,
                            seed=n), g, p.c_v)
         dt = min(DT_EXACT, 0.5 * solver._dt_bound(scheme, s0.v, s0.theta, p, g))
-        ws = solver._workspace(s0, p, g)
-        diag = solver._Diagnostics(s0, g, p, ws, [])
+        ws = Workspace(n)
+        ws.load(s0, g, p)
+        diag = solver._Diagnostics(s0, ws, [])
         t = 0.0
         # one more step than a block holds, so that a fold comes between
         for _ in range(ws.block + 1):
@@ -915,15 +920,17 @@ class TestAdvance:
         fit = lg.fit_decay_rate(traj.times, h1, (2.0, 4.0))
         assert fit.rate > 0.0
 
-    def test_retry_exhaustion_carries_state(self, grid64, unit_params):
+    @pytest.mark.parametrize("retries", [0, 3])
+    def test_retry_exhaustion_carries_state(self, grid64, unit_params, retries):
         n = grid64.n_cells
         s0 = lg.make_initial_data(lg.InitialSpec(kind="equilibrium"), grid64)
         sink = lg.Sources(np.zeros(n), np.zeros(n + 1), np.full(n, -100.0))
-        controls = lg.StepControls(dt=0.5, max_retries=3)
+        controls = lg.StepControls(dt=0.5, max_retries=retries)
         with pytest.raises(SimulationFailure) as exc:
             lg.advance(s0, unit_params, grid64, controls, 5.0, 1.0, sink)
         assert exc.value.last_state is not None
         assert exc.value.trajectory is not None
+        assert exc.value.trajectory.n_rejected == retries + 1
         assert exc.value.last_state.theta.min() > 0.0
 
     def test_retry_exhaustion_after_accepted_steps(self, grid64, cosine64, unit_params):
@@ -1670,7 +1677,9 @@ class TestCheckRun:
 
     @pytest.mark.parametrize("n, t0, t_end, field", [
         (1, 0.0, 1.0, "n_cells"), (64, 0.0, 0.0, "t_end"), (64, 1.0, 0.5, "t_end"),
-        (64, 0.0, float("nan"), "t_end"), (64, 0.0, float("inf"), "t_end")])
+        (64, 0.0, float("nan"), "t_end"), (64, 0.0, float("inf"), "t_end"),
+        # within the time tolerance of t0, where the driver would take no step
+        (64, 0.0, 5e-13, "t_end"), (64, 1e6, 1e6 + 1e-7, "t_end")])
     def test_none_excuses_no_other_control(self, n, t0, t_end, field):
         with pytest.raises(ParamError) as exc:
             solver.check_run(n, t0, t_end, None)
@@ -1735,6 +1744,27 @@ class TestScalarOperandBinding:
 
 
 class TestWorkspace:
+    def test_reload_refills_the_step_operands(self):
+        # at(dt) refills its operands only when dt changes; a load with
+        # another gas must refill them at the same dt, and the step then
+        # equals that gas's own step bit for bit
+        n, dt = 8, 1e-3
+        g = lg.build_grid(n)
+        s = lg.make_initial_data(lg.InitialSpec(kind="cosine", a_v=0.1, a_u=0.1, a_theta=0.1), g)
+        ws = Workspace(n)
+        for p in (lg.PhysParams(beta=1.0),
+                  lg.PhysParams(beta=1.5, mu_tilde=0.7, kappa_tilde=1.3, R=1.1, c_v=0.9)):
+            ws.load(s, g, p)
+            ws.at(dt)
+            coef, lam = dt * p.mu_tilde / (g.dx * g.dx), dt / (p.c_v * g.dx * g.dx)
+            assert (ws.coef, ws.neg_coef, ws.lam, ws.neg_lam) == (coef, -coef, lam, -lam)
+            assert (ws.dt_cv, ws.R, ws.mu, ws.kappa) == (dt / p.c_v, p.R, p.mu_tilde,
+                                                          p.kappa_tilde)
+            solver._take_step(0.0, dt, lg.IMEX_BE, None, ws)
+            want = lg.step(s, p, g, lg.StepControls(dt=dt))
+            for name in ("v", "u", "theta"):
+                assert getattr(ws.nxt, name).tobytes() == getattr(want, name).tobytes()
+
     def test_warm_step_allocates_no_array(self):
         # an accepted IMEX step with the fold of its block, as advance takes
         # them, allocates less than one 4096-float array, without sources
@@ -1750,9 +1780,10 @@ class TestWorkspace:
         manufactured.increments_at(dt, dt, 3)
         times = list(manufactured.increments)
         for s0, src in ((cosine, None), (solver.manufactured_state(0.0, g), manufactured)):
-            ws = solver._workspace(s0, p, g)
+            ws = Workspace(n)
+            ws.load(s0, g, p)
             assert ws.block == 1
-            diag = solver._Diagnostics(s0, g, p, ws, [])
+            diag = solver._Diagnostics(s0, ws, [])
             for row in ws.step_sources:
                 row.fill(np.nan)
             starts = iter([0.0] + times)
@@ -1784,7 +1815,9 @@ class TestWorkspace:
         ws = Workspace(3, k)
         # accept writes thf and knum from theta; at beta = 1 and kappa = 1
         # both equal theta, so a tagged row keeps its tag
-        ws.scalars = solver._Scalars(lg.PhysParams(beta=1.0), lg.build_grid(3))
+        g = lg.build_grid(3)
+        ws.load(lg.make_initial_data(lg.InitialSpec(kind="equilibrium"), g), g,
+                lg.PhysParams(beta=1.0))
         fields = ("v", "u", "theta", "ux", "vf", "thf", "knum")
 
         def write(row, tag):
